@@ -2,8 +2,9 @@
 """Norm series against their closed forms.
 
 Where the squared-coefficient sum factorizes, each factor is an
-exponential, a confluent hypergeometric value 1F1(1;b;x) evaluated
-through the incomplete-Gamma route, or a one-index Gamma-slope sum.
+exponential, a confluent hypergeometric value 1F1(1;b;x) (a direct sum
+below x = b, the incomplete-Gamma form from there), or a one-index
+Gamma-slope sum.
 The certified series and the closed route agree to 1e-9; for two
 catalog entries whose printed closed forms are inconsistent, the series
 is the certifying route and the result carries a flag.

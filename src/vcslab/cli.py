@@ -2,9 +2,8 @@
 
 Exit codes: 0 = every expectation met (predicted-undefined points count
 as met), 1 = a check failed, 2 = usage or configuration error.  Reports
-are byte-reproducible for identical configurations: class results are
-assembled in id order whatever the parallel schedule, and JSON is
-emitted with sorted keys.  VCSLAB_THREADS caps worker threads.
+are byte-reproducible for identical configurations: classes run one
+after another in id order, and JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .convergence import class_verdict, gamma_ratio_surface, required_positive_ratios
@@ -89,18 +86,11 @@ class RunConfig:
             raise UsageError("z-grid must be non-empty for norm/resolution checks")
         if any(t <= 0 for t in self.tol.values()):
             raise UsageError("tolerances must be positive")
+        if not isinstance(self.nmax, int) or self.nmax < 0:
+            raise UsageError(f"nmax must be a non-negative integer, got {self.nmax!r}")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {sorted(unknown)}")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("VCSLAB_THREADS", "")
-    try:
-        n = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise UsageError(f"VCSLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, 64))
 
 
 def _config_for(spec, cfg: RunConfig) -> FrequencyConfig:
@@ -248,17 +238,7 @@ def _selected_ids(cfg: RunConfig) -> list[str]:
 def run_verification(cfg: RunConfig) -> dict:
     cfg.validate()
     ids = _selected_ids(cfg)
-    threads = _thread_count()
-    results: dict[str, list[dict]] = {}
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {cid: pool.submit(run_class_checks, cid, cfg) for cid in ids}
-            for cid in ids:
-                results[cid] = futures[cid].result()
-    else:
-        for cid in ids:
-            results[cid] = run_class_checks(cid, cfg)
-    flat = [r for cid in sorted(results) for r in results[cid]]
+    flat = [r for cid in sorted(ids) for r in run_class_checks(cid, cfg)]
     summary = {
         "classes": len(ids),
         "checks": len(flat),
@@ -463,9 +443,9 @@ def _runconfig_from_args(args, classes=None) -> RunConfig:
         cfg.fixed.update(_parse_fixed(args.fixed))
     if getattr(args, "kappa", None):
         cfg.kappa_overrides.update(_parse_kappa(args.kappa))
-    if getattr(args, "nmax", None):
+    if getattr(args, "nmax", None) is not None:
         cfg.nmax = args.nmax
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         cfg.tol = {k: args.tol for k in cfg.tol}
     if getattr(args, "checks", None):
         cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]

@@ -277,7 +277,7 @@ def _ratio_decision(struct: _SeriesStructure) -> Verdict:
     return Verdict("inconclusive", "; ".join(w for _, w in joint))
 
 
-def ratio_test_double(gen: TermGenerator, probe_depth: int = 256) -> Verdict:
+def ratio_test_double(gen: TermGenerator) -> Verdict:
     return _ratio_decision(structure_of(gen))
 
 

@@ -60,12 +60,6 @@ class LogValue:
             return LogValue.zero()
         return LogValue(self.log_abs - other.log_abs, self.sign * other.sign)
 
-    def powi(self, k: int) -> "LogValue":
-        if self.sign == 0:
-            return LogValue.one() if k == 0 else LogValue.zero()
-        sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
-        return LogValue(self.log_abs * k, sign)
-
     def rel_diff(self, other: "LogValue") -> float:
         """Relative difference |self - other| / |other| without leaving log scale."""
         if other.sign == 0:

@@ -5,8 +5,8 @@ series over one or two summed indices.  `TermGenerator` linearizes a
 class at fixed frequencies/variables so terms can be evaluated on whole
 index windows at once; `norm_series` sums with a geometric tail
 certificate; `norm_closed_form` rebuilds the factorized closed forms
-(exponential, confluent-hypergeometric via the incomplete-Gamma route,
-and one-index Gamma-slope sums) where factorization holds, and reports
+(exponential, confluent-hypergeometric 1F1(1;b;x), and one-index
+Gamma-slope sums) where factorization holds, and reports
 `None` where the sum genuinely does not factorize.
 """
 
@@ -324,7 +324,7 @@ def norm_closed_form(
     """Factorized/closed evaluation of the norm; None when unavailable.
 
     Never sums the double series: per-axis factors are the exponential,
-    the 1F1(1;b;x) incomplete-Gamma closed form, or (for Gamma arguments
+    the 1F1(1;b;x) closed form, or (for Gamma arguments
     climbing with a fractional ratio slope) a certified one-index sum.
     """
     gen = term_generator(spec, config, z, fixed, overrides)

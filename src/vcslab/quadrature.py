@@ -51,13 +51,14 @@ def _laguerre_rule(nodes: int, alpha: float):
 def log_moment_gauss(q: float, log_scale: float = 0.0, nodes: int = 200) -> float:
     """Route A: log I(q, S) by generalized Gauss-Laguerre.
 
-    With alpha = frac(q) in the weight, the remaining factor x^floor(q)
-    is a polynomial, so the rule is exact up to rounding.
+    With alpha = q - m in the weight, the remaining factor x^m is a
+    polynomial of degree m = max(floor(q), 0), so the rule is exact up to
+    rounding; for -1 < q < 0 the whole exponent goes into the weight.
     """
     if q <= -1.0:
         raise ValueError(f"moment exponent {q} <= -1: divergent integral")
-    alpha = q - math.floor(q)
-    m = q - alpha
+    m = max(math.floor(q), 0)
+    alpha = q - m
     x, logw = _laguerre_rule(nodes, alpha)
     return float(logsumexp(logw + m * np.log(x))) + (q + 1.0) * log_scale
 

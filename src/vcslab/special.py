@@ -1,207 +1,49 @@
-"""Log-domain special functions used by every other module.
+"""Log-domain special functions: log-Gamma and the 1F1(1;b;x) closed form.
 
-Self-contained implementations (Lanczos log-Gamma, incomplete Gamma by
-series/continued fraction, the 1F1(1;b;x) closed form) so that every
-accuracy claim in the verification reports traces to code in this file.
+Both rest on scipy (`gammaln`, `gammainc`), the same routines the
+vectorised norm-series grids use, so scalar and grid terms agree.
 """
 
 from __future__ import annotations
 
 import math
 
+from scipy.special import gammainc, gammaln
+
 from .logspace import LogValue
-
-# Lanczos coefficients, g = 7, 9 terms (classical double precision set).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    xm1 = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (xm1 + i)
-    t = xm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def pochhammer(gamma: float, n: int) -> LogValue:
-    """Rising factorial Gamma(gamma+n)/Gamma(gamma) as a LogValue."""
-    if n < 0:
-        raise ValueError("pochhammer requires n >= 0")
-    if gamma <= 0.0:
-        raise ValueError("pochhammer requires gamma > 0")
-    if n == 0:
-        return LogValue.one()
-    return LogValue.exp(log_gamma(gamma + n) - log_gamma(gamma))
-
-
-def log_factorial(n: int) -> float:
-    return log_gamma(n + 1.0)
-
-
-def _lower_regularized_series(a: float, x: float) -> float:
-    """P(a,x) by the standard series, reliable for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= x / (a + k)
-        total += term
-        if abs(term) < abs(total) * 1e-17 or k > 10_000:
-            break
-    return total * math.exp(a * math.log(x) - x - log_gamma(a))
-
-
-def _upper_cf(a: float, x: float) -> float:
-    """Continued fraction for Gamma(a,x)*exp(x)*x^(-a), reliable for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def regularized_lower(a: float, x: float) -> float:
-    """P(a,x) = gamma(a,x)/Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError("requires a > 0")
-    if x < 0.0:
-        raise ValueError("requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_regularized_series(a, x)
-    return 1.0 - regularized_upper(a, x)
-
-
-def regularized_upper(a: float, x: float) -> float:
-    """Q(a,x) = Gamma(a,x)/Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError("requires a > 0")
-    if x < 0.0:
-        raise ValueError("requires x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_regularized_series(a, x)
-    return _upper_cf(a, x) * math.exp(a * math.log(x) - x - log_gamma(a))
-
-
-def upper_incomplete_gamma(a: float, x: float) -> LogValue:
-    """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt, as a LogValue."""
-    if a <= 0.0:
-        raise ValueError("upper_incomplete_gamma requires a > 0")
-    if x < 0.0:
-        raise ValueError("upper_incomplete_gamma requires x >= 0")
-    if x == 0.0:
-        return LogValue.exp(log_gamma(a))
-    if x >= a + 1.0:
-        # log of cf prefactor form avoids the 1 - P cancellation entirely
-        return LogValue.exp(a * math.log(x) - x + math.log(_upper_cf(a, x)))
-    q = 1.0 - _lower_regularized_series(a, x)
-    if q <= 0.0:
-        # series branch keeps q well away from 0; guard for pathological rounding
-        q = 5e-17
-    return LogValue.exp(log_gamma(a) + math.log(q))
-
-
-def hyp1f1_one_series(b: float, x: float, rel_tol: float = 1e-16) -> tuple[LogValue, float]:
-    """1F1(1;b;x) = sum_k x^k / (b)_k by direct summation.
-
-    Returns (value, tail_bound) where tail_bound is a certified relative
-    bound on the truncation error from the geometric ratio at the cutoff.
-    """
-    if b < 1.0:
-        raise ValueError("hyp1f1_one requires b >= 1")
-    if x < 0.0:
-        raise ValueError("hyp1f1_one requires x >= 0")
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        term *= x / (b + k)
-        total += term
-        k += 1
-        if term < total * rel_tol or k > 100_000:
-            break
-    # beyond the cutoff the term ratio x/(b+k) only shrinks
-    r = x / (b + k)
-    tail = term * r / (1.0 - r) if r < 1.0 else float("inf")
-    return LogValue.from_value(total), tail / total
+    return float(gammaln(x))
 
 
 def hyp1f1_one_closed(b: float, x: float) -> LogValue:
-    """1F1(1;b;x) through the incomplete-Gamma closed form.
+    """1F1(1;b;x) = sum_k x^k / (b)_k for b >= 1, x >= 0.
 
-    1F1(1;b;x) = e^x x^(1-b) Gamma(b) P(b-1, x), with the b = 1 and x = 0
-    degenerations handled exactly.
+    Below x = b the terms fall monotonically from the first, so they are
+    summed directly.  From x = b on the sum is taken from
+    e^x x^(1-b) Gamma(b) P(b-1, x), where P(b-1, x) >= 1/2 cannot
+    underflow.
     """
     if b < 1.0:
-        raise ValueError("hyp1f1_one requires b >= 1")
+        raise ValueError("hyp1f1_one_closed requires b >= 1")
     if x < 0.0:
-        raise ValueError("hyp1f1_one requires x >= 0")
+        raise ValueError("hyp1f1_one_closed requires x >= 0")
     if x == 0.0:
         return LogValue.one()
     if b == 1.0:
         return LogValue.exp(x)
-    p = regularized_lower(b - 1.0, x)
-    return LogValue.exp(x + (1.0 - b) * math.log(x) + log_gamma(b) + math.log(p))
-
-
-def hyp1f1_one(b: float, x: float, cross_check_tol: float = 1e-9) -> LogValue:
-    """1F1(1;b;x) with the series and closed-form routes cross-checked."""
-    series, _tail = hyp1f1_one_series(b, x)
-    closed = hyp1f1_one_closed(b, x)
-    rel = series.rel_diff(closed)
-    if rel > cross_check_tol:
-        raise ArithmeticError(
-            f"hyp1f1_one routes disagree at b={b}, x={x}: rel diff {rel:.3e}"
-        )
-    return series
-
-
-def stirling_log_gamma(x: float) -> float:
-    """Leading Stirling approximation of log Gamma; asymptotic use only."""
-    if x < 10.0:
-        raise ValueError("stirling_log_gamma is only admitted for arguments >= 10")
-    return 0.5 * math.log(2.0 * math.pi / x) + x * (math.log(x) - 1.0)
-
-
-def stirling_gamma_ratio(num_arg: float, den_arg: float) -> float:
-    """Gamma(num)/Gamma(den) from Stirling logs; for asymptotic verdicts only."""
-    return math.exp(stirling_log_gamma(num_arg) - stirling_log_gamma(den_arg))
+    if x < b:
+        term = 1.0
+        total = 1.0
+        k = 0
+        while term > total * 1e-17:
+            term *= x / (b + k)
+            total += term
+            k += 1
+        return LogValue.from_value(total)
+    p = float(gammainc(b - 1.0, x))
+    return LogValue.exp(x + (1.0 - b) * math.log(x) + float(gammaln(b)) + math.log(p))

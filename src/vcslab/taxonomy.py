@@ -20,6 +20,7 @@ from .frequencies import FrequencyConfig
 from .norms import state
 from .registry import FAMILY_QUADRUPLES, ONE_DOF_QUADRUPLES, get, registry
 from .report import VerificationReport, make_report
+from .special import log_gamma
 from .structure import ClassSpec, LinForm, SpecError
 
 _SWAP = {1: 2, 2: 1}
@@ -51,7 +52,7 @@ class FactorRelation:
             kind, tower = comp.base
             if kind == "factorial":
                 # the base itself carries the index dependence: (n_f!)^scalar
-                out += comp.scalar * math.lgamma(n_fixed + 1.0)
+                out += comp.scalar * log_gamma(n_fixed + 1.0)
                 continue
             if comp.exponent == "nf":
                 e = comp.scalar * n_fixed

@@ -87,6 +87,33 @@ class TestVerify:
         ])
         assert rc == 1
 
+    def test_zero_tolerance_exits_2(self):
+        proc = run_cli(["verify", "2d.1dof.plain1.A", "--omega", "1,2", "--tol", "0"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_negative_nmax_exits_2(self):
+        proc = run_cli(["verify", "2d.1dof.plain1.A", "--omega", "1,2", "--nmax", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_non_integer_nmax_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classes": ["2d.1dof.plain1.A"], "omegas": [1.0, 2.0], "nmax": 3.0}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+
+    def test_large_fixed_index_norm_and_convergence(self, tmp_path):
+        # the norm's 1F1(1;b;x) has b = 801 and x up to 5 here, where
+        # P(b-1, x) underflows to 0, so only the direct sum can give it
+        out = tmp_path / "r.json"
+        rc = main([
+            "verify", "2d.1dof.gamma1.A", "2d.2dof.gamma1-plain.A", "--omega", "1,2",
+            "--fixed", "n2=400", "--checks", "norm,convergence", "--out", str(out),
+        ])
+        assert rc == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert (summary["checks"], summary["passed"]) == (4, 4)
+
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])
         assert proc.returncode == 2

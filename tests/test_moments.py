@@ -39,6 +39,12 @@ class TestQuadraturePieces:
         assert log_moment_gauss(q, log_s) == pytest.approx(expect, abs=5e-13 * max(1, abs(expect)))
         assert log_moment_adaptive(q, log_s) == pytest.approx(expect, abs=5e-11 * max(1, abs(expect)))
 
+    @pytest.mark.parametrize("q", [-0.999, -0.5, -0.3, -4e-15])
+    def test_gauss_route_below_zero(self, q):
+        # -1 < q < 0 puts all of q in the weight; -4e-15 is an exponent
+        # that should be 0 but carries rounding from its linear form
+        assert log_moment_gauss(q) == pytest.approx(log_gamma(q + 1.0), abs=1e-12)
+
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):
             log_moment_gauss(-1.0)
