@@ -34,6 +34,13 @@ def hyp1f1_one_series(b, x):
     return LogValue.from_value(total), tail / total
 
 
+def lower_incomplete_gamma(a, x):
+    """gamma(a, x) = x^a e^-x 1F1(1; a+1; x) / a: the 1F1 closed form at b = a + 1."""
+    if x == 0.0:
+        return LogValue.zero()
+    return LogValue.exp(a * math.log(x) - x - math.log(a)) * hyp1f1_one_closed(a + 1.0, x)
+
+
 class TestLogGamma:
     def test_trivial_values(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
@@ -96,6 +103,38 @@ class TestPochhammer:
         for gamma in (1.0, 1.2, 2.9, 8.0):
             for n in (1, 3, 17, 90):
                 assert log_gamma(gamma + n) >= log_gamma(n + 1.0) - 1e-12
+
+
+class TestUpperIncompleteGamma:
+    """Gamma(a, x) = Gamma(a) - gamma(a, x), with the lower part from the 1F1 closed form."""
+
+    def test_exponential_tail(self):
+        # Gamma(1, x) = e^-x, so gamma(1, x) = 1 - e^-x
+        for x in (0.1, 1.0, 30.0, 200.0):
+            assert lower_incomplete_gamma(1.0, x).value == pytest.approx(-math.expm1(-x), rel=1e-12)
+
+    def test_adaptive_quadrature_oracle(self):
+        # Gamma(2,1) = 2/e, so gamma(2,1) = 1 - 2/e, frozen from the quad oracle below
+        assert lower_incomplete_gamma(2.0, 1.0).value == pytest.approx(0.2642411176571153, rel=1e-12)
+        from scipy.integrate import quad
+
+        val, _ = quad(lambda t: t * math.exp(-t), 0.0, 1.0)
+        assert lower_incomplete_gamma(2.0, 1.0).value == pytest.approx(val, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 7.5, 23.0, 50.0])
+    @pytest.mark.parametrize("x", [0.0, 0.4, 1.0, 6.0, 24.0, 80.0, 200.0])
+    def test_against_high_precision(self, a, x):
+        a_mp, x_mp = mpmath.mpf(a), mpmath.mpf(x)
+        got = lower_incomplete_gamma(a, x)
+        exact = mpmath.gammainc(a_mp, 0, x_mp)
+        if x == 0.0:
+            assert got.sign == 0
+        else:
+            log_exact = float(mpmath.log(exact))
+            assert abs(got.log_abs - log_exact) <= 1e-12 * max(1.0, abs(log_exact))
+        # the split adds back up to Gamma(a) with mpmath's upper part
+        total = float(mpmath.gammainc(a_mp, x_mp)) + got.value
+        assert total == pytest.approx(math.exp(log_gamma(a)), rel=1e-12)
 
 
 class TestHyp1F1One:
@@ -173,3 +212,10 @@ class TestLogValue:
     def test_mul_matches_float(self, x, y):
         prod = LogValue.from_value(x) * LogValue.from_value(y)
         assert prod.value == pytest.approx(x * y, rel=1e-12)
+
+    def test_lower_regularized_bounds(self):
+        # P(a, x) = gamma(a, x) / Gamma(a) lies in [0, 1] on both sides of the x = b switch
+        for a in (0.5, 3.0, 20.0):
+            for x in (0.0, 0.1, a, 10 * a + 5):
+                p = lower_incomplete_gamma(a, x).value / math.exp(log_gamma(a))
+                assert -1e-15 <= p <= 1.0 + 1e-15
