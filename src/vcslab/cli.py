@@ -18,6 +18,7 @@ from .convergence import class_verdict, gamma_ratio_surface, required_positive_r
 from .frequencies import FrequencyConfig
 from .moments import verify_moments
 from .norms import DivergenceError, TailBudgetError, norm_closed_form, norm_series, term_generator
+from .quadrature import QuadratureDisagreement
 from .registry import get, registry, select
 from .report import dumps_deterministic, make_report
 from .resolution import resolution_residual
@@ -88,6 +89,9 @@ class RunConfig:
             raise UsageError("tolerances must be positive")
         if not isinstance(self.nmax, int) or self.nmax < 0:
             raise UsageError(f"nmax must be a non-negative integer, got {self.nmax!r}")
+        negative = {f"n{k}": v for k, v in sorted(self.fixed.items()) if v < 0}
+        if negative:
+            raise UsageError(f"fixed indices must be non-negative, got {negative}")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {sorted(unknown)}")
@@ -98,22 +102,32 @@ def _config_for(spec, cfg: RunConfig) -> FrequencyConfig:
     if len(omegas) < spec.dimension:
         raise UsageError(f"{spec.id} needs {spec.dimension} frequencies, got {cfg.omegas}")
     shifts = tuple(cfg.alphas[: spec.dimension]) if cfg.alphas else ()
-    return FrequencyConfig(omegas, shifts)
+    try:
+        return FrequencyConfig(omegas, shifts)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _fixed_for(spec, cfg: RunConfig) -> tuple[int, ...]:
     return tuple(cfg.fixed.get(t, 1) for t in spec.fixed)
 
 
-def _expected_undefined(spec, cfg: RunConfig) -> bool:
-    """Is this parameter point predicted non-normalizable?"""
-    if not cfg.kappa_overrides:
-        return False
-    zeroed = {p for p, v in cfg.kappa_overrides.items() if v == 0.0}
+def _expected_undefined(spec, cfg: RunConfig) -> str | None:
+    """Why this parameter point is predicted non-normalizable, or None.
+
+    A ratio pinned to zero sends its reciprocal to infinity, so a class
+    that uses the reciprocal is undefined there (the deformation graph's
+    forbidden "reciprocal ratio diverges" limit).
+    """
+    zeroed = sorted(p for p, v in cfg.kappa_overrides.items() if v == 0.0)
+    used = spec.ratios_used()
+    for i, j in zeroed:
+        if (j, i) in used:
+            return f"reciprocal ratio kappa{j}{i} diverges"
     for group in required_positive_ratios(spec):
         if group and all(p in zeroed for p in group):
-            return True
-    return False
+            return "ratio pinned to zero on a required-positive group"
+    return None
 
 
 def _z_points(spec, fc: FrequencyConfig, cfg: RunConfig):
@@ -154,7 +168,7 @@ def _check_limits(spec, fc, cfg):
     try:
         edges = deformation_graph(spec.dimension, spec.dof)
     except SpecError:
-        edges = []
+        edges = ()
     for e in edges:
         if e.ancestor != spec.id or e.status != "defined":
             continue
@@ -174,18 +188,24 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     undefined_point = _expected_undefined(spec, cfg)
     for check in cfg.checks:
         if check == "convergence":
-            v = class_verdict(spec, fc, fixed, overrides=overrides)
             if undefined_point:
                 # the point is predicted non-normalizable: divergence is
                 # the expected outcome; anything else is a regression
+                try:
+                    v = class_verdict(spec, fc, fixed, overrides=overrides)
+                    divergent, witness = v.divergent, v.witness
+                except ZeroDivisionError:
+                    # a term needs the reciprocal of a zero ratio: undefined as predicted
+                    divergent, witness = True, undefined_point
                 rep = make_report(
                     spec.id, "convergence",
-                    (("divergence-confirmed", 0.0 if v.divergent else 1.0),),
+                    (("divergence-confirmed", 0.0 if divergent else 1.0),),
                     0.5,
-                    metadata=(("witness", v.witness), ("expected", "undefined")),
-                    undefined=v.divergent,
+                    metadata=(("witness", witness), ("expected", "undefined")),
+                    undefined=divergent,
                 )
             else:
+                v = class_verdict(spec, fc, fixed, overrides=overrides)
                 rep = make_report(
                     spec.id, "convergence",
                     ((v.status, 0.0 if v.convergent else 1.0),),
@@ -197,7 +217,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
         if undefined_point:
             rep = make_report(
                 spec.id, check, ((f"predicted-undefined", 0.0),), 1.0, undefined=True,
-                metadata=(("reason", "ratio pinned to zero on a required-positive group"),),
+                metadata=(("reason", undefined_point),),
             )
             out.append(rep.as_dict())
             continue
@@ -216,7 +236,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 rep = _check_limits(spec, fc, cfg)
             else:
                 raise UsageError(f"unknown check {check}")
-        except (DivergenceError, TailBudgetError) as exc:
+        except (DivergenceError, TailBudgetError, QuadratureDisagreement) as exc:
             rep = make_report(
                 spec.id, check, (("evaluation-error", 1.0),), 0.5,
                 metadata=(("error", str(exc)),),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp, roots_genlaguerre
@@ -132,8 +133,18 @@ def log_moment_adaptive(q: float, log_scale: float = 0.0, tol: float = 1e-12) ->
     return math.log(val) + f_star + p * log_scale
 
 
+@lru_cache(maxsize=2**14)
 def log_moment_piece(q: float, log_scale: float, quad: QuadSpec) -> tuple[float, float]:
-    """(route A, route B) logs of one 1d moment piece."""
+    """(route A, route B) logs of one 1d moment piece.
+
+    Memoized on the exact arguments: a piece depends on nothing else,
+    and the moment and Gram checks of one run ask for the same few
+    exponents thousands of times.  Exceptions are not cached.  Both
+    routes are looked up through this module's globals on a miss, so a
+    test that replaces a route must clear the cache before and after
+    (`log_moment_piece.cache_clear()`), or a substituted value stays
+    cached for every later caller.
+    """
     a = log_moment_gauss(q, log_scale, quad.nodes)
     b = log_moment_adaptive(q, log_scale, quad.simpson_tol)
     return a, b

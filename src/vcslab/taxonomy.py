@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .convergence import class_verdict
 from .frequencies import FrequencyConfig
@@ -274,8 +275,13 @@ def _descendant_lookup():
     return table
 
 
-def deformation_graph(dimension: int, dof: int) -> list[DeformationEdge]:
-    """Ancestor/descendant edges under single-ratio limits kappa -> 0."""
+@lru_cache(maxsize=None)
+def deformation_graph(dimension: int, dof: int) -> tuple[DeformationEdge, ...]:
+    """Ancestor/descendant edges under single-ratio limits kappa -> 0.
+
+    Memoized: the registry is fixed, so there are three graphs, and each
+    is returned as a tuple of frozen edges that no caller can change.
+    """
     if (dimension, dof) not in ((2, 1), (2, 2), (3, 2)):
         raise SpecError(f"unsupported (dimension, dof) = ({dimension}, {dof})")
     lookup = _descendant_lookup()
@@ -310,7 +316,7 @@ def deformation_graph(dimension: int, dof: int) -> list[DeformationEdge]:
                 raise SpecError(f"{spec.id}: defined limit kappa{pair} leaves an unregistered class")
             desc_id, via_sym = found
             edges.append(DeformationEdge(spec.id, desc_id, pair, "defined", via_symmetry=via_sym))
-    return edges
+    return tuple(edges)
 
 
 def confirm_forbidden_edge(edge: DeformationEdge, config: FrequencyConfig, fixed) -> bool:

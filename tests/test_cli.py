@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from vcslab.cli import main
 
 RUN = [sys.executable, "-m", "vcslab.cli"]
@@ -113,6 +115,40 @@ class TestVerify:
         assert rc == 0
         summary = json.loads(out.read_text())["summary"]
         assert (summary["checks"], summary["passed"]) == (4, 4)
+
+    @pytest.mark.parametrize("args", [
+        ["2d.1dof.gamma1.A", "--omega", "1,2", "--fixed", "n2=400"],
+        ["2d.2dof.gamma1-gamma2.D", "--omega", "1,1e3"],
+    ])
+    def test_route_disagreement_is_a_fail_report(self, args):
+        # both push moment exponents past route A's exact range (q > 600)
+        proc = run_cli(["verify", *args, "--checks", "moment"])
+        assert proc.returncode == 1
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["verdict"] == "fail"
+        assert rep["residuals"] == {"evaluation-error": 1.0}
+        assert "quadrature routes disagree" in rep["metadata"]["error"]
+
+    def test_zero_ratio_with_used_reciprocal_is_undefined(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "all", "--kappa", "32=0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["summary"]["checks"], doc["summary"]["failed"], doc["summary"]["undefined"]) == (336, 0, 72)
+        reps = {r["check"]: r for r in doc["results"] if r["class"] == "3d.2dof.gamma12-gamma23"}
+        assert {r["verdict"] for r in reps.values()} == {"undefined"}
+        assert reps["convergence"]["metadata"]["witness"] == "reciprocal ratio kappa23 diverges"
+        assert reps["norm"]["metadata"]["reason"] == "reciprocal ratio kappa23 diverges"
+
+    @pytest.mark.parametrize("args", [
+        ["--omega", "nan,1"],
+        ["--omega", "1,2", "--fixed", "n2=-3"],
+    ])
+    def test_invalid_input_exits_2_with_one_line(self, args):
+        proc = run_cli(["verify", "2d.1dof.gamma1.A", *args])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import math
+from collections import Counter
 
 import mpmath
 import pytest
 
+from vcslab import quadrature
+from vcslab.cli import RunConfig, main, run_verification
 from vcslab.frequencies import FrequencyConfig
 from vcslab.moments import (
     MeasureDensity,
@@ -19,8 +24,10 @@ from vcslab.quadrature import (
     QuadratureDisagreement,
     log_moment_adaptive,
     log_moment_gauss,
+    log_moment_piece,
 )
 from vcslab.registry import get, registry
+from vcslab.report import dumps_deterministic
 from vcslab.special import log_gamma
 from vcslab.structure import SpecError
 
@@ -50,6 +57,60 @@ class TestQuadraturePieces:
             log_moment_gauss(-1.0)
         with pytest.raises(ValueError):
             log_moment_adaptive(-1.5)
+
+
+@pytest.fixture
+def fresh_piece_cache():
+    # clear on both sides, so no test sees another's pieces and a
+    # route replaced inside a test leaves nothing cached behind it
+    log_moment_piece.cache_clear()
+    yield
+    log_moment_piece.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_piece_cache")
+class TestPieceMemo:
+    def test_fresh_value_equals_cached(self):
+        quad = QuadSpec()
+        first = log_moment_piece(17.3, math.log(0.3), quad)
+        assert log_moment_piece(17.3, math.log(0.3), quad) is first
+        log_moment_piece.cache_clear()
+        fresh = log_moment_piece(17.3, math.log(0.3), quad)
+        assert fresh == first
+        assert fresh == (log_moment_gauss(17.3, math.log(0.3)), log_moment_adaptive(17.3, math.log(0.3)))
+
+    def test_divergent_exponent_raises_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                log_moment_piece(-1.0, 0.0, QuadSpec())
+        assert log_moment_piece.cache_info().currsize == 0
+
+    def test_cold_and_warm_runs_give_the_same_bytes(self):
+        cfg = RunConfig(
+            classes=["2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma13-gamma32"],
+            nmax=6,
+            checks=["moment", "resolution"],
+        )
+        cold = dumps_deterministic(run_verification(cfg))
+        assert log_moment_piece.cache_info().misses > 0
+        warm = dumps_deterministic(run_verification(cfg))
+        assert warm == cold
+
+    def test_route_b_runs_once_per_distinct_exponent(self, monkeypatch):
+        exponents = Counter()
+        route_b = quadrature.log_moment_adaptive
+
+        def counting(q, *args):
+            exponents[q] += 1
+            return route_b(q, *args)
+
+        monkeypatch.setattr(quadrature, "log_moment_adaptive", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "2d.2dof.gamma1-gamma2.A"]) == 0
+        info = log_moment_piece.cache_info()
+        assert info.hits > 0
+        assert len(exponents) == info.misses
+        assert max(exponents.values()) == 1
 
 
 class TestDensityCatalog:

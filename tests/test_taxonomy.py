@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from vcslab.frequencies import FrequencyConfig
@@ -197,8 +199,22 @@ class TestDeformationGraph:
             assert rep.passed, (e, rep.as_dict())
 
     def test_unsupported_pair(self):
-        with pytest.raises(SpecError):
-            deformation_graph(3, 1)
+        for _ in range(2):
+            with pytest.raises(SpecError):
+                deformation_graph(3, 1)
+
+    def test_memoized_graph_cannot_be_changed_by_a_caller(self):
+        graph = deformation_graph(2, 2)
+        assert isinstance(graph, tuple)
+        assert deformation_graph(2, 2) is graph
+        before = [dataclasses.astuple(e) for e in graph]
+        held = list(graph)
+        held.clear()
+        with pytest.raises(TypeError):
+            graph[0] = graph[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph[0].status = "forbidden"
+        assert [dataclasses.astuple(e) for e in deformation_graph(2, 2)] == before
 
 
 class TestClassCounts:
