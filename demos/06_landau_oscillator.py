@@ -25,8 +25,9 @@ print("\n== verifying a deformed class on the trapped-particle spectrum ==")
 cfg = landau_map(3.0, 4.0).config()
 print(f" frequencies {cfg.omegas}, shifts {cfg.shifts}")
 spec = shift_extension(get("2d.1dof.gamma1.A"), cfg.shifts)
-nv = spec.quantum_numbers((0,), (2,))
-print(f" shifted Gamma offset at n2=2: {spec.towers[0].gamma_value(nv, cfg):.6f}")
+# at n1 = 0 the compiled Gamma argument gamma1 + n1 is the offset gamma1 itself
+gamma_arg = spec.compile(cfg, (2,)).towers[0].gamma_arg
+print(f" shifted Gamma offset at n2=2: {gamma_arg.at((0,)):.6f}")
 rep = verify_moments(spec, cfg, (2,), n_range=15)
 print(f" moment certification: {rep.verdict} (max residual {rep.max_residual:.2e})")
 

@@ -16,7 +16,7 @@ from .convergence import (
     ratio_test_double,
     row_column_check,
 )
-from .frequencies import FrequencyConfig, kappa
+from .frequencies import FrequencyConfig
 from .logspace import LogValue
 from .moments import (
     MeasureDensity,

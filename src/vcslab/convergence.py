@@ -70,7 +70,7 @@ def _replace_factors(gen: TermGenerator, kept: list[int], plain_axes: list[int])
     realizes the termwise majorants of the comparison arguments.
     """
     base = structure_of(gen)
-    offsets = [td.log_gamma_norm for td in gen._towers]
+    offsets = [ct.log_gamma_norm for ct in gen.compiled.towers]
     replaced = [i for i in range(len(base.factors)) if i not in kept]
 
     def log_term(n):
@@ -105,7 +105,7 @@ def partial_plain_reference(gen: TermGenerator) -> _SeriesStructure:
     by n_k!; factors attached to a fixed tower, whose argument climbs
     along a summed axis with a ratio slope, are kept as they stand.
     """
-    towers = [td.tower for td in gen._towers]
+    towers = [ct.tower for ct in gen.compiled.towers]
     kept = [i for i, t in enumerate(towers) if t not in gen.axes]
     plain_axes = [k for k, a in enumerate(gen.axes) if a in towers]
     return _replace_factors(gen, kept=kept, plain_axes=plain_axes)

@@ -55,17 +55,9 @@ class FrequencyConfig:
             raise ValueError("ratio requires two distinct towers")
         return self.omega(j) / self.omega(i)
 
-    def with_shifts(self, shifts) -> "FrequencyConfig":
-        return FrequencyConfig(self.omegas, tuple(shifts))
-
     def _check_tower(self, tower: int) -> None:
         if not 1 <= tower <= len(self.omegas):
             raise IndexError(f"tower {tower} out of range for {len(self.omegas)} towers")
-
-
-def kappa(config: FrequencyConfig, i: int, j: int) -> float:
-    """Frequency ratio omega_j / omega_i."""
-    return config.ratio(i, j)
 
 
 def resolve_ratio(

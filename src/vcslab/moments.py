@@ -23,7 +23,7 @@ from .logspace import LogValue
 from .quadrature import QuadSpec, combine_routes, log_moment_piece
 from .report import VerificationReport, make_report
 from .special import log_gamma
-from .structure import ClassSpec, SpecError
+from .structure import ClassSpec, CompiledClass, SpecError
 
 
 @dataclass(frozen=True)
@@ -306,10 +306,20 @@ def _integrate(
     return combine_routes(log_a, log_b, quad, context=f"({density.spec_id})")
 
 
+def _log_moment(compiled: CompiledClass, density: MeasureDensity, n, quad: QuadSpec) -> float:
+    """log of the radial moment integral at summed multi-index n."""
+    e = {ct.tower: ct.z_exp.at(n) for ct in compiled.towers}
+    log_i, _ = _integrate(density, e, quad)
+    for ct in compiled.towers:
+        log_i -= ct.w_exp.at(n) * ct.log_w
+    return log_i
+
+
 def moment_target(spec: ClassSpec, config: FrequencyConfig, fixed, n) -> LogValue:
     """Product of the factorial targets R_t(n)."""
-    nvals = spec.quantum_numbers(n, fixed)
-    return LogValue.exp(spec.log_radial_product(nvals, config))
+    compiled = spec.compile(config, fixed)
+    compiled.check(n)
+    return LogValue.exp(compiled.log_target(n))
 
 
 def moment_integral(
@@ -322,12 +332,9 @@ def moment_integral(
 ) -> LogValue:
     """The radial moment integral at summed multi-index n."""
     density = density_for(spec, config, fixed) if density is None else density
-    nvals = spec.quantum_numbers(n, fixed)
-    e = {tw.tower: tw.z_exp.value(nvals, config) for tw in spec.towers}
-    log_i, _ = _integrate(density, e, quad)
-    for tw in spec.towers:
-        log_i -= tw.w_exp.value(nvals, config) * math.log(config.omega(tw.tower))
-    return LogValue.exp(log_i)
+    compiled = spec.compile(config, fixed)
+    compiled.check(n)
+    return LogValue.exp(_log_moment(compiled, density, n, quad))
 
 
 def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
@@ -354,10 +361,11 @@ def verify_moments(
     """Relative residuals |integral/target - 1| over the probe lattice."""
     fixed = tuple(int(v) for v in fixed)
     density = density_for(spec, config, fixed) if density is None else density
+    compiled = spec.compile(config, fixed)
     residuals = []
     for n in probe_lattice(len(spec.summed), n_range):
-        integral = moment_integral(spec, config, fixed, n, density=density, quad=quad)
-        target = moment_target(spec, config, fixed, n)
+        integral = LogValue.exp(_log_moment(compiled, density, n, quad))
+        target = LogValue.exp(compiled.log_target(n))
         residuals.append((",".join(map(str, n)), integral.rel_diff(target)))
     return make_report(
         spec.id,

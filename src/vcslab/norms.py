@@ -1,13 +1,14 @@
 """Norm series: certified summation and closed-form routes.
 
 The squared-coefficient sum of every registered class is a positive
-series over one or two summed indices.  `TermGenerator` linearizes a
-class at fixed frequencies/variables so terms can be evaluated on whole
-index windows at once; `norm_series` sums with a geometric tail
-certificate; `norm_closed_form` rebuilds the factorized closed forms
-(exponential, confluent-hypergeometric 1F1(1;b;x), and one-index
-Gamma-slope sums) where factorization holds, and reports
-`None` where the sum genuinely does not factorize.
+series over one or two summed indices.  `TermGenerator` pairs a class
+compiled at fixed frequencies and indices (`ClassSpec.compile`) with the
+variables, so terms can be evaluated on whole index windows at once;
+`norm_series` sums with a geometric tail certificate; `norm_closed_form`
+rebuilds the factorized closed forms (exponential, confluent-
+hypergeometric 1F1(1;b;x), and one-index Gamma-slope sums) where
+factorization holds, and reports `None` where the sum genuinely does
+not factorize.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .frequencies import FrequencyConfig, RatioOverrides
 from .special import hyp1f1_one_closed, log_gamma
-from .structure import ClassSpec, SpecError
+from .structure import ClassSpec, CompiledClass, SpecError
 
 # closed forms the source text prints with internal inconsistencies; the
 # computed form below is the one the direct series certifies
@@ -38,81 +39,48 @@ class TailBudgetError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class _LinearizedForm:
-    const: float
-    slopes: tuple[float, ...]  # one per summed axis
-
-    def on_grid(self, grids) -> np.ndarray:
-        out = np.full(grids[0].shape, self.const)
-        for s, g in zip(self.slopes, grids):
-            if s != 0.0:
-                out = out + s * g
-        return out
-
-    def at(self, n: tuple[int, ...]) -> float:
-        return self.const + sum(s * v for s, v in zip(self.slopes, n))
-
-
-@dataclass(frozen=True)
-class _TowerData:
-    tower: int
-    log_z: float        # log |z_t|, -inf at z_t = 0
-    log_w: float        # log omega_t
-    z_exp: _LinearizedForm
-    w_exp: _LinearizedForm
-    gamma_arg: _LinearizedForm  # Gamma argument gamma_t + n_t
-    log_gamma_norm: float  # log Gamma(gamma_t) subtracted for normalized towers, else 0
-
-
-@dataclass(frozen=True)
 class TermGenerator:
     """Positive norm-series terms of one class at fixed parameters."""
 
-    spec: ClassSpec
-    config: FrequencyConfig
-    zabs: tuple[float, ...]
-    fixed: tuple[int, ...]
-    overrides_items: tuple = ()
-    _towers: tuple[_TowerData, ...] = field(default=(), repr=False)
-
-    @property
-    def overrides(self) -> RatioOverrides:
-        return dict(self.overrides_items)
+    compiled: CompiledClass
+    log_z: tuple[float, ...]   # log |z_t|, -inf at z_t = 0
+    z_args: tuple[float, ...]  # arg z_t
 
     @property
     def axes(self) -> tuple[int, ...]:
-        return self.spec.summed
+        return self.compiled.summed
 
     def log_term(self, n: tuple[int, ...]) -> float:
-        """log of the series term at summed multi-index n."""
-        if len(n) != len(self.axes):
-            raise SpecError(f"expected {len(self.axes)} indices, got {len(n)}")
-        if any(v < 0 for v in n):
-            raise SpecError("summed indices must be non-negative")
+        """log of the series term |a(n)|^2 at summed multi-index n."""
+        self.compiled.check(n)
         out = 0.0
-        for td in self._towers:
-            e = td.z_exp.at(n)
-            if td.log_z == float("-inf"):
+        for ct, log_z in zip(self.compiled.towers, self.log_z):
+            e = ct.z_exp.at(n)
+            if log_z == float("-inf"):
                 if e > 0.0:
                     return float("-inf")
             else:
-                out += 2.0 * e * td.log_z
-            out -= td.w_exp.at(n) * td.log_w
-            out -= log_gamma(td.gamma_arg.at(n)) - td.log_gamma_norm
+                out += 2.0 * e * log_z
+            out -= ct.w_exp.at(n) * ct.log_w
+            out -= log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm
         return out
+
+    def phase(self, n: tuple[int, ...]) -> float:
+        """arg a(n), from the variable phases."""
+        return sum(ct.z_exp.at(n) * th for ct, th in zip(self.compiled.towers, self.z_args))
 
     def log_term_grid(self, shape: tuple[int, ...]) -> np.ndarray:
         """log terms on the rectangular window [0, shape_i) per axis."""
         grids = np.meshgrid(*[np.arange(s, dtype=float) for s in shape], indexing="ij")
         out = np.zeros(grids[0].shape)
-        for td in self._towers:
-            e = td.z_exp.on_grid(grids)
-            if td.log_z == float("-inf"):
+        for ct, log_z in zip(self.compiled.towers, self.log_z):
+            e = ct.z_exp.on_grid(grids)
+            if log_z == float("-inf"):
                 out = np.where(e > 0.0, -np.inf, out)
             else:
-                out = out + 2.0 * e * td.log_z
-            out = out - td.w_exp.on_grid(grids) * td.log_w
-            out = out - (gammaln(td.gamma_arg.on_grid(grids)) - td.log_gamma_norm)
+                out = out + 2.0 * e * log_z
+            out = out - ct.w_exp.on_grid(grids) * ct.log_w
+            out = out - (gammaln(ct.gamma_arg.on_grid(grids)) - ct.log_gamma_norm)
         return out
 
     def log_weight(self, axis_pos: int) -> float:
@@ -122,22 +90,18 @@ class TermGenerator:
         term(n + e_axis) R(n + e_axis) / (term(n) R(n)).
         """
         out = 0.0
-        for td in self._towers:
-            s = td.z_exp.slopes[axis_pos]
+        for ct, log_z in zip(self.compiled.towers, self.log_z):
+            s = ct.z_exp.slopes[axis_pos]
             if s != 0.0:
-                if td.log_z == float("-inf"):
+                if log_z == float("-inf"):
                     return float("-inf")
-                out += 2.0 * s * td.log_z
-            out -= td.w_exp.slopes[axis_pos] * td.log_w
+                out += 2.0 * s * log_z
+            out -= ct.w_exp.slopes[axis_pos] * ct.log_w
         return out
 
     def gamma_factors(self) -> list[tuple[float, tuple[float, ...]]]:
         """(constant, per-axis slopes) of every Gamma argument in the term."""
-        return [(td.gamma_arg.const, td.gamma_arg.slopes) for td in self._towers]
-
-    def log_ratio(self, n: tuple[int, ...], axis_pos: int) -> float:
-        stepped = tuple(v + (1 if k == axis_pos else 0) for k, v in enumerate(n))
-        return self.log_term(stepped) - self.log_term(n)
+        return [(ct.gamma_arg.const, ct.gamma_arg.slopes) for ct in self.compiled.towers]
 
 
 def term_generator(
@@ -148,43 +112,12 @@ def term_generator(
     overrides: RatioOverrides | None = None,
 ) -> TermGenerator:
     """Build the norm-series term generator of a registered class."""
-    zabs = tuple(abs(complex(v)) for v in z)
-    if len(zabs) != spec.dof:
-        raise SpecError(f"{spec.id}: expected {spec.dof} variables, got {len(zabs)}")
-    if config.dimension < spec.dimension:
-        raise SpecError(f"{spec.id}: needs {spec.dimension} frequencies")
-    fixed = tuple(int(v) for v in fixed)
-    nv0 = spec.quantum_numbers((0,) * len(spec.summed), fixed)
-
-    def linearize(form):
-        const = form.value(nv0, config, overrides)
-        slopes = tuple(form.n_coefficient(axis, config, overrides) for axis in spec.summed)
-        return _LinearizedForm(const, slopes)
-
-    towers = []
-    for tw, r in zip(spec.towers, zabs):
-        gamma0 = tw.gamma.value(nv0, config, overrides)
-        garg = _LinearizedForm(
-            gamma0 + nv0[tw.tower],
-            tuple(
-                tw.gamma.n_coefficient(axis, config, overrides)
-                + (1.0 if axis == tw.tower else 0.0)
-                for axis in spec.summed
-            ),
-        )
-        towers.append(
-            _TowerData(
-                tower=tw.tower,
-                log_z=math.log(r) if r > 0.0 else float("-inf"),
-                log_w=math.log(config.omega(tw.tower)),
-                z_exp=linearize(tw.z_exp),
-                w_exp=linearize(tw.w_exp),
-                gamma_arg=garg,
-                log_gamma_norm=log_gamma(gamma0) if tw.normalized else 0.0,
-            )
-        )
-    items = tuple(sorted(overrides.items())) if overrides else ()
-    return TermGenerator(spec, config, zabs, fixed, items, tuple(towers))
+    z = tuple(complex(v) for v in z)
+    if len(z) != spec.dof:
+        raise SpecError(f"{spec.id}: expected {spec.dof} variables, got {len(z)}")
+    compiled = spec.compile(config, fixed, overrides)
+    log_z = tuple(math.log(abs(v)) if abs(v) > 0.0 else float("-inf") for v in z)
+    return TermGenerator(compiled, log_z, tuple(cmath.phase(v) for v in z))
 
 
 @dataclass(frozen=True)
@@ -351,7 +284,7 @@ def norm_closed_form(
             continue
         const, slopes = factors[t_idx]
         slope = slopes[k]
-        own = gen._towers[t_idx].tower == gen.axes[k]
+        own = gen.compiled.towers[t_idx].tower == gen.axes[k]
         if own and slope == 1.0:
             # sum_n x^n Gamma(b)/Gamma(b+n) = 1F1(1;b;x); the n = 0 term
             # is already inside the origin term
@@ -410,15 +343,12 @@ def state(
         raise SpecError(
             f"{spec.id}: state vanishes identically (fixed-index powers of a zero variable)"
         )
-    z_args = tuple(cmath.phase(v) for v in z)
     coeffs = {}
     for n in itertools.product(*[range(m + 1) for m in nmax]):
         lt = gen.log_term(n)
         if lt == float("-inf"):
             coeffs[n] = 0.0
             continue
-        nvals = spec.quantum_numbers(n, fixed)
-        phase = spec.coeff_phase(nvals, z_args, config, overrides)
-        coeffs[n] = cmath.exp(0.5 * (lt - norm.log_norm) + 1j * phase)
+        coeffs[n] = cmath.exp(0.5 * (lt - norm.log_norm) + 1j * gen.phase(n))
     return TruncatedState(spec, z, fixed, tuple(nmax), coeffs, norm.log_norm, norm.tail_bound)
 

@@ -19,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .frequencies import FrequencyConfig, RatioOverrides
-from .moments import MeasureDensity, QuadSpec, _integrate, density_for, moment_target
+from .logspace import LogValue
+from .moments import MeasureDensity, QuadSpec, _log_moment, density_for
 from .report import VerificationReport
-from .structure import ClassSpec
+from .structure import ClassSpec, CompiledClass
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,11 @@ def selection_rule(
     spec: ClassSpec, config: FrequencyConfig, overrides: RatioOverrides | None = None
 ) -> SelectionRule:
     """Constraints read off the variable-phase exponents, one per tower."""
-    rows = []
-    for tw in spec.towers:
-        coeffs = tuple(
-            tw.z_exp.n_coefficient(axis, config, overrides) for axis in spec.summed
-        )
-        if any(c != 0.0 for c in coeffs):
-            rows.append(coeffs)
+    # the z slopes do not depend on the fixed indices, so zeros serve
+    compiled = spec.compile(config, (0,) * len(spec.fixed), overrides)
+    rows = [
+        ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
+    ]
     # deduplicate proportional rows but remember the equivalences
     unique: list[tuple[float, ...]] = []
     pairs = []
@@ -109,33 +108,12 @@ def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]
 
 
 def _cross_moment_ratio(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    fixed,
-    density: MeasureDensity,
-    m,
-    mp,
-    quad: QuadSpec,
+    compiled: CompiledClass, density: MeasureDensity, m, mp, quad: QuadSpec
 ) -> float:
     """G entry of an aliased pair: radial cross moment over the target geometric mean."""
-    nv_m = spec.quantum_numbers(m, fixed)
-    nv_p = spec.quantum_numbers(mp, fixed)
-    e = {
-        tw.tower: 0.5
-        * (tw.z_exp.value(nv_m, config) + tw.z_exp.value(nv_p, config))
-        for tw in spec.towers
-    }
-    log_i, _ = _integrate(density, e, quad)
-    for tw in spec.towers:
-        log_i -= (
-            0.5
-            * (tw.w_exp.value(nv_m, config) + tw.w_exp.value(nv_p, config))
-            * math.log(config.omega(tw.tower))
-        )
-    log_t = 0.5 * (
-        moment_target(spec, config, fixed, m).log_abs
-        + moment_target(spec, config, fixed, mp).log_abs
-    )
+    # the exponents are affine in n, so the pair's mean exponents sit at the midpoint
+    log_i = _log_moment(compiled, density, [0.5 * (a + b) for a, b in zip(m, mp)], quad)
+    log_t = 0.5 * (compiled.log_target(m) + compiled.log_target(mp))
     return math.exp(log_i - log_t)
 
 
@@ -165,30 +143,27 @@ def resolution_residual(
         nmax = (nmax,) * len(spec.summed)
     rule = selection_rule(spec, config, overrides)
     density = density_for(spec, config, fixed)
+    compiled = spec.compile(config, fixed)
     basis = list(itertools.product(*[range(m + 1) for m in nmax]))
     residuals = []
     # diagonal entries: moment integral over target
-    from .moments import moment_integral
-
     for m in basis:
-        val = moment_integral(spec, config, fixed, m, density=density, quad=quad)
-        target = moment_target(spec, config, fixed, m)
+        val = LogValue.exp(_log_moment(compiled, density, m, quad))
+        target = LogValue.exp(compiled.log_target(m))
         residuals.append(("G[" + ",".join(map(str, m)) + "]", val.rel_diff(target)))
     # off-diagonal entries: certified zero unless the rule aliases
     window = aliasing_window if aliasing_window is not None else max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
     flagged = []
     for delta in aliases:
+        angular = abs(_phase_overlap(rule, delta))
         for m in basis:
             mp = tuple(a + d for a, d in zip(m, delta))
             if any(v < 0 or v > mx for v, mx in zip(mp, nmax)):
                 continue
             if mp <= m:
                 continue
-            angular = _phase_overlap(rule, delta)
-            entry = abs(angular) * _cross_moment_ratio(
-                spec, config, fixed, density, m, mp, quad
-            )
+            entry = angular * _cross_moment_ratio(compiled, density, m, mp, quad)
             flagged.append((m, mp, entry))
             residuals.append((f"G[{m}|{mp}]", entry))
     rationality = []
@@ -211,38 +186,3 @@ def resolution_residual(
     judged = [r for r in residuals if "|" not in r[0]] if flagged else residuals
     verdict = "pass" if all(v <= tol for _, v in judged) else "fail"
     return VerificationReport(spec.id, "resolution", tuple(residuals), verdict, tol, metadata)
-
-
-def gram_matrix(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    fixed,
-    nmax,
-    overrides: RatioOverrides | None = None,
-    quad: QuadSpec = QuadSpec(),
-) -> np.ndarray:
-    """Dense truncated Gram matrix (selection-rule zeros included)."""
-    from .moments import moment_integral
-
-    fixed = tuple(int(v) for v in fixed)
-    if isinstance(nmax, int):
-        nmax = (nmax,) * len(spec.summed)
-    rule = selection_rule(spec, config, overrides)
-    density = density_for(spec, config, fixed)
-    basis = list(itertools.product(*[range(m + 1) for m in nmax]))
-    dim = len(basis)
-    g = np.zeros((dim, dim))
-    for i, m in enumerate(basis):
-        val = moment_integral(spec, config, fixed, m, density=density, quad=quad)
-        g[i, i] = math.exp(val.log_abs - moment_target(spec, config, fixed, m).log_abs)
-    for i, m in enumerate(basis):
-        for j in range(i + 1, dim):
-            mp = basis[j]
-            delta = tuple(a - b for a, b in zip(mp, m))
-            if rule.satisfied(delta):
-                entry = abs(_phase_overlap(rule, delta)) * _cross_moment_ratio(
-                    spec, config, fixed, density, m, mp, quad
-                )
-                g[i, j] = g[j, i] = entry
-    return g
-

@@ -11,7 +11,9 @@ Gamma offsets are linear in the quantum numbers with coefficients drawn
 from {1} and the frequency ratios, plus shift constants, which is
 exactly the algebra LinForm encodes.  Everything downstream (norm
 series, moment targets, selection rules, deformation limits) is derived
-from this one representation.
+from this one representation.  `ClassSpec.compile` evaluates each form
+once, at given frequencies and fixed indices, as a constant plus one
+slope per summed index; numbers at lattice points come from there.
 """
 
 from __future__ import annotations
@@ -20,31 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
 from .special import log_gamma
 
 # One additive term: coefficient (a frequency ratio, or 1 when None)
 # times a quantum number (n_of) or a shift constant (shift_of) or 1.
 Term = tuple[tuple[int, int] | None, int | None, int | None]
-
-
-def _term_value(
-    term: Term,
-    nvals: Mapping[int, int],
-    config: FrequencyConfig,
-    overrides: RatioOverrides | None,
-) -> float:
-    ratio, n_of, shift_of = term
-    v = 1.0
-    if ratio is not None:
-        v *= resolve_ratio(config, ratio, overrides)
-    if v == 0.0:
-        return 0.0
-    if n_of is not None:
-        v *= nvals[n_of]
-    if shift_of is not None:
-        v *= config.shift(shift_of)
-    return v
 
 
 @dataclass(frozen=True)
@@ -57,33 +42,20 @@ class LinForm:
         config: FrequencyConfig,
         overrides: RatioOverrides | None = None,
     ) -> float:
-        return sum(_term_value(t, nvals, config, overrides) for t in self.terms)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        return LinForm(self.terms + other.terms)
+        """The form at the quantum numbers nvals (ratios resolved numerically)."""
+        total = 0.0
+        for ratio, n_of, shift_of in self.terms:
+            v = 1.0 if ratio is None else resolve_ratio(config, ratio, overrides)
+            if v != 0.0:
+                if n_of is not None:
+                    v *= nvals[n_of]
+                if shift_of is not None:
+                    v *= config.shift(shift_of)
+            total += v
+        return total
 
     def depends_on_n(self, tower: int) -> bool:
         return any(t[1] == tower for t in self.terms)
-
-    def n_coefficient(
-        self,
-        tower: int,
-        config: FrequencyConfig,
-        overrides: RatioOverrides | None = None,
-    ) -> float:
-        """Coefficient multiplying n_tower (ratios resolved numerically)."""
-        total = 0.0
-        for ratio, n_of, shift_of in self.terms:
-            if n_of != tower:
-                continue
-            c = 1.0 if ratio is None else resolve_ratio(config, ratio, overrides)
-            if shift_of is not None:
-                c *= config.shift(shift_of)
-            total += c
-        return total
-
-    def n_coefficient_terms(self, tower: int) -> tuple[Term, ...]:
-        return tuple(t for t in self.terms if t[1] == tower)
 
     def ratios_used(self) -> set[tuple[int, int]]:
         return {t[0] for t in self.terms if t[0] is not None}
@@ -105,10 +77,6 @@ class LinForm:
 
 def lf(*terms: Term) -> LinForm:
     return LinForm(tuple(terms))
-
-
-def lf_zero() -> LinForm:
-    return LinForm(())
 
 
 def t_one() -> Term:
@@ -141,27 +109,6 @@ class TowerTerm:
     gamma: LinForm
     normalized: bool
 
-    def gamma_value(
-        self,
-        nvals: Mapping[int, int],
-        config: FrequencyConfig,
-        overrides: RatioOverrides | None = None,
-    ) -> float:
-        return self.gamma.value(nvals, config, overrides)
-
-    def log_radial(
-        self,
-        nvals: Mapping[int, int],
-        config: FrequencyConfig,
-        overrides: RatioOverrides | None = None,
-    ) -> float:
-        """log R_t(n)."""
-        g = self.gamma_value(nvals, config, overrides)
-        out = log_gamma(g + nvals[self.tower])
-        if self.normalized:
-            out -= log_gamma(g)
-        return out
-
     @property
     def form(self) -> str:
         """Factorial form tag: 'plain', 'gamma(j)' or 'gamma(j,k)'."""
@@ -169,10 +116,6 @@ class TowerTerm:
         if not deps:
             return "plain"
         return "gamma(" + ",".join(str(d) for d in deps) + ")"
-
-    @property
-    def gamma_deps(self) -> tuple[int, ...]:
-        return tuple(sorted({t[1] for t in self.gamma.terms if t[1] is not None}))
 
     def relabeled(self, perm: Mapping[int, int]) -> "TowerTerm":
         return TowerTerm(
@@ -195,6 +138,56 @@ class TowerTerm:
 
 class SpecError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """A LinForm reduced to const + slopes . n over the summed indices."""
+
+    const: float
+    slopes: tuple[float, ...]  # one per summed axis
+
+    def at(self, n) -> float:
+        return self.const + sum(s * v for s, v in zip(self.slopes, n))
+
+    def on_grid(self, grids) -> np.ndarray:
+        out = np.full(grids[0].shape, self.const)
+        for s, g in zip(self.slopes, grids):
+            if s != 0.0:
+                out = out + s * g
+        return out
+
+
+@dataclass(frozen=True)
+class CompiledTower:
+    tower: int
+    log_w: float                # log omega_t
+    z_exp: AffineForm
+    w_exp: AffineForm
+    gamma_arg: AffineForm       # Gamma argument gamma_t + n_t
+    log_gamma_norm: float       # log Gamma(gamma_t) for normalized towers, else 0
+
+
+@dataclass(frozen=True)
+class CompiledClass:
+    """A class's forms at fixed frequencies, fixed indices and overrides.
+
+    Every exponent and Gamma argument is affine in the summed indices n,
+    so each is evaluated once here and then costs one dot product per n.
+    """
+
+    summed: tuple[int, ...]
+    towers: tuple[CompiledTower, ...]
+
+    def check(self, n) -> None:
+        if len(n) != len(self.summed):
+            raise SpecError(f"expected {len(self.summed)} indices, got {len(n)}")
+        if any(v < 0 for v in n):
+            raise SpecError("summed indices must be non-negative")
+
+    def log_target(self, n) -> float:
+        """log of the product of the tower factorials R_t(n); the moment target."""
+        return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in self.towers)
 
 
 @dataclass(frozen=True)
@@ -224,6 +217,13 @@ class ClassSpec:
             raise SpecError(f"{self.id}: tower referenced outside summed+fixed sets")
         if len({tw.tower for tw in self.towers}) != len(self.towers):
             raise SpecError(f"{self.id}: duplicate tower entries")
+        for tw in self.towers:
+            if tw.normalized and any(t[1] in self.summed for t in tw.gamma.terms):
+                # Gamma(gamma_t) is compiled once, at the summed origin
+                raise SpecError(
+                    f"{self.id}: normalized tower {tw.tower} has a Gamma offset "
+                    "that moves with a summed index"
+                )
 
     @property
     def dof(self) -> int:
@@ -233,12 +233,6 @@ class ClassSpec:
     @property
     def tower_ids(self) -> tuple[int, ...]:
         return tuple(tw.tower for tw in self.towers)
-
-    def tower(self, t: int) -> TowerTerm:
-        for tw in self.towers:
-            if tw.tower == t:
-                return tw
-        raise KeyError(f"{self.id} has no tower {t}")
 
     def quantum_numbers(
         self, summed_values, fixed_values
@@ -257,41 +251,51 @@ class ClassSpec:
             raise SpecError("quantum numbers must be non-negative")
         return nvals
 
-    # -- evaluation ----------------------------------------------------
+    def compile(
+        self,
+        config: FrequencyConfig,
+        fixed,
+        overrides: RatioOverrides | None = None,
+    ) -> CompiledClass:
+        """Reduce every form once: its value at the summed origin and its
+        coefficient of each summed index."""
+        if config.dimension < self.dimension:
+            raise SpecError(f"{self.id}: needs {self.dimension} frequencies")
+        nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
 
-    def log_radial_product(self, nvals, config, overrides=None) -> float:
-        """log of the product of all tower factorials; the moment target."""
-        return sum(tw.log_radial(nvals, config, overrides) for tw in self.towers)
+        def reduce(form: LinForm) -> AffineForm:
+            # a slope is the axis's own terms evaluated at n_axis = 1
+            return AffineForm(
+                form.value(nv0, config, overrides),
+                tuple(
+                    LinForm(tuple(t for t in form.terms if t[1] == axis)).value(
+                        {axis: 1}, config, overrides
+                    )
+                    for axis in self.summed
+                ),
+            )
 
-    def log_rho(self, nvals, config, overrides=None) -> float:
-        """log of the full generalized factorial product (omega powers included)."""
-        out = 0.0
+        towers = []
         for tw in self.towers:
-            out += tw.w_exp.value(nvals, config, overrides) * math.log(config.omega(tw.tower))
-            out += tw.log_radial(nvals, config, overrides)
-        return out
-
-    def log_coeff_sq(self, nvals, zabs, config, overrides=None) -> float:
-        """log |a(n)|^2 of the unnormalized coefficient at |z_t| = zabs[t]."""
-        out = 0.0
-        for tw, r in zip(self.towers, zabs):
-            e = tw.z_exp.value(nvals, config, overrides)
-            if r == 0.0:
-                if e > 0.0:
-                    return float("-inf")
-                if e < 0.0:
-                    raise SpecError("negative variable exponent at z = 0")
-                # e == 0: factor is exactly 1
-            else:
-                out += 2.0 * e * math.log(r)
-        return out - self.log_rho(nvals, config, overrides)
-
-    def coeff_phase(self, nvals, z_args, config, overrides=None) -> float:
-        """arg a(n) from the variable phases (z_args[t] = arg z_t)."""
-        return sum(
-            tw.z_exp.value(nvals, config, overrides) * th
-            for tw, th in zip(self.towers, z_args)
-        )
+            gamma = reduce(tw.gamma)
+            gamma_arg = AffineForm(
+                gamma.const + nv0[tw.tower],
+                tuple(
+                    s + (1.0 if axis == tw.tower else 0.0)
+                    for s, axis in zip(gamma.slopes, self.summed)
+                ),
+            )
+            towers.append(
+                CompiledTower(
+                    tower=tw.tower,
+                    log_w=math.log(config.omega(tw.tower)),
+                    z_exp=reduce(tw.z_exp),
+                    w_exp=reduce(tw.w_exp),
+                    gamma_arg=gamma_arg,
+                    log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
+                )
+            )
+        return CompiledClass(self.summed, tuple(towers))
 
     # -- structural transforms -----------------------------------------
 
@@ -333,14 +337,3 @@ class ClassSpec:
             quadruple=self.quadruple,
             case=self.case,
         )
-
-    def structure_key(self) -> tuple:
-        """Hashable structural signature used for symmetry identification."""
-
-        def form_key(form: LinForm) -> tuple:
-            return tuple(sorted(form.terms, key=repr))
-
-        return tuple(
-            (tw.tower, form_key(tw.z_exp), form_key(tw.w_exp), form_key(tw.gamma), tw.normalized)
-            for tw in sorted(self.towers, key=lambda w: w.tower)
-        ) + (self.summed, self.fixed)

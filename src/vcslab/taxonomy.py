@@ -5,8 +5,8 @@ A ratio limit kappa -> 0 is *defined* when the structurally reduced
 class is still solvable, which fails two ways: the class also uses the
 reciprocal ratio (sent to infinity), or the limit strips the last
 dependence on a summed index so the norm series acquires constant
-terms.  Both rules are purely structural and are cross-confirmed
-numerically through the convergence module.
+terms.  Both rules are purely structural; `vcslab verify --kappa ij=0
+--checks convergence` confirms them numerically.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .convergence import class_verdict
+from .convergence import class_verdict  # noqa: F401  (bench/spans.py patches taxonomy.class_verdict)
 from .frequencies import FrequencyConfig
-from .norms import state
+from .norms import state, term_generator
 from .registry import FAMILY_QUADRUPLES, ONE_DOF_QUADRUPLES, get, registry
 from .report import VerificationReport, make_report
 from .special import log_gamma
@@ -127,18 +127,12 @@ def verify_factor(
     if z is None:
         z = {t: 0.9 + 0.2 * t + 0.1j for t in set(spec_a.tower_ids) | set(spec_b.tower_ids)}
     log_factor = relation.log_value(config, f, fixed_value, s, z)
+    gen_a = term_generator(spec_a, config, [z[t] for t in spec_a.tower_ids], (fixed_value,))
+    gen_b = term_generator(spec_b, config, [z[t] for t in spec_b.tower_ids], (fixed_value,))
     ratios = []
     for n in range(n_probe):
-        nv_a = spec_a.quantum_numbers((n,), (fixed_value,))
-        nv_b = spec_b.quantum_numbers((n,), (fixed_value,))
-        za = [z[t] for t in spec_a.tower_ids]
-        zb = [z[t] for t in spec_b.tower_ids]
-        log_a = 0.5 * spec_a.log_coeff_sq(nv_a, [abs(v) for v in za], config) + 1j * spec_a.coeff_phase(
-            nv_a, [math.atan2(v.imag, v.real) for v in za], config
-        )
-        log_b = 0.5 * spec_b.log_coeff_sq(nv_b, [abs(v) for v in zb], config) + 1j * spec_b.coeff_phase(
-            nv_b, [math.atan2(v.imag, v.real) for v in zb], config
-        )
+        log_a = 0.5 * gen_a.log_term((n,)) + 1j * gen_a.phase((n,))
+        log_b = 0.5 * gen_b.log_term((n,)) + 1j * gen_b.phase((n,))
         ratios.append(log_b - log_a)
     import cmath
 
@@ -317,16 +311,6 @@ def deformation_graph(dimension: int, dof: int) -> tuple[DeformationEdge, ...]:
             desc_id, via_sym = found
             edges.append(DeformationEdge(spec.id, desc_id, pair, "defined", via_symmetry=via_sym))
     return tuple(edges)
-
-
-def confirm_forbidden_edge(edge: DeformationEdge, config: FrequencyConfig, fixed) -> bool:
-    """Numerical confirmation that a forbidden limit really diverges."""
-    spec = get(edge.ancestor)
-    try:
-        v = class_verdict(spec, config, fixed, overrides={edge.parameter: 0.0})
-    except ZeroDivisionError:
-        return True  # reciprocal ratio pinned to infinity: undefined as claimed
-    return v.divergent
 
 
 def verify_edge_continuity(

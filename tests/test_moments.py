@@ -29,7 +29,7 @@ from vcslab.quadrature import (
 from vcslab.registry import get, registry
 from vcslab.report import dumps_deterministic
 from vcslab.special import log_gamma
-from vcslab.structure import SpecError
+from vcslab.structure import LinForm, SpecError
 
 mpmath.mp.dps = 30
 
@@ -161,6 +161,24 @@ class TestDensityCatalog:
 
 
 class TestVerifyMoments:
+    def test_forms_compiled_once_per_call(self, monkeypatch):
+        # the linear forms are evaluated while compiling, not per lattice point
+        calls = Counter()
+        value = LinForm.value
+
+        def counted(self, *args, **kwargs):
+            calls["value"] += 1
+            return value(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinForm, "value", counted)
+        spec = get("3d.2dof.gamma13-gamma23")
+        counts = []
+        for n_range in (5, 20):
+            calls.clear()
+            assert verify_moments(spec, CFG3, (1,), n_range=n_range).passed
+            counts.append(calls["value"])
+        assert counts[0] == counts[1] > 0
+
     def test_plain_class_full_range(self):
         rep = verify_moments(get("2d.1dof.plain1.A"), CFG2, (0,), n_range=20)
         assert rep.passed and rep.max_residual <= 1e-8

@@ -2,20 +2,28 @@ import math
 
 import pytest
 
-from vcslab.frequencies import FrequencyConfig, kappa, resolve_ratio
+from vcslab.frequencies import FrequencyConfig, resolve_ratio
+from vcslab.norms import term_generator
 from vcslab.registry import get, ids, registry, select
-from vcslab.structure import SpecError
+from vcslab.special import log_gamma
+from vcslab.structure import ClassSpec, SpecError, TowerTerm, lf, t_n, t_one, t_ratio_n
+
+
+def gamma_offset(spec, cfg, summed_vals, fixed_vals, pos):
+    """gamma_t(n) of the tower at position pos: its Gamma argument minus n_t."""
+    ct = spec.compile(cfg, fixed_vals).towers[pos]
+    return ct.gamma_arg.at(summed_vals) - spec.quantum_numbers(summed_vals, fixed_vals)[ct.tower]
 
 
 class TestFrequencyConfig:
     def test_kappa_equal_frequencies(self):
         cfg = FrequencyConfig((1.0, 1.0))
-        assert kappa(cfg, 1, 2) == 1.0
+        assert cfg.ratio(1, 2) == 1.0
 
     def test_kappa_direct_division(self):
         cfg = FrequencyConfig((2.0, 1.0))
-        assert kappa(cfg, 1, 2) == pytest.approx(0.5)
-        assert kappa(cfg, 2, 1) == pytest.approx(2.0)
+        assert cfg.ratio(1, 2) == pytest.approx(0.5)
+        assert cfg.ratio(2, 1) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("omegas", [(0.37, 5.1), (1e-3, 7.0, 2.2), (3.0, 3.0, 1.0)])
     def test_reciprocal_identity(self, omegas):
@@ -23,7 +31,7 @@ class TestFrequencyConfig:
         for i in range(1, len(omegas) + 1):
             for j in range(1, len(omegas) + 1):
                 if i != j:
-                    prod = kappa(cfg, i, j) * kappa(cfg, j, i)
+                    prod = cfg.ratio(i, j) * cfg.ratio(j, i)
                     assert abs(prod - 1.0) <= 2 ** -52 * 2
 
     def test_rejects_bad_input(self):
@@ -88,9 +96,8 @@ class TestRegistry:
             cfg_use = cfg if spec.dimension == 3 else cfg2
             for summed_vals in ([0] * len(spec.summed), [3] * len(spec.summed)):
                 for fixed_vals in ([0] * len(spec.fixed), [5] * len(spec.fixed)):
-                    nv = spec.quantum_numbers(summed_vals, fixed_vals)
-                    for tw in spec.towers:
-                        assert tw.gamma_value(nv, cfg_use) >= 1.0
+                    for pos in range(spec.dof):
+                        assert gamma_offset(spec, cfg_use, summed_vals, fixed_vals, pos) >= 1.0
 
     def test_summed_fixed_disjoint_and_cover(self):
         for spec in registry():
@@ -101,6 +108,24 @@ class TestRegistry:
                 for form in (tw.z_exp, tw.w_exp, tw.gamma):
                     referenced |= {t[1] for t in form.terms if t[1] is not None}
             assert referenced <= set(spec.summed) | set(spec.fixed)
+
+    def test_normalized_gamma_offset_must_not_move_with_a_summed_index(self):
+        # Gamma(gamma_t) is compiled once at the summed origin, which is only
+        # right while the normalized tower's offset ignores the summed indices
+        def spec_with(gamma):
+            tower = TowerTerm(1, lf(t_n(1)), lf(t_n(1)), gamma, normalized=True)
+            return ClassSpec("hand.built", "hand", 2, (1,), (2,), (tower,))
+
+        with pytest.raises(SpecError, match="moves with a summed index"):
+            spec_with(lf(t_one(), t_ratio_n(1, 2, 1)))
+        # an offset driven by the fixed index is fine: log|a(n)|^2 is
+        # n log(|z|^2/w1) - log Gamma(g + n) + log Gamma(g), g = 1 + k12 n2
+        cfg = FrequencyConfig((1.0, 2.0))
+        gen = term_generator(spec_with(lf(t_one(), t_ratio_n(1, 2, 2))), cfg, (1.3,), (2,))
+        g = 1.0 + cfg.ratio(1, 2) * 2
+        for n in range(4):
+            expect = n * math.log(1.3**2) - log_gamma(g + n) + log_gamma(g)
+            assert gen.log_term((n,)) == pytest.approx(expect, abs=1e-12)
 
     def test_quantum_number_validation(self):
         spec = get("2d.1dof.plain1.A")
@@ -116,9 +141,9 @@ class TestCoefficientStructure:
         spec = get("2d.1dof.plain1.A")
         cfg = FrequencyConfig((2.0, 1.0))
         z = 1.3
+        gen = term_generator(spec, cfg, (z,), (4,))
         for n in range(6):
-            nv = spec.quantum_numbers((n,), (4,))
-            got = spec.log_coeff_sq(nv, (z,), cfg)
+            got = gen.log_term((n,))
             expect = n * math.log(z * z / 2.0) - math.lgamma(n + 1)
             assert got == pytest.approx(expect, abs=1e-12)
 
@@ -128,10 +153,9 @@ class TestCoefficientStructure:
         cfg = FrequencyConfig((1.5, 2.5))
         z, n2 = 0.9, 3
         g = 1.0 + cfg.ratio(1, 2) * n2
+        gen = term_generator(spec, cfg, (z,), (n2,))
         for n in range(5):
-            r = spec.log_coeff_sq(spec.quantum_numbers((n + 1,), (n2,)), (z,), cfg) - spec.log_coeff_sq(
-                spec.quantum_numbers((n,), (n2,)), (z,), cfg
-            )
+            r = gen.log_term((n + 1,)) - gen.log_term((n,))
             assert math.exp(r) == pytest.approx((z * z / 1.5) / (g + n), rel=1e-12)
 
     def test_two_dof_factor_structure(self):
@@ -140,35 +164,35 @@ class TestCoefficientStructure:
         one = get("2d.1dof.gamma1.A")
         cfg = FrequencyConfig((1.0, 2.0))
         z1, z2, n2 = 1.1, 0.7, 2
+        gen_two = term_generator(two, cfg, (z1, z2), (n2,))
+        gen_one = term_generator(one, cfg, (z1,), (n2,))
         for n1 in range(5):
-            log_two = two.log_coeff_sq(two.quantum_numbers((n1,), (n2,)), (z1, z2), cfg)
-            log_one = one.log_coeff_sq(one.quantum_numbers((n1,), (n2,)), (z1,), cfg)
+            log_two = gen_two.log_term((n1,))
+            log_one = gen_one.log_term((n1,))
             extra = n2 * math.log(z2 * z2 / 2.0) - math.lgamma(n2 + 1)
             assert log_two == pytest.approx(log_one + extra, abs=1e-12)
 
     def test_z_zero_conventions(self):
         spec = get("2d.1dof.plain1.A")
         cfg = FrequencyConfig((1.0, 1.0))
-        assert spec.log_coeff_sq(spec.quantum_numbers((0,), (0,)), (0.0,), cfg) == 0.0
-        assert spec.log_coeff_sq(spec.quantum_numbers((2,), (0,)), (0.0,), cfg) == float("-inf")
+        gen = term_generator(spec, cfg, (0.0,), (0,))
+        assert gen.log_term((0,)) == 0.0
+        assert gen.log_term((2,)) == float("-inf")
 
     def test_shifted_gamma_value(self):
         # gamma1 = 3/2 + k12*(n2 + 1/2) at alpha = (1/2, 1/2)
         spec = get("2d.1dof.gamma1.A")
         cfg = FrequencyConfig((1.0, 2.0), shifts=(0.5, 0.5))
-        nv = spec.quantum_numbers((0,), (3,))
-        assert spec.towers[0].gamma_value(nv, cfg) == pytest.approx(1.5 + 2.0 * 3.5)
+        assert gamma_offset(spec, cfg, (0,), (3,), 0) == pytest.approx(1.5 + 2.0 * 3.5)
 
     def test_structural_limit_drops_ratio(self):
         spec = get("2d.2dof.gamma1-plain.A")
         limit = spec.drop_ratio((1, 2))
         cfg = FrequencyConfig((1.0, 2.0))
-        nv = limit.quantum_numbers((4,), (7,))
-        assert limit.towers[0].gamma_value(nv, cfg) == 1.0
+        assert gamma_offset(limit, cfg, (4,), (7,), 0) == 1.0
         base = get("2d.2dof.plain-plain.A")
-        nvb = base.quantum_numbers((4,), (7,))
-        assert limit.log_coeff_sq(nv, (1.2, 0.5), cfg) == pytest.approx(
-            base.log_coeff_sq(nvb, (1.2, 0.5), cfg), abs=1e-12
+        assert term_generator(limit, cfg, (1.2, 0.5), (7,)).log_term((4,)) == pytest.approx(
+            term_generator(base, cfg, (1.2, 0.5), (7,)).log_term((4,)), abs=1e-12
         )
 
     def test_relabel_swaps_towers(self):
@@ -176,8 +200,6 @@ class TestCoefficientStructure:
         dual = get("2d.1dof.gamma2.A")
         swapped = spec.relabeled({1: 2, 2: 1})
         cfg = FrequencyConfig((1.0, 3.0))
-        nv_s = swapped.quantum_numbers((2,), (1,))
-        nv_d = dual.quantum_numbers((2,), (1,))
-        assert swapped.log_coeff_sq(nv_s, (0.8,), cfg) == pytest.approx(
-            dual.log_coeff_sq(nv_d, (0.8,), cfg), abs=1e-12
+        assert term_generator(swapped, cfg, (0.8,), (1,)).log_term((2,)) == pytest.approx(
+            term_generator(dual, cfg, (0.8,), (1,)).log_term((2,)), abs=1e-12
         )

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from vcslab.frequencies import FrequencyConfig
@@ -8,7 +7,6 @@ from vcslab.moments import density_for, verify_moments
 from vcslab.registry import get
 from vcslab.resolution import (
     aliasing_solutions,
-    gram_matrix,
     resolution_residual,
     selection_rule,
 )
@@ -112,13 +110,14 @@ class TestResolutionResidual:
         assert any("|" in k for k, _ in rep.residuals)
 
     def test_gram_matrix_psd_and_diagonal(self):
+        # no aliased pair at irrational ratios: every off-diagonal entry is a
+        # certified zero, so G is diagonal, and near-unit diagonals make it PSD
         spec = get("3d.2dof.gamma13-gamma23")
-        g = gram_matrix(spec, CFG3_IRR, (1,), (3, 3))
-        assert np.allclose(g, g.T)
-        assert np.linalg.eigvalsh(g).min() >= -1e-12
-        assert np.abs(np.diag(g) - 1.0).max() <= 1e-8
-        off = g - np.diag(np.diag(g))
-        assert np.abs(off).max() == 0.0
+        rep = resolution_residual(spec, CFG3_IRR, (1,), (3, 3))
+        assert dict(rep.metadata)["aliasing_pairs"] == 0
+        assert not any("|" in k for k, _ in rep.residuals)
+        assert len(rep.residuals) == 16
+        assert rep.max_residual <= 1e-8
 
 
 class TestIrrationalRatioSweep:

@@ -1,14 +1,15 @@
 import dataclasses
+import json
 
 import pytest
 
+from vcslab.cli import main
 from vcslab.frequencies import FrequencyConfig
 from vcslab.registry import get, registry
 from vcslab.structure import SpecError
 from vcslab.taxonomy import (
     canonical_signature,
     class_counts,
-    confirm_forbidden_edge,
     declared_factor_relations,
     deformation_graph,
     enumerate_subclasses,
@@ -22,6 +23,20 @@ from vcslab.taxonomy import (
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
+
+
+def verify_pinned_limit(edge, tmp_path):
+    """Exit code and convergence verdict of the CLI with the edge's ratio pinned
+    to zero, at the default frequencies (1, 2, 3) and fixed index 0."""
+    out = tmp_path / "limit.json"
+    i, j = edge.parameter
+    (fixed_tower,) = get(edge.ancestor).fixed
+    rc = main([
+        "verify", edge.ancestor, "--kappa", f"{i}{j}=0", "--fixed", f"n{fixed_tower}=0",
+        "--checks", "convergence", "--out", str(out),
+    ])
+    (rep,) = json.loads(out.read_text())["results"]
+    return rc, rep["verdict"]
 
 
 class TestEnumerateSubclasses:
@@ -112,7 +127,7 @@ class TestDeformationGraph:
                 for e in by_anc[f"2d.2dof.plain-gamma2.{letter}"]
             )
 
-    def test_case13_forbidden_limit(self):
+    def test_case13_forbidden_limit(self, tmp_path):
         edges = deformation_graph(3, 2)
         e = next(
             e
@@ -121,15 +136,15 @@ class TestDeformationGraph:
         )
         assert e.status == "forbidden"
         assert "decouples" in e.reason
-        assert confirm_forbidden_edge(e, CFG3, (0,))
+        assert verify_pinned_limit(e, tmp_path) == (0, "undefined")
 
-    def test_case13_reciprocal_forbidden(self):
+    def test_case13_reciprocal_forbidden(self, tmp_path):
         edges = deformation_graph(3, 2)
         e = next(
             e for e in edges if e.ancestor == "3d.2dof.gamma13-gamma3" and e.parameter == (1, 3)
         )
         assert e.status == "forbidden" and "reciprocal" in e.reason
-        assert confirm_forbidden_edge(e, CFG3, (0,))
+        assert verify_pinned_limit(e, tmp_path) == (0, "undefined")
 
     def test_text_stated_chains_present(self):
         edges = deformation_graph(3, 2)
@@ -250,8 +265,9 @@ class TestShiftExtension:
     def test_shifted_gamma_argument(self):
         spec = shift_extension(get("2d.1dof.gamma1.A"), (0.5, 0.5))
         cfg = FrequencyConfig((1.0, 2.0), shifts=(0.5, 0.5))
-        nv = spec.quantum_numbers((0,), (1,))
-        assert spec.towers[0].gamma_value(nv, cfg) == pytest.approx(1.5 + 2.0 * 1.5)
+        # at n1 = 0 the Gamma argument gamma1 + n1 is the offset gamma1 itself
+        gamma_arg = spec.compile(cfg, (1,)).towers[0].gamma_arg
+        assert gamma_arg.at((0,)) == pytest.approx(1.5 + 2.0 * 1.5)
 
 
 class TestLandauMap:
