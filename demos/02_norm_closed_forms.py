@@ -29,7 +29,7 @@ for cid, fixed in [
     fc = cfg3 if spec.dimension == 3 else cfg2
     z = tuple(math.sqrt(fc.omega(t)) for t in spec.tower_ids)
     series = norm_series(term_generator(spec, fc, z, fixed))
-    closed = norm_closed_form(spec, fc, z, fixed)
+    closed = norm_closed_form(term_generator(spec, fc, z, fixed))
     rel = abs(math.expm1(series.log_norm - closed.log_norm))
     print(f" {spec.label:12s} [{closed.method:11s}] log N = {series.log_norm:+.12f}"
           f"   series-vs-closed rel diff = {rel:.2e}")
@@ -40,7 +40,7 @@ for cid, fixed in [("2d.2dof.plain-plain.A", (3,)), ("3d.3dof.min", (2,))]:
     fc = cfg3 if spec.dimension == 3 else cfg2
     z = tuple(0.9 * math.sqrt(fc.omega(t)) for t in spec.tower_ids)
     series = norm_series(term_generator(spec, fc, z, fixed))
-    closed = norm_closed_form(spec, fc, z, fixed)
+    closed = norm_closed_form(term_generator(spec, fc, z, fixed))
     print(f" {spec.label:9s} flags={closed.flags}")
     print(f"   direct series log N = {series.log_norm:+.15f}")
     print(f"   corrected closed    = {closed.log_norm:+.15f}")
@@ -50,7 +50,7 @@ for cid in ("2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma1-gamma2", "3d.3dof.max"):
     spec = get(cid)
     fc = cfg3 if spec.dimension == 3 else cfg2
     z = tuple(math.sqrt(fc.omega(t)) for t in spec.tower_ids)
-    out = norm_closed_form(spec, fc, z, (1,) * len(spec.fixed))
+    out = norm_closed_form(term_generator(spec, fc, z, (1,) * len(spec.fixed)))
     series = norm_series(term_generator(spec, fc, z, (1,) * len(spec.fixed)))
     print(f" {spec.label:12s} closed form: {out}   (series window {series.truncation},"
           f" tail {series.tail_bound:.1e})")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .convergence import class_verdict, gamma_ratio_surface, required_positive_ratios
 from .frequencies import FrequencyConfig
 from .moments import verify_moments
-from .norms import DivergenceError, TailBudgetError, norm_closed_form, norm_series, term_generator
-from .quadrature import QuadratureDisagreement
+from .norms import DivergenceError, TailBudgetError, TermGenerator, norm_closed_form, norm_series
+from .quadrature import QuadratureBudgetError, QuadratureDisagreement
 from .registry import get, registry, select
 from .report import dumps_deterministic, make_report
 from .resolution import resolution_residual
@@ -138,11 +138,12 @@ def _z_points(spec, fc: FrequencyConfig, cfg: RunConfig):
 def _check_norm(spec, fc, cfg):
     residuals = []
     method = "series-only"
+    # the compiled class does not depend on z
+    compiled = spec.compile(fc, _fixed_for(spec, cfg), cfg.kappa_overrides or None)
     for scale, z in _z_points(spec, fc, cfg):
-        closed = norm_closed_form(spec, fc, z, _fixed_for(spec, cfg), cfg.kappa_overrides or None)
-        series = norm_series(
-            term_generator(spec, fc, z, _fixed_for(spec, cfg), cfg.kappa_overrides or None)
-        )
+        gen = TermGenerator.of(compiled, z)
+        closed = norm_closed_form(gen)
+        series = norm_series(gen)
         if closed is None:
             residuals.append((f"z2={scale}w(tail)", series.tail_bound))
         else:
@@ -236,7 +237,9 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 rep = _check_limits(spec, fc, cfg)
             else:
                 raise UsageError(f"unknown check {check}")
-        except (DivergenceError, TailBudgetError, QuadratureDisagreement) as exc:
+        except (
+            DivergenceError, TailBudgetError, QuadratureDisagreement, QuadratureBudgetError
+        ) as exc:
             rep = make_report(
                 spec.id, check, (("evaluation-error", 1.0),), 0.5,
                 metadata=(("error", str(exc)),),

@@ -12,13 +12,14 @@ kappa = 1e-6.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .frequencies import FrequencyConfig, RatioOverrides
 from .norms import TermGenerator, term_generator
-from .special import log_gamma
+from .special import log_gamma, log_gamma_grid
 from .structure import ClassSpec
 
 # a ratio counts as decisively off 1 only beyond this margin
@@ -43,12 +44,16 @@ class Verdict:
 
 
 class _SeriesStructure:
-    """Structural view a ratio engine needs: weights and Gamma slopes."""
+    """Structural view a ratio engine needs: weights and Gamma slopes.
 
-    def __init__(self, log_weights, factors, log_term_fn, n_axes):
+    log_term_grid(shape, start) gives the log terms on an index window,
+    as `TermGenerator.log_term_grid` does.
+    """
+
+    def __init__(self, log_weights, factors, log_term_grid, n_axes):
         self.log_weights = tuple(log_weights)
         self.factors = tuple(factors)  # (const, slopes per axis)
-        self.log_term = log_term_fn
+        self.log_term_grid = log_term_grid
         self.n_axes = n_axes
 
 
@@ -57,7 +62,7 @@ def structure_of(gen: TermGenerator) -> _SeriesStructure:
     return _SeriesStructure(
         [gen.log_weight(k) for k in range(n_axes)],
         gen.gamma_factors(),
-        gen.log_term,
+        gen.log_term_grid,
         n_axes,
     )
 
@@ -70,27 +75,31 @@ def _replace_factors(gen: TermGenerator, kept: list[int], plain_axes: list[int])
     realizes the termwise majorants of the comparison arguments.
     """
     base = structure_of(gen)
-    offsets = [ct.log_gamma_norm for ct in gen.compiled.towers]
+    towers = gen.compiled.towers
     replaced = [i for i in range(len(base.factors)) if i not in kept]
 
-    def log_term(n):
-        lt = base.log_term(n)
-        if lt == float("-inf"):
+    def log_term_grid(shape, start):
+        lt = base.log_term_grid(shape, start)
+        if not replaced and not plain_axes:
             return lt
-        for i in replaced:
-            c, slopes = base.factors[i]
-            arg = c + sum(s * v for s, v in zip(slopes, n))
-            lt += log_gamma(arg) - offsets[i]
-        for k in plain_axes:
-            lt -= log_gamma(n[k] + 1.0)
-        return lt
+        grids = gen.compiled.window(shape, start)
+        live = lt != float("-inf")
+        args = [towers[i].gamma_arg.on_grid(grids) for i in replaced]
+        args += [grids[k] + 1.0 for k in plain_axes]
+        # a vanished term takes no further factor
+        log_gammas = log_gamma_grid(np.stack([np.where(live, a, 1.0) for a in args], axis=-1))
+        for j, i in enumerate(replaced):
+            lt = lt + (log_gammas[..., j] - towers[i].log_gamma_norm)
+        for j in range(len(replaced), len(args)):
+            lt = lt - log_gammas[..., j]
+        return np.where(live, lt, -np.inf)
 
     factors = [base.factors[i] for i in kept]
     factors += [
         (1.0, tuple(1.0 if j == k else 0.0 for j in range(base.n_axes)))
         for k in plain_axes
     ]
-    return _SeriesStructure(base.log_weights, factors, log_term, base.n_axes)
+    return _SeriesStructure(base.log_weights, factors, log_term_grid, base.n_axes)
 
 
 def exponential_reference(gen: TermGenerator) -> _SeriesStructure:
@@ -208,7 +217,7 @@ def row_column_check(gen: TermGenerator, probe_depth: int = 256) -> dict[int, Ve
         # numeric cross-check of the structural ratio inside the exact zone
         d = min(probe_depth, 256)
         probe = tuple(d if j == k else 2 for j in range(struct.n_axes))
-        exact = struct.log_term(_step(probe, k)) - struct.log_term(probe)
+        exact = gen.log_term(_step(probe, k)) - gen.log_term(probe)
         modeled = _log_ratio_at(struct, k, math.log(float(d)), {j: 2 for j in range(struct.n_axes) if j != k})
         if math.isfinite(exact) and math.isfinite(modeled) and abs(exact - modeled) > 5e-2:
             status = "inconclusive"
@@ -235,15 +244,18 @@ def comparison_check(
         ref = structure_of(reference)
     else:
         ref = reference
-    k0 = threshold[: struct.n_axes]
-    for n in itertools.product(*[range(k, k + probe_depth) for k in k0]):
-        a = struct.log_term(n)
-        b = ref.log_term(n)
-        if a > b + 1e-12:
-            return Verdict(
-                "inconclusive",
-                f"domination fails first at {n}: log a={a:.6g} > log b={b:.6g}",
-            )
+    k0 = tuple(threshold[: struct.n_axes])
+    shape = (probe_depth,) * len(k0)
+    a = struct.log_term_grid(shape, k0)
+    b = ref.log_term_grid(shape, k0)
+    fails = a > b + 1e-12
+    if fails.any():
+        at = np.unravel_index(int(np.argmax(fails)), shape)  # first in product order
+        n = tuple(s + int(i) for s, i in zip(k0, at))
+        return Verdict(
+            "inconclusive",
+            f"domination fails first at {n}: log a={float(a[at]):.6g} > log b={float(b[at]):.6g}",
+        )
     ref_verdict = _ratio_decision(ref)
     if ref_verdict.convergent:
         return Verdict(
@@ -290,21 +302,29 @@ def ratio_comparison_check(
     """Cross-ratio test |a(n+e)| b(n) <= |a(n)| b(n+e) against a majorant."""
     struct = structure_of(gen)
     ref = reference if reference is not None else partial_plain_reference(gen)
-    k0 = threshold[: struct.n_axes]
-    worst = 0.0
-    for n in itertools.product(*[range(k, k + probe_depth) for k in k0]):
-        for k in range(struct.n_axes):
-            m = _step(n, k)
-            lhs = struct.log_term(m) + ref.log_term(n)
-            rhs = struct.log_term(n) + ref.log_term(m)
-            if not (math.isfinite(lhs) and math.isfinite(rhs)):
-                continue
-            worst = max(worst, lhs - rhs)
-            if lhs > rhs + 1e-12:
-                return Verdict(
-                    "inconclusive",
-                    f"cross-ratio inequality fails first at {n} axis {gen.axes[k]}",
-                )
+    k0 = tuple(threshold[: struct.n_axes])
+    # terms at n and at every n + e_k, from one window one wider per axis
+    wide = (probe_depth + 1,) * len(k0)
+    t = struct.log_term_grid(wide, k0)
+    r = ref.log_term_grid(wide, k0)
+    at_n = (slice(0, probe_depth),) * len(k0)
+    lhs, rhs = [], []
+    for k in range(len(k0)):
+        at_m = tuple(slice(1, None) if j == k else s for j, s in enumerate(at_n))
+        lhs.append(t[at_m] + r[at_n])
+        rhs.append(t[at_n] + r[at_m])
+    # axis last: C order runs n in product order, then the axes at each n
+    lhs, rhs = np.stack(lhs, axis=-1), np.stack(rhs, axis=-1)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    fails = finite & (lhs > rhs + 1e-12)
+    if fails.any():
+        *at, axis = np.unravel_index(int(np.argmax(fails)), fails.shape)
+        n = tuple(s + int(i) for s, i in zip(k0, at))
+        return Verdict(
+            "inconclusive",
+            f"cross-ratio inequality fails first at {n} axis {gen.axes[axis]}",
+        )
+    worst = max(0.0, float((lhs - rhs)[finite].max())) if finite.any() else 0.0
     ref_verdict = _ratio_decision(ref)
     if ref_verdict.convergent:
         return Verdict(

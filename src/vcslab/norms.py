@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .frequencies import FrequencyConfig, RatioOverrides
-from .special import hyp1f1_one_closed, log_gamma
+from .special import hyp1f1_one_closed, log_gamma, log_gamma_grid
 from .structure import ClassSpec, CompiledClass, SpecError
 
 # closed forms the source text prints with internal inconsistencies; the
@@ -45,6 +45,15 @@ class TermGenerator:
     compiled: CompiledClass
     log_z: tuple[float, ...]   # log |z_t|, -inf at z_t = 0
     z_args: tuple[float, ...]  # arg z_t
+
+    @classmethod
+    def of(cls, compiled: CompiledClass, z) -> "TermGenerator":
+        """The terms of a compiled class at the variables z."""
+        z = tuple(complex(v) for v in z)
+        if len(z) != len(compiled.towers):
+            raise SpecError(f"{compiled.id}: expected {len(compiled.towers)} variables, got {len(z)}")
+        log_z = tuple(math.log(abs(v)) if abs(v) > 0.0 else float("-inf") for v in z)
+        return cls(compiled, log_z, tuple(cmath.phase(v) for v in z))
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -69,19 +78,32 @@ class TermGenerator:
         """arg a(n), from the variable phases."""
         return sum(ct.z_exp.at(n) * th for ct, th in zip(self.compiled.towers, self.z_args))
 
-    def log_term_grid(self, shape: tuple[int, ...]) -> np.ndarray:
-        """log terms on the rectangular window [0, shape_i) per axis."""
-        grids = np.meshgrid(*[np.arange(s, dtype=float) for s in shape], indexing="ij")
-        out = np.zeros(grids[0].shape)
+    def log_term_grid(self, shape: tuple[int, ...], start: tuple[int, ...] | None = None) -> np.ndarray:
+        """log terms on the window [start_i, start_i + shape_i) per axis (start defaults to 0).
+
+        Agrees with `log_term` bit for bit, and raises where a scan of
+        the window in `itertools.product` order first would.
+        """
+        start = (0,) * len(self.axes) if start is None else tuple(start)
+        grids = self.compiled.window(shape, start)
+        dead = np.zeros(grids[0].shape, dtype=bool)
+        z_exps, args = [], []
         for ct, log_z in zip(self.compiled.towers, self.log_z):
             e = ct.z_exp.on_grid(grids)
             if log_z == float("-inf"):
-                out = np.where(e > 0.0, -np.inf, out)
-            else:
-                out = out + 2.0 * e * log_z
+                dead = dead | (e > 0.0)
+            z_exps.append(e)
+            # a term already zero never reaches this tower's Gamma
+            args.append(np.where(dead, 1.0, ct.gamma_arg.on_grid(grids)))
+        # towers on the last axis: C order is point by point, tower by tower
+        log_gammas = log_gamma_grid(np.stack(args, axis=-1))
+        out = np.zeros(grids[0].shape)
+        for i, (ct, log_z) in enumerate(zip(self.compiled.towers, self.log_z)):
+            if log_z != float("-inf"):
+                out = out + 2.0 * z_exps[i] * log_z
             out = out - ct.w_exp.on_grid(grids) * ct.log_w
-            out = out - (gammaln(ct.gamma_arg.on_grid(grids)) - ct.log_gamma_norm)
-        return out
+            out = out - (log_gammas[..., i] - ct.log_gamma_norm)
+        return np.where(dead, -np.inf, out)
 
     def log_weight(self, axis_pos: int) -> float:
         """log of the geometric weight w of one summed axis.
@@ -112,12 +134,7 @@ def term_generator(
     overrides: RatioOverrides | None = None,
 ) -> TermGenerator:
     """Build the norm-series term generator of a registered class."""
-    z = tuple(complex(v) for v in z)
-    if len(z) != spec.dof:
-        raise SpecError(f"{spec.id}: expected {spec.dof} variables, got {len(z)}")
-    compiled = spec.compile(config, fixed, overrides)
-    log_z = tuple(math.log(abs(v)) if abs(v) > 0.0 else float("-inf") for v in z)
-    return TermGenerator(compiled, log_z, tuple(cmath.phase(v) for v in z))
+    return TermGenerator.of(spec.compile(config, fixed, overrides), z)
 
 
 @dataclass(frozen=True)
@@ -129,14 +146,17 @@ class NormResult:
     flags: tuple[str, ...] = ()
 
 
-def _certified_1d_sum(log_term_fn, rel_tol: float, budget: int = 300_000):
-    """log of sum_n exp(log_term_fn(n)) with a geometric tail certificate."""
+def _certified_1d_sum(log_block, rel_tol: float, budget: int = 300_000):
+    """log of sum_n exp(t_n) with a geometric tail certificate.
+
+    log_block(start, count) returns the array t_start .. t_(start+count-1).
+    """
     block = 64
     start = 0
     log_partial = float("-inf")
     ratio_history: list[float] = []
     while start < budget:
-        logs = np.array([log_term_fn(n) for n in range(start, start + block)])
+        logs = log_block(start, block)
         log_partial = float(logsumexp(np.append(logs, log_partial)))
         finite = np.isfinite(logs)
         if not finite[-8:].any():
@@ -163,7 +183,9 @@ def _certified_1d_sum(log_term_fn, rel_tol: float, budget: int = 300_000):
 
 
 def _norm_series_1d(gen: TermGenerator, rel_tol: float) -> NormResult:
-    log_norm, cutoff, rel = _certified_1d_sum(lambda n: gen.log_term((n,)), rel_tol)
+    log_norm, cutoff, rel = _certified_1d_sum(
+        lambda start, count: gen.log_term_grid((count,), (start,)), rel_tol
+    )
     return NormResult(log_norm, (cutoff,), rel, "series")
 
 
@@ -246,21 +268,13 @@ def _axis_factor_analysis(gen: TermGenerator):
     return [lst[0] if lst else None for lst in per_axis]
 
 
-def norm_closed_form(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    z,
-    fixed,
-    overrides: RatioOverrides | None = None,
-    rel_tol: float = 1e-12,
-) -> NormResult | None:
+def norm_closed_form(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult | None:
     """Factorized/closed evaluation of the norm; None when unavailable.
 
     Never sums the double series: per-axis factors are the exponential,
     the 1F1(1;b;x) closed form, or (for Gamma arguments
     climbing with a fractional ratio slope) a certified one-index sum.
     """
-    gen = term_generator(spec, config, z, fixed, overrides)
     assignment = _axis_factor_analysis(gen)
     if assignment is None:
         return None
@@ -293,15 +307,19 @@ def norm_closed_form(
         else:
             # Gamma argument climbs with ratio slope: certified 1d sum of
             # x^n Gamma(c)/Gamma(c + slope n)
-            log_s, cut, rel = _certified_1d_sum(
-                lambda n: n * lw - (log_gamma(const + slope * n) - log_gamma(const)),
-                rel_tol,
-            )
+            log_g0 = log_gamma(const)
+
+            def log_block(start, count):
+                n = np.arange(start, start + count, dtype=float)
+                return n * lw - (log_gamma_grid(const + slope * n) - log_g0)
+
+            log_s, cut, rel = _certified_1d_sum(log_block, rel_tol)
             log_norm += log_s
             tail = max(tail, rel)
             method = "factorized"
             trunc.append(cut)
-    flags = ("printed-closed-form-suspected-typo",) if spec.id in SUSPECT_PRINTED_CLOSED_FORMS else ()
+    suspect = gen.compiled.id in SUSPECT_PRINTED_CLOSED_FORMS
+    flags = ("printed-closed-form-suspected-typo",) if suspect else ()
     return NormResult(log_norm, tuple(trunc), tail, method, flags)
 
 
@@ -343,9 +361,10 @@ def state(
         raise SpecError(
             f"{spec.id}: state vanishes identically (fixed-index powers of a zero variable)"
         )
+    log_terms = gen.log_term_grid(tuple(m + 1 for m in nmax))
     coeffs = {}
     for n in itertools.product(*[range(m + 1) for m in nmax]):
-        lt = gen.log_term(n)
+        lt = float(log_terms[n])
         if lt == float("-inf"):
             coeffs[n] = 0.0
             continue

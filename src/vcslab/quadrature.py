@@ -26,6 +26,17 @@ class QuadratureDisagreement(ArithmeticError):
     pass
 
 
+class QuadratureBudgetError(ArithmeticError):
+    """Route B's panel queue would outgrow its memory budget."""
+
+
+# Route B's queue budget.  The default report and the moments-fresh
+# benchmark reach at most 1,172 panels (q = 600, where route A stops
+# being exact, needs 1,324); an unbounded queue reached 8 million panels
+# and gigabytes at q = 2500.
+MAX_PANELS = 2**18
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     nodes: int = 200
@@ -70,6 +81,7 @@ def _simpson_adaptive(f, a: float, b: float, tol: float, max_depth: int = 40, se
     f must accept numpy arrays.  Standard acceptance rule: a panel is
     kept once the half-panel estimates move its Simpson value by less
     than 15 * tol (relative), with the Richardson term folded in.
+    Raises QuadratureBudgetError before the queue grows past MAX_PANELS.
     """
     edges = np.linspace(a, b, seeds + 1)
     x0 = edges[:-1]
@@ -95,6 +107,11 @@ def _simpson_adaptive(f, a: float, b: float, tol: float, max_depth: int = 40, se
         keep = ~done
         if not keep.any():
             break
+        queued = 2 * int(np.count_nonzero(keep))
+        if queued > MAX_PANELS:
+            raise QuadratureBudgetError(
+                f"route B needs more than {MAX_PANELS} Simpson panels on [{a:.6g}, {b:.6g}]"
+            )
         # split every unconverged panel into its two halves
         x0 = np.concatenate([x0[keep], x1[keep]])
         x2n = np.concatenate([x1[keep], x2[keep]])

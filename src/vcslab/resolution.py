@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frequencies import FrequencyConfig, RatioOverrides
+from .frequencies import FrequencyConfig
 from .logspace import LogValue
 from .moments import MeasureDensity, QuadSpec, _log_moment, density_for
 from .report import VerificationReport
@@ -47,12 +47,10 @@ class SelectionRule:
         )
 
 
-def selection_rule(
-    spec: ClassSpec, config: FrequencyConfig, overrides: RatioOverrides | None = None
-) -> SelectionRule:
+def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
     """Constraints read off the variable-phase exponents, one per tower."""
     # the z slopes do not depend on the fixed indices, so zeros serve
-    compiled = spec.compile(config, (0,) * len(spec.fixed), overrides)
+    compiled = spec.compile(config, (0,) * len(spec.fixed))
     rows = [
         ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
     ]
@@ -133,7 +131,6 @@ def resolution_residual(
     fixed,
     nmax,
     tol: float = 1e-6,
-    overrides: RatioOverrides | None = None,
     quad: QuadSpec = QuadSpec(),
     aliasing_window: int | None = None,
 ) -> VerificationReport:
@@ -141,7 +138,7 @@ def resolution_residual(
     fixed = tuple(int(v) for v in fixed)
     if isinstance(nmax, int):
         nmax = (nmax,) * len(spec.summed)
-    rule = selection_rule(spec, config, overrides)
+    rule = selection_rule(spec, config)
     density = density_for(spec, config, fixed)
     compiled = spec.compile(config, fixed)
     basis = list(itertools.product(*[range(m + 1) for m in nmax]))

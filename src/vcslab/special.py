@@ -1,13 +1,15 @@
 """Log-domain special functions: log-Gamma and the 1F1(1;b;x) closed form.
 
-Both rest on scipy (`gammaln`, `gammainc`), the same routines the
-vectorised norm-series grids use, so scalar and grid terms agree.
+Both rest on scipy (`gammaln`, `gammainc`).  `log_gamma_grid` is
+`log_gamma` over an array, with the same domain check, so scalar and
+grid terms agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .logspace import LogValue
@@ -18,6 +20,19 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return float(gammaln(x))
+
+
+def log_gamma_grid(x: np.ndarray) -> np.ndarray:
+    """log_gamma elementwise.
+
+    gammaln returns a value for x <= 0 too, so the check is made here:
+    the first element in C order that is not > 0 raises log_gamma's
+    ValueError, as a scalar scan in that order would.
+    """
+    bad = ~(x > 0.0)
+    if bad.any():
+        raise ValueError(f"log_gamma requires x > 0, got {float(x.flat[np.argmax(bad)])}")
+    return gammaln(x)
 
 
 def hyp1f1_one_closed(b: float, x: float) -> LogValue:

@@ -151,11 +151,11 @@ class AffineForm:
         return self.const + sum(s * v for s, v in zip(self.slopes, n))
 
     def on_grid(self, grids) -> np.ndarray:
-        out = np.full(grids[0].shape, self.const)
+        """The form on index grids, associated as in `at`, so the two agree bit for bit."""
+        acc = np.zeros(np.shape(grids[0]))
         for s, g in zip(self.slopes, grids):
-            if s != 0.0:
-                out = out + s * g
-        return out
+            acc = acc + s * g
+        return self.const + acc
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ class CompiledClass:
     so each is evaluated once here and then costs one dot product per n.
     """
 
+    id: str
     summed: tuple[int, ...]
     towers: tuple[CompiledTower, ...]
 
@@ -184,6 +185,18 @@ class CompiledClass:
             raise SpecError(f"expected {len(self.summed)} indices, got {len(n)}")
         if any(v < 0 for v in n):
             raise SpecError("summed indices must be non-negative")
+
+    def window(self, shape, start) -> list[np.ndarray]:
+        """Index grids of the window [start_i, start_i + shape_i) per summed axis.
+
+        Points run in C order, which is `itertools.product` order.
+        """
+        self.check(start)
+        if len(shape) != len(start):
+            raise SpecError(f"window shape {tuple(shape)} does not match start {tuple(start)}")
+        return np.meshgrid(
+            *[np.arange(k, k + s, dtype=float) for k, s in zip(start, shape)], indexing="ij"
+        )
 
     def log_target(self, n) -> float:
         """log of the product of the tower factorials R_t(n); the moment target."""
@@ -295,7 +308,7 @@ class ClassSpec:
                     log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
                 )
             )
-        return CompiledClass(self.summed, tuple(towers))
+        return CompiledClass(self.id, self.summed, tuple(towers))
 
     # -- structural transforms -----------------------------------------
 

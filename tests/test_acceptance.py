@@ -80,7 +80,7 @@ class TestCriterion2NormClosedForms:
                     fixed = (fv,) * len(spec.fixed)
                     for scale in (0.1, 1.0, 5.0):
                         z = tuple(math.sqrt(scale * cfg.omega(t)) for t in spec.tower_ids)
-                        closed = norm_closed_form(spec, cfg, z, fixed)
+                        closed = norm_closed_form(term_generator(spec, cfg, z, fixed))
                         if closed is None:
                             continue
                         available += 1

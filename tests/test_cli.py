@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from vcslab.cli import main
+from vcslab.structure import ClassSpec
 
 RUN = [sys.executable, "-m", "vcslab.cli"]
 
@@ -128,6 +129,39 @@ class TestVerify:
         assert rep["verdict"] == "fail"
         assert rep["residuals"] == {"evaluation-error": 1.0}
         assert "quadrature routes disagree" in rep["metadata"]["error"]
+
+    def test_norm_check_compiles_each_class_once(self, monkeypatch, tmp_path):
+        # the compiled class does not depend on z, so one serves the z grid
+        calls = []
+        compile_ = ClassSpec.compile
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.id)
+            return compile_(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ClassSpec, "compile", counting)
+        out = tmp_path / "r.json"
+        assert main(["verify", "3d.2dof.gamma13-gamma3", "--checks", "norm", "--out", str(out)]) == 0
+        assert calls == ["3d.2dof.gamma13-gamma3"]
+
+    def test_route_b_budget_is_a_fail_report(self):
+        # q reaches route B's panel budget here; without it the queue
+        # ended in a numpy _ArrayMemoryError under this 2 GB limit
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from vcslab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "2d.2dof.gamma1-gamma2.D",
+             "--omega", "1,1e6", "--checks", "moment"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["residuals"] == {"evaluation-error": 1.0}
+        assert "Simpson panels" in rep["metadata"]["error"]
 
     def test_zero_ratio_with_used_reciprocal_is_undefined(self, tmp_path):
         out = tmp_path / "r.json"

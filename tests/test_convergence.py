@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,8 @@ from vcslab.convergence import (
 )
 from vcslab.frequencies import FrequencyConfig
 from vcslab.norms import norm_series, term_generator
-from vcslab.registry import get
+from vcslab.registry import get, registry
+from vcslab.special import log_gamma
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
@@ -100,6 +102,98 @@ class TestRatioTests:
         gen = term_generator(spec, CFG2, probe_z(spec, CFG2), (1,))
         v = ratio_comparison_check(gen, reference=structure_of(gen))
         assert v.convergent  # all cross-ratios equal 1; reference converges
+
+
+def scalar_majorant(gen, kept, plain_axes):
+    """Per-point log terms of the majorant `_replace_factors` builds on gen."""
+
+    def log_term(n):
+        lt = gen.log_term(n)
+        if lt == float("-inf"):
+            return lt
+        for i, ct in enumerate(gen.compiled.towers):
+            if i not in kept:
+                lt += log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm
+        for k in plain_axes:
+            lt -= log_gamma(n[k] + 1.0)
+        return lt
+
+    return log_term
+
+
+def scalar_scan_domination(log_a, log_b, k0, depth):
+    for n in itertools.product(*[range(k, k + depth) for k in k0]):
+        a, b = log_a(n), log_b(n)
+        if a > b + 1e-12:
+            return f"domination fails first at {n}: log a={a:.6g} > log b={b:.6g}"
+    return None
+
+
+def scalar_scan_cross_ratio(log_t, log_r, axes, k0, depth):
+    for n in itertools.product(*[range(k, k + depth) for k in k0]):
+        for k in range(len(k0)):
+            m = tuple(v + (1 if j == k else 0) for j, v in enumerate(n))
+            lhs = log_t(m) + log_r(n)
+            rhs = log_t(n) + log_r(m)
+            if math.isfinite(lhs) and math.isfinite(rhs) and lhs > rhs + 1e-12:
+                return f"cross-ratio inequality fails first at {n} axis {axes[k]}"
+    return None
+
+
+class TestProbeWindows:
+    """The verdict engine's windows against a scan one point at a time."""
+
+    def test_majorant_grids_equal_scalar_bit_for_bit(self):
+        for spec in registry():
+            cfg = CFG3 if spec.dimension == 3 else CFG2
+            gen = term_generator(spec, cfg, probe_z(spec, cfg, 0.7), (1,) * len(spec.fixed))
+            start, shape = ((2, 4), (5, 6)) if len(gen.axes) == 2 else ((2,), (24,))
+            towers = [ct.tower for ct in gen.compiled.towers]
+            cases = [
+                (exponential_reference(gen), [], list(range(len(gen.axes)))),
+                (
+                    partial_plain_reference(gen),
+                    [i for i, t in enumerate(towers) if t not in gen.axes],
+                    [k for k, a in enumerate(gen.axes) if a in towers],
+                ),
+            ]
+            for ref, kept, plain_axes in cases:
+                grid = ref.log_term_grid(shape, start)
+                scalar = scalar_majorant(gen, kept, plain_axes)
+                for n in itertools.product(*[range(k, k + s) for k, s in zip(start, shape)]):
+                    idx = tuple(v - k for v, k in zip(n, start))
+                    assert grid[idx] == scalar(n), (spec.id, n)
+
+    def test_domination_reports_first_failure_off_origin(self):
+        spec = get("3d.2dof.plain-gamma32")
+        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
+        n_axes = len(gen.axes)
+        expected = scalar_scan_domination(
+            gen.log_term, scalar_majorant(gen, [], list(range(n_axes))), (2, 2), 24
+        )
+        assert expected.startswith("domination fails first at (2, 4):")
+        v = comparison_check(gen)
+        assert v.status == "inconclusive"
+        assert v.witness == expected
+
+    def test_cross_ratio_reports_first_failure_off_origin(self):
+        # the cross-ratios hold near the window origin and first fail at n2 = 9
+        spec = get("3d.2dof.plain-gamma32")
+        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
+        big = term_generator(spec, CFG3, probe_z(spec, CFG3, 4.0), (1,))
+        expected = scalar_scan_cross_ratio(
+            gen.log_term, scalar_majorant(big, [], [0, 1]), gen.axes, (2, 2), 24
+        )
+        assert expected == "cross-ratio inequality fails first at (2, 9) axis 2"
+        v = ratio_comparison_check(gen, reference=exponential_reference(big))
+        assert v.status == "inconclusive"
+        assert v.witness == expected
+
+    def test_window_with_non_positive_gamma_argument_raises(self):
+        spec = get("2d.1dof.gamma1.A")
+        gen = term_generator(spec, CFG2, (1.0,), (3,), overrides={(1, 2): -1.5})
+        with pytest.raises(ValueError, match="log_gamma requires x > 0, got -1.5"):
+            comparison_check(gen)
 
 
 class TestClassVerdict:

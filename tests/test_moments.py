@@ -20,6 +20,7 @@ from vcslab.moments import (
     verify_moments,
 )
 from vcslab.quadrature import (
+    QuadratureBudgetError,
     QuadSpec,
     QuadratureDisagreement,
     log_moment_adaptive,
@@ -57,6 +58,12 @@ class TestQuadraturePieces:
             log_moment_gauss(-1.0)
         with pytest.raises(ValueError):
             log_moment_adaptive(-1.5)
+
+    def test_route_b_queue_is_bounded(self):
+        # unbounded, this queue grew to about 8 million panels and raised
+        # MemoryError under a 1.5 GB address-space limit
+        with pytest.raises(QuadratureBudgetError, match="Simpson panels"):
+            log_moment_adaptive(3000.0)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from vcslab.norms import (
     state,
     term_generator,
 )
-from vcslab.registry import get
+from vcslab.registry import get, registry
 from vcslab.special import hyp1f1_one_closed, log_gamma
 
 
@@ -73,6 +74,55 @@ class TestTermGenerator:
             assert deformed.log_term((n,)) <= log_plain_part + 1e-12
 
 
+TRIPLES = [(1.0, 2.0, 3.0), (0.731, 2.113, 3.97), (1.5, 0.6, 2.2)]
+
+
+def window_points(start, shape):
+    return itertools.product(*[range(k, k + s) for k, s in zip(start, shape)])
+
+
+class TestTermGrid:
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_grid_equals_scalar_bit_for_bit(self, triple):
+        # an off-origin window, so every slope and the constant both count
+        for spec in registry():
+            cfg = FrequencyConfig(triple[: spec.dimension])
+            z = tuple(math.sqrt(cfg.omega(t)) for t in spec.tower_ids)
+            gen = term_generator(spec, cfg, z, (2,) * len(spec.fixed))
+            start, shape = ((3, 5), (7, 6)) if len(spec.summed) == 2 else ((3,), (40,))
+            grid = gen.log_term_grid(shape, start)
+            for n in window_points(start, shape):
+                idx = tuple(v - k for v, k in zip(n, start))
+                assert grid[idx] == gen.log_term(n), (spec.id, n)
+
+    def test_zero_variable_window_matches_scalar(self):
+        gen = term_generator(get("2d.2dof.gamma1-plain.A"), CFG2, (0.0, 1.3), (0,))
+        grid = gen.log_term_grid((6,), (0,))
+        assert grid[0] == gen.log_term((0,)) == 0.0
+        assert list(grid[1:]) == [gen.log_term((n,)) for n in range(1, 6)] == [float("-inf")] * 5
+
+    @pytest.mark.parametrize("cid, ratio, start, shape", [
+        ("2d.1dof.gamma1.A", (1, 2), (2,), (5,)),
+        # the first bad point, (6, 0), is off the window origin and in the second tower
+        ("3d.2dof.gamma13-gamma3", (1, 3), (4, 0), (5, 3)),
+    ])
+    def test_non_positive_gamma_argument_raises_like_log_gamma(self, cid, ratio, start, shape):
+        spec = get(cid)
+        cfg = CFG3 if spec.dimension == 3 else CFG2
+        gen = term_generator(spec, cfg, (1.0,) * spec.dof, (3,), overrides={ratio: -1.5})
+        expected = None
+        for n in window_points(start, shape):
+            try:
+                gen.log_term(n)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None and expected.startswith("log_gamma requires x > 0")
+        with pytest.raises(ValueError) as got:
+            gen.log_term_grid(shape, start)
+        assert str(got.value) == expected
+
+
 class TestNormSeries:
     def test_canonical_value_is_e(self):
         gen = term_generator(get("2d.1dof.plain1.A"), CFG2, (1.0,), (0,))
@@ -118,7 +168,7 @@ class TestNormClosedForm:
         # (1,1)A: (1/n2!) (|z2|^2/w2)^n2 exp(|z1|^2/w1); printed stray 1/w1 dropped
         spec = get("2d.2dof.plain-plain.A")
         z1, z2, n2 = 1.5, 0.8, 3
-        res = norm_closed_form(spec, CFG2, (z1, z2), (n2,))
+        res = norm_closed_form(term_generator(spec, CFG2, (z1, z2), (n2,)))
         assert res is not None
         expect = -math.lgamma(n2 + 1) + n2 * math.log(z2 * z2 / 2.0) + z1 * z1 / 1.0
         assert res.log_norm == pytest.approx(expect, abs=1e-12)
@@ -126,14 +176,14 @@ class TestNormClosedForm:
 
     def test_gamma_class_at_unit_gamma_is_exponential(self):
         spec = get("2d.1dof.gamma1.A")
-        res = norm_closed_form(spec, CFG2, (1.3,), (0,))  # n2 = 0 -> gamma = 1
+        res = norm_closed_form(term_generator(spec, CFG2, (1.3,), (0,)))  # n2 = 0 -> gamma = 1
         assert res.log_norm == pytest.approx(1.3 * 1.3, abs=1e-12)
 
     def test_min_class_against_direct_series(self):
         spec = get("3d.3dof.min")
         z = (1.1, 0.6, 0.9)
         n3 = 2
-        closed = norm_closed_form(spec, CFG3, z, (n3,))
+        closed = norm_closed_form(term_generator(spec, CFG3, z, (n3,)))
         series = norm_series(term_generator(spec, CFG3, z, (n3,)))
         assert "printed-closed-form-suspected-typo" in closed.flags
         assert abs(math.expm1(closed.log_norm - series.log_norm)) <= 1e-9
@@ -147,9 +197,12 @@ class TestNormClosedForm:
         assert closed.log_norm == pytest.approx(expect, abs=1e-12)
 
     def test_unavailable_for_dependent_sums(self):
-        assert norm_closed_form(get("3d.2dof.gamma1-gamma2"), CFG3, (1.0, 1.0), (0,)) is None
-        assert norm_closed_form(get("2d.2dof.plain-gamma2.A"), CFG2, (1.0, 1.0), (0,)) is None
-        assert norm_closed_form(get("3d.2dof.gamma12-plain3"), CFG3, (1.0, 1.0), (0,)) is None
+        for cid, cfg in (
+            ("3d.2dof.gamma1-gamma2", CFG3),
+            ("2d.2dof.plain-gamma2.A", CFG2),
+            ("3d.2dof.gamma12-plain3", CFG3),
+        ):
+            assert norm_closed_form(term_generator(get(cid), cfg, (1.0, 1.0), (0,))) is None
 
     @pytest.mark.parametrize(
         "cid",
@@ -174,7 +227,7 @@ class TestNormClosedForm:
         cfg = CFG3 if spec.dimension == 3 else CFG2
         z = tuple(0.9 + 0.2 * k for k in range(spec.dof))
         fixed = (2,) * len(spec.fixed)
-        closed = norm_closed_form(spec, cfg, z, fixed)
+        closed = norm_closed_form(term_generator(spec, cfg, z, fixed))
         assert closed is not None
         series = norm_series(term_generator(spec, cfg, z, fixed))
         assert abs(math.expm1(series.log_norm - closed.log_norm)) <= 1e-9
