@@ -92,6 +92,13 @@ class RunConfig:
         negative = {f"n{k}": v for k, v in sorted(self.fixed.items()) if v < 0}
         if negative:
             raise UsageError(f"fixed indices must be non-negative, got {negative}")
+        bad_kappa = {
+            f"{i}{j}": v
+            for (i, j), v in sorted(self.kappa_overrides.items())
+            if not (math.isfinite(v) and v >= 0.0)
+        }
+        if bad_kappa:
+            raise UsageError(f"kappa overrides must be finite and non-negative, got {bad_kappa}")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {sorted(unknown)}")

@@ -32,8 +32,8 @@ class FrequencyConfig:
         shifts = tuple(float(a) for a in self.shifts) if self.shifts else (0.0,) * len(omegas)
         if len(shifts) != len(omegas):
             raise ValueError("one shift per tower required")
-        if any(a < 0.0 for a in shifts):
-            raise ValueError(f"shifts must be non-negative: {shifts}")
+        if any(not (a >= 0.0) or not math.isfinite(a) for a in shifts):
+            raise ValueError(f"shifts must be non-negative and finite: {shifts}")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "shifts", shifts)
 

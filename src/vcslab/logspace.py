@@ -1,14 +1,49 @@
-"""Signed log-domain scalars.
+"""Signed log-domain scalars and the log-sum-exp kernel.
 
 Norm series terms and generalized-factorial targets overflow double
 precision quickly (Gamma arguments run into the hundreds), so every
-quantity that can get large is carried as (log |x|, sign).
+quantity that can get large is carried as (log |x|, sign), and sums of
+such terms are taken with `logsumexp`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every element of a real float array.
+
+    The same float as scipy.special.logsumexp(a) with axis=None and no
+    weights, bit for bit: the same numpy reductions on arrays of the same
+    shapes, kept in 1-element arrays, without scipy's per-call dispatch.
+    The maximum is taken out of the sum (every element equal to it counts
+    once in m), and a non-finite result takes the direct
+    log(sum(exp(a))) route, as scipy's does.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    if a.size == 0:
+        return float("-inf")
+    axes = tuple(range(a.ndim))
+    a_max = a.max(axis=axes, keepdims=True)
+    if math.isfinite(a_max.item()):
+        at_max = a == a_max
+        rest = np.array(a, copy=True)
+        rest[at_max] = -np.inf
+        m = at_max.sum(axis=axes, keepdims=True, dtype=float)
+        s = np.exp(rest - a_max).sum(axis=axes, keepdims=True)
+        if s.item() != 0.0:
+            s = s / m
+        out = (np.log1p(s) + np.log(m) + a_max).item()
+        if math.isfinite(out):
+            return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.log(np.exp(a).sum(axis=axes, keepdims=True)).item()
 
 
 @dataclass(frozen=True)

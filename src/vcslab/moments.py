@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .frequencies import FrequencyConfig
 from .logspace import LogValue
 from .quadrature import QuadSpec, combine_routes, log_moment_piece
@@ -285,34 +287,65 @@ def _integration_order(density: MeasureDensity) -> list[ExpTerm]:
     return coupled + plainer
 
 
-def _integrate(
-    density: MeasureDensity,
-    u_exponents: dict[int, float],
-    quad: QuadSpec,
-) -> tuple[float, float]:
-    """(log integral, route disagreement) of int chi(u) prod u^e du."""
-    q = {v: u_exponents.get(v, 0.0) + density.power(v) for v in density.variables}
-    log_a = log_b = density.log_const
-    for term in _integration_order(density):
-        qv = q[term.var]
+def _log_moments(
+    compiled: CompiledClass, density: MeasureDensity, points, quad: QuadSpec
+) -> np.ndarray:
+    """log of the radial moment integral at each summed multi-index in points.
+
+    The triangular change of variables reduces each integral of
+    chi(u) prod u^e(n) to a product of pieces int u^(s-1) e^(-u) du, one
+    per exponential factor.  The exponents s are evaluated on all points
+    at once, in the association of a scalar pass, and each distinct
+    piece is requested once, in the order a point-by-point scan first
+    needs it.  The two routes are then combined point by point in order,
+    so the first failing point raises what a scan would raise there.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, len(compiled.summed))
+    grids = list(pts.T)
+    size = pts.shape[0]
+    e = {ct.tower: ct.z_exp.on_grid(grids) for ct in compiled.towers}
+    q = {v: e.get(v, 0.0) + np.full(size, density.power(v)) for v in density.variables}
+    order = _integration_order(density)
+    xs, log_pieces = [], []
+    for term in order:
         a = term.self_exp
-        s = (qv + 1.0) / a
+        s = (q[term.var] + 1.0) / a
         for j, bexp in term.couplings:
-            q[j] -= bexp * s
-        pa, pb = log_moment_piece(s - 1.0, 0.0, quad)
-        log_piece = s * term.log_scale - math.log(a)
-        log_a += pa + log_piece
-        log_b += pb + log_piece
-    return combine_routes(log_a, log_b, quad, context=f"({density.spec_id})")
-
-
-def _log_moment(compiled: CompiledClass, density: MeasureDensity, n, quad: QuadSpec) -> float:
-    """log of the radial moment integral at summed multi-index n."""
-    e = {ct.tower: ct.z_exp.at(n) for ct in compiled.towers}
-    log_i, _ = _integrate(density, e, quad)
+            q[j] = q[j] - bexp * s
+        xs.append(s - 1.0)
+        log_pieces.append(s * term.log_scale - math.log(a))
+    # (point, term) in C order is the order a scalar scan calls the pieces
+    scan = np.stack(xs, axis=-1).ravel()
+    _, first, inverse = np.unique(scan, return_index=True, return_inverse=True)
+    routes = np.full((len(first), 2), np.nan)
+    failed_at, failure = size, None
+    for idx in np.argsort(first, kind="stable"):
+        try:
+            routes[idx] = log_moment_piece(float(scan[first[idx]]), 0.0, quad)
+        except (ArithmeticError, ValueError) as exc:
+            # the scan would stop at this piece's first point
+            failed_at, failure = int(first[idx]) // len(order), exc
+            break
+    pieces = routes[inverse].reshape(size, len(order), 2)
+    log_a = np.full(size, density.log_const)
+    log_b = np.full(size, density.log_const)
+    for t, log_piece in enumerate(log_pieces):
+        log_a = log_a + (pieces[:, t, 0] + log_piece)
+        log_b = log_b + (pieces[:, t, 1] + log_piece)
+    context = f"({density.spec_id})"
+    out = np.empty(size)
+    for i, (la, lb) in enumerate(zip(log_a.tolist(), log_b.tolist())):
+        if i == failed_at:
+            raise failure
+        out[i], _ = combine_routes(la, lb, quad, context=context)
     for ct in compiled.towers:
-        log_i -= ct.w_exp.at(n) * ct.log_w
-    return log_i
+        out = out - ct.w_exp.on_grid(grids) * ct.log_w
+    return out
+
+
+def _columns(points) -> list[np.ndarray]:
+    """Index grids, one per summed axis, of a list of multi-indices."""
+    return list(np.asarray(points, dtype=float).T)
 
 
 def moment_target(spec: ClassSpec, config: FrequencyConfig, fixed, n) -> LogValue:
@@ -334,7 +367,7 @@ def moment_integral(
     density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed)
     compiled.check(n)
-    return LogValue.exp(_log_moment(compiled, density, n, quad))
+    return LogValue.exp(float(_log_moments(compiled, density, [n], quad)[0]))
 
 
 def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
@@ -362,11 +395,13 @@ def verify_moments(
     fixed = tuple(int(v) for v in fixed)
     density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed)
-    residuals = []
-    for n in probe_lattice(len(spec.summed), n_range):
-        integral = LogValue.exp(_log_moment(compiled, density, n, quad))
-        target = LogValue.exp(compiled.log_target(n))
-        residuals.append((",".join(map(str, n)), integral.rel_diff(target)))
+    points = probe_lattice(len(spec.summed), n_range)
+    integrals = _log_moments(compiled, density, points, quad).tolist()
+    targets = compiled.log_target_grid(_columns(points)).tolist()
+    residuals = [
+        (",".join(map(str, n)), LogValue.exp(i).rel_diff(LogValue.exp(t)))
+        for n, i, t in zip(points, integrals, targets)
+    ]
     return make_report(
         spec.id,
         "moment",

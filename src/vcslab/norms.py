@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .frequencies import FrequencyConfig, RatioOverrides
+from .logspace import logsumexp
 from .special import hyp1f1_one_closed, log_gamma, log_gamma_grid
 from .structure import ClassSpec, CompiledClass, SpecError
 
@@ -157,7 +157,7 @@ def _certified_1d_sum(log_block, rel_tol: float, budget: int = 300_000):
     ratio_history: list[float] = []
     while start < budget:
         logs = log_block(start, block)
-        log_partial = float(logsumexp(np.append(logs, log_partial)))
+        log_partial = logsumexp(np.append(logs, log_partial))
         finite = np.isfinite(logs)
         if not finite[-8:].any():
             # weight is exactly zero along this axis beyond some index
@@ -202,18 +202,19 @@ def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
     ratio_history: list[float] = []
     while True:
         logs = gen.log_term_grid((n1 + 1, n2 + 1))
-        log_partial = float(logsumexp(logs))
+        log_partial = logsumexp(logs)
         if not math.isfinite(log_partial):
             raise DivergenceError("window sum is not finite")
-        log_row_mass = float(logsumexp(logs[n1, :]))
-        log_col_mass = float(logsumexp(logs[:, n2]))
+        log_row_mass = logsumexp(logs[n1, :])
+        log_col_mass = logsumexp(logs[:, n2])
         r1 = _frontier_ratio(logs[n1, :], logs[n1 - 1, :])
         r2 = _frontier_ratio(logs[:, n2], logs[:, n2 - 1])
         if r1 < 1.0 and r2 < 1.0:
             pieces = []
-            if math.isfinite(log_row_mass):
+            # a ratio that underflowed to 0 leaves no tail on its frontier
+            if math.isfinite(log_row_mass) and r1 > 0.0:
                 pieces.append(log_row_mass + math.log(r1) - math.log1p(-r1))
-            if math.isfinite(log_col_mass):
+            if math.isfinite(log_col_mass) and r2 > 0.0:
                 pieces.append(log_col_mass + math.log(r2) - math.log1p(-r2))
             if math.isfinite(logs[n1, n2]) and r1 > 0.0 and r2 > 0.0:
                 pieces.append(
@@ -221,7 +222,7 @@ def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
                     + math.log(r1) - math.log1p(-r1)
                     + math.log(r2) - math.log1p(-r2)
                 )
-            log_tail = float(logsumexp(pieces)) if pieces else float("-inf")
+            log_tail = logsumexp(pieces) if pieces else float("-inf")
             rel = math.exp(log_tail - log_partial) if math.isfinite(log_tail) else 0.0
             if rel <= rel_tol:
                 return NormResult(log_partial, (n1, n2), rel, "series")

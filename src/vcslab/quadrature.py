@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp, roots_genlaguerre
+from scipy.special import roots_genlaguerre
+
+from .logspace import logsumexp
 
 
 class QuadratureDisagreement(ArithmeticError):
@@ -72,7 +74,7 @@ def log_moment_gauss(q: float, log_scale: float = 0.0, nodes: int = 200) -> floa
     m = max(math.floor(q), 0)
     alpha = q - m
     x, logw = _laguerre_rule(nodes, alpha)
-    return float(logsumexp(logw + m * np.log(x))) + (q + 1.0) * log_scale
+    return logsumexp(logw + m * np.log(x)) + (q + 1.0) * log_scale
 
 
 def _simpson_adaptive(f, a: float, b: float, tol: float, max_depth: int = 40, seeds: int = 16) -> float:
@@ -154,9 +156,10 @@ def log_moment_adaptive(q: float, log_scale: float = 0.0, tol: float = 1e-12) ->
 def log_moment_piece(q: float, log_scale: float, quad: QuadSpec) -> tuple[float, float]:
     """(route A, route B) logs of one 1d moment piece.
 
-    Memoized on the exact arguments: a piece depends on nothing else,
-    and the moment and Gram checks of one run ask for the same few
-    exponents thousands of times.  Exceptions are not cached.  Both
+    Memoized on the exact arguments: a piece depends on nothing else.
+    Each moment lattice, Gram basis or set of aliased pairs asks once per
+    distinct exponent it needs, and the moment and Gram checks of one run
+    share most of their exponents.  Exceptions are not cached.  Both
     routes are looked up through this module's globals on a miss, so a
     test that replaces a route must clear the cache before and after
     (`log_moment_piece.cache_clear()`), or a substituted value stays

@@ -20,9 +20,9 @@ import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import LogValue
-from .moments import MeasureDensity, QuadSpec, _log_moment, density_for
+from .moments import QuadSpec, _columns, _log_moments, density_for
 from .report import VerificationReport
-from .structure import ClassSpec, CompiledClass
+from .structure import ClassSpec
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,21 @@ class SelectionRule:
     constraints: tuple[tuple[float, ...], ...]
     equivalent_pairs: tuple[tuple[int, int], ...] = ()
 
-    def satisfied(self, delta: tuple[int, ...], tol: float = 1e-12) -> bool:
-        scale = 1.0 + max(abs(d) for d in delta) if delta else 1.0
-        return all(
-            abs(sum(c * d for c, d in zip(row, delta))) <= tol * scale * max(map(abs, row))
-            for row in self.constraints
-        )
+    def satisfied(self, delta, tol: float = 1e-12) -> bool | np.ndarray:
+        """Whether every constraint annihilates delta, a difference vector or
+        a stack of them (one per row); a bool, or a bool array for a stack.
+
+        Each c.delta is summed in index order, as a scalar loop would.
+        """
+        d = np.asarray(delta, dtype=float)
+        scale = 1.0 + np.abs(d).max(axis=-1, initial=0.0)
+        ok = np.ones(d.shape[:-1], dtype=bool)
+        for row in self.constraints:
+            dot = np.zeros(d.shape[:-1])
+            for c, column in zip(row, np.moveaxis(d, -1, 0)):
+                dot = dot + c * column
+            ok &= np.abs(dot) <= tol * scale * max(map(abs, row))
+        return bool(ok) if d.ndim == 1 else ok
 
 
 def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
@@ -96,23 +105,11 @@ def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]
     if window < 1:
         raise ValueError("window must be >= 1")
     k = len(rule.axes)
-    out = []
-    for delta in itertools.product(range(-window, window + 1), repeat=k):
-        if all(d == 0 for d in delta):
-            continue
-        if rule.satisfied(delta):
-            out.append(delta)
-    return out
-
-
-def _cross_moment_ratio(
-    compiled: CompiledClass, density: MeasureDensity, m, mp, quad: QuadSpec
-) -> float:
-    """G entry of an aliased pair: radial cross moment over the target geometric mean."""
-    # the exponents are affine in n, so the pair's mean exponents sit at the midpoint
-    log_i = _log_moment(compiled, density, [0.5 * (a + b) for a, b in zip(m, mp)], quad)
-    log_t = 0.5 * (compiled.log_target(m) + compiled.log_target(mp))
-    return math.exp(log_i - log_t)
+    side = np.arange(-window, window + 1)
+    # C order of the index grid is itertools.product order
+    deltas = np.stack(np.meshgrid(*[side] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    hits = rule.satisfied(deltas) & deltas.any(axis=1)
+    return [tuple(row) for row in deltas[hits].tolist()]
 
 
 def _phase_overlap(rule: SelectionRule, delta: tuple[int, ...], samples: int = 4096) -> complex:
@@ -142,25 +139,38 @@ def resolution_residual(
     density = density_for(spec, config, fixed)
     compiled = spec.compile(config, fixed)
     basis = list(itertools.product(*[range(m + 1) for m in nmax]))
-    residuals = []
     # diagonal entries: moment integral over target
-    for m in basis:
-        val = LogValue.exp(_log_moment(compiled, density, m, quad))
-        target = LogValue.exp(compiled.log_target(m))
-        residuals.append(("G[" + ",".join(map(str, m)) + "]", val.rel_diff(target)))
+    diagonal = _log_moments(compiled, density, basis, quad).tolist()
+    targets = compiled.log_target_grid(_columns(basis)).tolist()
+    residuals = [
+        ("G[" + ",".join(map(str, m)) + "]", LogValue.exp(i).rel_diff(LogValue.exp(t)))
+        for m, i, t in zip(basis, diagonal, targets)
+    ]
     # off-diagonal entries: certified zero unless the rule aliases
     window = aliasing_window if aliasing_window is not None else max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
+    basis_arr = np.array(basis)
     flagged = []
     for delta in aliases:
+        # lexicographic order is translation invariant: every pair of a
+        # delta whose first nonzero entry is negative has mp < m, and is
+        # the pair of -delta
+        if delta < (0,) * len(delta):
+            continue
+        shifted = basis_arr + delta
+        inside = np.flatnonzero(((shifted >= 0) & (shifted <= nmax)).all(axis=1))
+        if not inside.size:
+            continue
         angular = abs(_phase_overlap(rule, delta))
-        for m in basis:
-            mp = tuple(a + d for a, d in zip(m, delta))
-            if any(v < 0 or v > mx for v, mx in zip(mp, nmax)):
-                continue
-            if mp <= m:
-                continue
-            entry = angular * _cross_moment_ratio(compiled, density, m, mp, quad)
+        # the exponents are affine in n, so a pair's cross moment is the
+        # moment at its midpoint; the entry divides it by the targets'
+        # geometric mean
+        cross = _log_moments(compiled, density, 0.5 * (basis_arr[inside] + shifted[inside]), quad)
+        partners = np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax])
+        for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
+            m, mp = basis[i], basis[j]
+            log_t = 0.5 * (targets[i] + targets[j])
+            entry = angular * math.exp(log_i - log_t)
             flagged.append((m, mp, entry))
             residuals.append((f"G[{m}|{mp}]", entry))
     rationality = []

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
-from .special import log_gamma
+from .special import log_gamma, log_gamma_grid
 
 # One additive term: coefficient (a frequency ratio, or 1 when None)
 # times a quantum number (n_of) or a shift constant (shift_of) or 1.
@@ -198,9 +198,24 @@ class CompiledClass:
             *[np.arange(k, k + s, dtype=float) for k, s in zip(start, shape)], indexing="ij"
         )
 
+    def log_target_grid(self, grids) -> np.ndarray:
+        """log of the product of the tower factorials R_t(n), the moment
+        target, on index grids (one array per summed axis).
+
+        Towers are summed in order, as a scalar loop over them would, and
+        the first argument that is not > 0, point by point and tower by
+        tower, raises log_gamma's ValueError.
+        """
+        args = np.stack([ct.gamma_arg.on_grid(grids) for ct in self.towers], axis=-1)
+        log_gammas = log_gamma_grid(args)
+        out = np.zeros(np.shape(grids[0]))
+        for i, ct in enumerate(self.towers):
+            out = out + (log_gammas[..., i] - ct.log_gamma_norm)
+        return out
+
     def log_target(self, n) -> float:
-        """log of the product of the tower factorials R_t(n); the moment target."""
-        return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in self.towers)
+        """`log_target_grid` at the one point n."""
+        return float(self.log_target_grid([np.array([float(v)]) for v in n])[0])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -11,10 +10,8 @@ from vcslab.structure import ClassSpec
 RUN = [sys.executable, "-m", "vcslab.cli"]
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+def run_cli(args):
+    return subprocess.run(RUN + args, capture_output=True, text=True)
 
 
 class TestList:
@@ -184,6 +181,34 @@ class TestVerify:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("cid,args,config", [
+        ("2d.1dof.gamma1.A", ["--kappa", "12=-1.5", "--fixed", "n2=3", "--checks", "convergence"],
+         {"kappa": {"12": -1.5}, "fixed": {"2": 3}, "checks": ["convergence"]}),
+        ("2d.1dof.plain1.A", ["--kappa", "12=inf", "--checks", "norm"],
+         {"kappa": {"12": float("inf")}, "checks": ["norm"]}),
+        ("2d.1dof.plain1.A", ["--alpha", "nan,0", "--checks", "norm"],
+         {"alphas": [float("nan"), 0.0], "checks": ["norm"]}),
+    ])
+    def test_non_finite_or_negative_parameters_exit_2(self, cid, args, config, tmp_path, capsys):
+        # each once ended in a traceback from log_gamma, json or the norm series
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (args, ["--config", str(cfg)]):
+            assert main(["verify", cid, "--omega", "1,2", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_underflowed_frontier_ratio_adds_no_tail(self, tmp_path):
+        # at omega 1,100,1e4 some frontier ratios underflow to 0, whose log
+        # ended 22 checks in a math domain error
+        out = tmp_path / "r.json"
+        rc = main(["verify", "all", "--omega", "1,100,1e4", "--checks", "norm,limits",
+                   "--out", str(out)])
+        assert rc == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert (summary["checks"], summary["passed"]) == (112, 112)
+
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])
         assert proc.returncode == 2
@@ -247,15 +272,15 @@ class TestFigure:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_across_thread_counts(self, tmp_path):
+    def test_reports_byte_identical_across_runs(self, tmp_path):
         args = [
             "verify", "2d.1dof.plain1.A", "2d.1dof.gamma1.A", "3d.2dof.gamma13-gamma23",
             "--omega", "1,2,3", "--nmax", "6",
         ]
         outs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"r{threads}.json"
-            proc = run_cli(args + ["--out", str(out)], env_extra={"VCSLAB_THREADS": threads})
+        for run in ("1", "2"):
+            out = tmp_path / f"r{run}.json"
+            proc = run_cli(args + ["--out", str(out)])
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -1,16 +1,21 @@
 import contextlib
 import io
+import itertools
 import math
 from collections import Counter
 
 import mpmath
+import numpy as np
 import pytest
 
-from vcslab import quadrature
+from vcslab import moments, quadrature
 from vcslab.cli import RunConfig, main, run_verification
 from vcslab.frequencies import FrequencyConfig
 from vcslab.moments import (
     MeasureDensity,
+    _columns,
+    _integration_order,
+    _log_moments,
     density_for,
     moment_integral,
     moment_target,
@@ -23,19 +28,58 @@ from vcslab.quadrature import (
     QuadratureBudgetError,
     QuadSpec,
     QuadratureDisagreement,
+    combine_routes,
     log_moment_adaptive,
     log_moment_gauss,
     log_moment_piece,
 )
 from vcslab.registry import get, registry
 from vcslab.report import dumps_deterministic
+from vcslab.resolution import aliasing_solutions, selection_rule
 from vcslab.special import log_gamma
-from vcslab.structure import LinForm, SpecError
+from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError
 
 mpmath.mp.dps = 30
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
+
+
+def _reference_log_moment(compiled, density, n, quad):
+    """The moment bookkeeping one point at a time, in scalar arithmetic:
+    the oracle `_log_moments` must match bit for bit."""
+    e = {ct.tower: ct.z_exp.at(n) for ct in compiled.towers}
+    q = {v: e.get(v, 0.0) + density.power(v) for v in density.variables}
+    log_a = log_b = density.log_const
+    for term in _integration_order(density):
+        a = term.self_exp
+        s = (q[term.var] + 1.0) / a
+        for j, bexp in term.couplings:
+            q[j] -= bexp * s
+        pa, pb = moments.log_moment_piece(s - 1.0, 0.0, quad)
+        log_piece = s * term.log_scale - math.log(a)
+        log_a += pa + log_piece
+        log_b += pb + log_piece
+    log_i, _ = combine_routes(log_a, log_b, quad, context=f"({density.spec_id})")
+    for ct in compiled.towers:
+        log_i -= ct.w_exp.at(n) * ct.log_w
+    return log_i
+
+
+def _reference_log_target(compiled, n):
+    return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in compiled.towers)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _outcome(fn):
+    """The bits fn returns, or the type and message of what it raises."""
+    try:
+        return _bits(fn())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestQuadraturePieces:
@@ -296,15 +340,95 @@ class TestSolveGeneralized:
 
     def test_nonunit_leading_exponents_solve_their_moment_problem(self):
         # direct verification of the generalized identity for a1 = 2:
-        # int chi u1^(2 n1) u2^(n2) ... = n1! n2!  (b's all zero)
-        from vcslab.moments import _integrate
-
+        # int chi u1^(2 n1) u2^(n2) / (w1^n1 w2^n2) ... = n1! n2!  (b's all zero)
         d = solve_generalized("PlainPlain", (2, 0, 1, 0, 1, 0, 1, 0), CFG2, 1)
-        for n1, n2 in [(0, 0), (1, 2), (3, 1), (5, 4)]:
-            log_i, _ = _integrate(d, {1: 2.0 * n1, 2: 1.0 * n2}, QuadSpec())
-            log_i -= n1 * math.log(1.0) + n2 * math.log(2.0)
-            expect = math.lgamma(n1 + 1) + math.lgamma(n2 + 1)
-            assert log_i == pytest.approx(expect, abs=1e-9)
+        towers = tuple(
+            CompiledTower(
+                tower=t,
+                log_w=math.log(CFG2.omega(t)),
+                z_exp=AffineForm(0.0, z_slopes),
+                w_exp=AffineForm(0.0, w_slopes),
+                gamma_arg=AffineForm(1.0, w_slopes),
+                log_gamma_norm=0.0,
+            )
+            for t, z_slopes, w_slopes in [(1, (2.0, 0.0), (1.0, 0.0)), (2, (0.0, 1.0), (0.0, 1.0))]
+        )
+        compiled = CompiledClass("generalized.PlainPlain", (1, 2), towers)
+        points = [(0, 0), (1, 2), (3, 1), (5, 4)]
+        log_i = _log_moments(compiled, d, points, QuadSpec())
+        expect = [math.lgamma(n1 + 1) + math.lgamma(n2 + 1) for n1, n2 in points]
+        assert log_i.tolist() == pytest.approx(expect, abs=1e-9)
+
+
+class TestArrayMomentPath:
+    @pytest.mark.parametrize("omegas", [(1.0, 2.0, 3.0), (1.37, 2.91, 0.73)])
+    def test_probe_lattices_match_point_by_point_scan(self, omegas):
+        for spec in registry():
+            cfg = FrequencyConfig(omegas[: spec.dimension])
+            fixed = (1,) * len(spec.fixed)
+            compiled = spec.compile(cfg, fixed)
+            density = density_for(spec, cfg, fixed)
+            points = probe_lattice(len(spec.summed), 10)
+            want = _outcome(lambda: [
+                _reference_log_moment(compiled, density, n, QuadSpec()) for n in points
+            ])
+            assert _outcome(lambda: _log_moments(compiled, density, points, QuadSpec())) == want, spec.id
+            targets = [_reference_log_target(compiled, n) for n in points]
+            assert _bits(compiled.log_target_grid(_columns(points))) == _bits(targets), spec.id
+
+    def test_gram_basis_and_aliased_midpoints_match_scan(self):
+        spec = get("3d.2dof.gamma1-gamma2")
+        cfg = FrequencyConfig((2.0, 1.0, 3.0))  # kappa12 = 1/2 aliases
+        compiled = spec.compile(cfg, (1,))
+        density = density_for(spec, cfg, (1,))
+        nmax = 6
+        basis = list(itertools.product(range(nmax + 1), repeat=2))
+        midpoints = []
+        for delta in aliasing_solutions(selection_rule(spec, cfg), nmax):
+            for m in basis:
+                mp = tuple(a + d for a, d in zip(m, delta))
+                if all(0 <= v <= nmax for v in mp) and mp > m:
+                    midpoints.append([0.5 * (a + b) for a, b in zip(m, mp)])
+        assert midpoints
+        for points in (basis, midpoints):
+            want = [_reference_log_moment(compiled, density, n, QuadSpec()) for n in points]
+            assert _bits(_log_moments(compiled, density, points, QuadSpec())) == _bits(want)
+
+    def test_perturbed_density_matches_scan_and_still_fails(self):
+        spec = get("2d.1dof.plain1.A")
+        compiled = spec.compile(CFG2, (0,))
+        bad = density_for(spec, CFG2, (0,)).perturbed(1, 1.01)
+        points = probe_lattice(1, 12)
+        want = [_reference_log_moment(compiled, bad, n, QuadSpec()) for n in points]
+        assert _bits(_log_moments(compiled, bad, points, QuadSpec())) == _bits(want)
+        assert not verify_moments(spec, CFG2, (0,), n_range=12, density=bad).passed
+
+    @pytest.mark.parametrize(
+        "raises_at,disagrees_at,expect",
+        [(5, 3, QuadratureDisagreement), (3, 5, ValueError), (4, 4, ValueError)],
+    )
+    def test_first_failing_point_raises_what_a_scan_raises(
+        self, monkeypatch, raises_at, disagrees_at, expect
+    ):
+        # on 2d.1dof.plain1.A the piece exponent at point n is n itself
+        piece = moments.log_moment_piece
+
+        def staged(q, log_scale, quad):
+            if q == raises_at:
+                raise ValueError(f"staged failure at q = {q}")
+            a, b = piece(q, log_scale, quad)
+            return (a, b + 1e-3) if q == disagrees_at else (a, b)
+
+        monkeypatch.setattr(moments, "log_moment_piece", staged)
+        spec = get("2d.1dof.plain1.A")
+        compiled = spec.compile(CFG2, (0,))
+        density = density_for(spec, CFG2, (0,))
+        points = probe_lattice(1, 8)
+        want = _outcome(lambda: [
+            _reference_log_moment(compiled, density, n, QuadSpec()) for n in points
+        ])
+        assert want[0] == expect.__name__
+        assert _outcome(lambda: _log_moments(compiled, density, points, QuadSpec())) == want
 
 
 class TestNonUniqueness:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,15 @@ from vcslab.resolution import (
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
 CFG3_IRR = FrequencyConfig((1.0, math.sqrt(2.0), math.sqrt(5.0)))
+
+
+def _scalar_satisfied(rule, delta, tol=1e-12):
+    """The selection rule one difference vector at a time, in scalar arithmetic."""
+    scale = 1.0 + max(abs(d) for d in delta) if delta else 1.0
+    return all(
+        abs(sum(c * d for c, d in zip(row, delta))) <= tol * scale * max(map(abs, row))
+        for row in rule.constraints
+    )
 
 
 class TestSelectionRule:
@@ -43,6 +53,17 @@ class TestSelectionRule:
 
 
 class TestAliasing:
+    def test_stacked_deltas_match_one_at_a_time(self):
+        spec = get("3d.2dof.gamma1-gamma2")
+        for cfg in (FrequencyConfig((2.0, 1.0, 3.0)), FrequencyConfig((1.0, math.sqrt(2.0), 3.0))):
+            rule = selection_rule(spec, cfg)
+            deltas = list(itertools.product(range(-6, 7), repeat=2))
+            stacked = rule.satisfied(deltas)
+            assert stacked.tolist() == [_scalar_satisfied(rule, d) for d in deltas]
+            assert [rule.satisfied(d) for d in deltas] == stacked.tolist()
+            hits = [d for d, ok in zip(deltas, stacked) if ok and any(d)]
+            assert aliasing_solutions(rule, 6) == hits
+
     def test_irrational_ratio_no_solutions(self):
         spec = get("3d.2dof.gamma1-gamma2")
         cfg = FrequencyConfig((1.0, math.sqrt(2.0), 3.0))  # k12 = sqrt(2)

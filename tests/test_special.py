@@ -1,11 +1,14 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vcslab.logspace import LogValue
+from vcslab.logspace import LogValue, logsumexp
 from vcslab.special import hyp1f1_one_closed, log_gamma
 
 mpmath.mp.dps = 40
@@ -219,3 +222,61 @@ class TestLogValue:
             for x in (0.0, 0.1, a, 10 * a + 5):
                 p = lower_incomplete_gamma(a, x).value / math.exp(log_gamma(a))
                 assert -1e-15 <= p <= 1.0 + 1e-15
+
+
+# small logs keep the max from absorbing the last bit of log1p(s)
+_LOG_ELEMENTS = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.floats(min_value=-1e308, max_value=1e308),
+    st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0]),
+)
+
+
+@st.composite
+def _log_arrays(draw):
+    """Arrays shaped as the norm and quadrature sums pass them."""
+    a = draw(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=12),
+        elements=_LOG_ELEMENTS,
+    ))
+    kind = draw(st.sampled_from(["whole", "tie", "all -inf", "column", "appended"]))
+    if kind == "tie":
+        a.flat[draw(st.integers(0, a.size - 1))] = a.max()
+    elif kind == "all -inf":
+        a[...] = -np.inf
+    elif kind == "column" and a.ndim == 2:
+        a = a[:, draw(st.integers(0, a.shape[1] - 1))]  # strided, as logs[:, n2]
+    elif kind == "appended":
+        a = np.append(a, -np.inf)  # the running sum of _certified_1d_sum
+    return a
+
+
+def _same_float(x: float, y: float) -> bool:
+    return (math.isnan(x) and math.isnan(y)) or (
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    )
+
+
+class TestLogSumExp:
+    @given(_log_arrays())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, a):
+        with np.errstate(all="ignore"):
+            want = float(scipy.special.logsumexp(a))
+        assert _same_float(logsumexp(a), want)
+
+    @pytest.mark.parametrize("a", [
+        [0.0],
+        [1.0, 1.0, 1.0],
+        [-np.inf, -np.inf],
+        [np.inf, 3.0],
+        [np.nan, 3.0],
+        [np.inf, -np.inf],
+        [],
+    ])
+    def test_edge_cases_match_scipy(self, a):
+        with np.errstate(all="ignore"):
+            want = float(scipy.special.logsumexp(np.asarray(a, dtype=float)))
+        assert _same_float(logsumexp(a), want)
