@@ -3,8 +3,8 @@
 
 Every class's resolution of identity reduces to radial moment
 identities.  The cataloged density must reproduce the generalized
-factorial targets; two independent quadratures (generalized
-Gauss-Laguerre and adaptive Simpson in log coordinates) certify each
+factorial targets; two independent routes (the closed form through
+log-Gamma and batched adaptive Simpson in log coordinates) certify each
 integral, and a deliberately wrong density fails loudly.
 """
 

@@ -10,7 +10,8 @@ with e/w the variable/frequency exponents and R the factorial targets.
 `solve_generalized` constructs the same densities from the generic
 recipe (ratio staging, optional index recombination, triangular change
 of variables, Jacobian absorption) for arbitrary exponent tuples; and
-`verify_moments` certifies the identity by dual-route quadrature.
+`verify_moments` certifies the identity with two routes per piece:
+the closed form vs batched adaptive Simpson.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import LogValue
-from .quadrature import QuadSpec, combine_routes, log_moment_piece
+from .quadrature import QuadSpec, combine_routes, fill_pieces, log_moment_piece
 from .report import VerificationReport, make_report
 from .special import log_gamma
 from .structure import ClassSpec, CompiledClass, SpecError
@@ -295,10 +296,14 @@ def _log_moments(
     The triangular change of variables reduces each integral of
     chi(u) prod u^e(n) to a product of pieces int u^(s-1) e^(-u) du, one
     per exponential factor.  The exponents s are evaluated on all points
-    at once, in the association of a scalar pass, and each distinct
-    piece is requested once, in the order a point-by-point scan first
-    needs it.  The two routes are then combined point by point in order,
-    so the first failing point raises what a scan would raise there.
+    at once, in the association of a scalar pass.  The piece memo is
+    filled for the distinct exponents it lacks, a batch at a time, in the
+    order a point-by-point scan first needs them (`fill_pieces`); then
+    each distinct piece is requested once, in that order, and a piece
+    that failed in its batch raises at its first use without being
+    computed again.  The two routes are then combined point by point in
+    order, so the first failing point raises what a scan would raise
+    there.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, len(compiled.summed))
     grids = list(pts.T)
@@ -317,11 +322,16 @@ def _log_moments(
     # (point, term) in C order is the order a scalar scan calls the pieces
     scan = np.stack(xs, axis=-1).ravel()
     _, first, inverse = np.unique(scan, return_index=True, return_inverse=True)
+    by_use = np.argsort(first, kind="stable")
+    exponents = scan[first[by_use]].tolist()
+    unfilled = fill_pieces(exponents, 0.0, quad)
     routes = np.full((len(first), 2), np.nan)
     failed_at, failure = size, None
-    for idx in np.argsort(first, kind="stable"):
+    for idx, x in zip(by_use.tolist(), exponents):
         try:
-            routes[idx] = log_moment_piece(float(scan[first[idx]]), 0.0, quad)
+            if unfilled is not None and x == unfilled[0]:
+                raise unfilled[1]
+            routes[idx] = log_moment_piece(x, 0.0, quad)
         except (ArithmeticError, ValueError) as exc:
             # the scan would stop at this piece's first point
             failed_at, failure = int(first[idx]) // len(order), exc
@@ -412,7 +422,6 @@ def verify_moments(
             ("shifts", list(config.shifts)),
             ("fixed", list(fixed)),
             ("n_range", n_range),
-            ("quad_nodes", quad.nodes),
             ("density_note", density.note),
         ),
     )

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
+from vcslab import quadrature
 from vcslab.cli import main
 from vcslab.structure import ClassSpec
 
@@ -118,11 +121,37 @@ class TestVerify:
         ["2d.1dof.gamma1.A", "--omega", "1,2", "--fixed", "n2=400"],
         ["2d.2dof.gamma1-gamma2.D", "--omega", "1,1e3"],
     ])
-    def test_route_disagreement_is_a_fail_report(self, args):
-        # both push moment exponents past route A's exact range (q > 600)
-        proc = run_cli(["verify", *args, "--checks", "moment"])
-        assert proc.returncode == 1
-        (rep,) = json.loads(proc.stdout)["results"]
+    def test_exponents_past_600_pass(self, args, tmp_path):
+        # moment exponents here pass q = 600, where the 200-node
+        # Gauss-Laguerre route A used to be wrong
+        out = tmp_path / "r.json"
+        assert main(["verify", *args, "--checks", "moment", "--out", str(out)]) == 0
+        (rep,) = json.loads(out.read_text())["results"]
+        assert rep["verdict"] == "pass"
+        assert max(rep["residuals"].values()) < 1e-12
+
+    @pytest.mark.parametrize("args", [
+        ["2d.1dof.gamma1.A", "--omega", "1,2", "--fixed", "n2=400"],
+        ["2d.2dof.gamma1-gamma2.D", "--omega", "1,1e3"],
+    ])
+    def test_route_disagreement_is_a_fail_report(self, args, monkeypatch, tmp_path):
+        # route B staged off by 1e-3 at the first exponent it computes
+        route_b = quadrature.log_moment_adaptive
+        staged = []
+
+        def off_once(qs, *rest):
+            logs, failure = route_b(qs, *rest)
+            if not staged:
+                staged.append(float(np.ravel(qs)[0]))
+                logs[0] += 1e-3
+            return logs, failure
+
+        monkeypatch.setattr(quadrature, "_pieces", OrderedDict())
+        monkeypatch.setattr(quadrature, "log_moment_adaptive", off_once)
+        out = tmp_path / "r.json"
+        assert main(["verify", *args, "--checks", "moment", "--out", str(out)]) == 1
+        assert len(staged) == 1
+        (rep,) = json.loads(out.read_text())["results"]
         assert rep["verdict"] == "fail"
         assert rep["residuals"] == {"evaluation-error": 1.0}
         assert "quadrature routes disagree" in rep["metadata"]["error"]
@@ -159,6 +188,24 @@ class TestVerify:
         (rep,) = json.loads(proc.stdout)["results"]
         assert rep["residuals"] == {"evaluation-error": 1.0}
         assert "Simpson panels" in rep["metadata"]["error"]
+
+    def test_large_frequency_census_fails_only_on_route_b_budget(self, tmp_path):
+        # real frequency ratios 100 and 1e4 push some pieces past route
+        # B's panel budget; every other moment and Gram check passes
+        out = tmp_path / "r.json"
+        rc = main([
+            "verify", "all", "--omega", "1,100,1e4", "--checks", "moment,resolution",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        doc = json.loads(out.read_text())
+        assert (doc["summary"]["checks"], doc["summary"]["passed"]) == (112, 92)
+        fails = [r for r in doc["results"] if r["verdict"] != "pass"]
+        assert len(fails) == 20
+        for rep in fails:
+            assert rep["residuals"] == {"evaluation-error": 1.0}
+            assert "Simpson panels" in rep["metadata"]["error"]
+            assert "quadrature routes disagree" not in rep["metadata"]["error"]
 
     def test_zero_ratio_with_used_reciprocal_is_undefined(self, tmp_path):
         out = tmp_path / "r.json"
@@ -284,3 +331,20 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestReport:
+    def test_default_report_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the Gauss-Laguerre rule's first call loaded scipy.linalg into
+        # every report; the closed-form route needs none of it
+        code = (
+            "import sys\n"
+            "from vcslab.cli import main\n"
+            "assert main(['report', '--out', sys.argv[1]]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "r.json")], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import contextlib
 import io
 import itertools
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import mpmath
 import numpy as np
@@ -29,8 +29,9 @@ from vcslab.quadrature import (
     QuadSpec,
     QuadratureDisagreement,
     combine_routes,
+    fill_pieces,
     log_moment_adaptive,
-    log_moment_gauss,
+    log_moment_closed,
     log_moment_piece,
 )
 from vcslab.registry import get, registry
@@ -88,53 +89,102 @@ class TestQuadraturePieces:
     def test_both_routes_hit_gamma(self, q, log_s):
         # int u^q e^(-u/S) du = Gamma(q+1) S^(q+1)
         expect = log_gamma(q + 1.0) + (q + 1.0) * log_s
-        assert log_moment_gauss(q, log_s) == pytest.approx(expect, abs=5e-13 * max(1, abs(expect)))
-        assert log_moment_adaptive(q, log_s) == pytest.approx(expect, abs=5e-11 * max(1, abs(expect)))
+        assert log_moment_closed(q, log_s) == pytest.approx(expect, abs=5e-13 * max(1, abs(expect)))
+        (b,), failure = log_moment_adaptive([q], log_s)
+        assert failure is None
+        assert b == pytest.approx(expect, abs=5e-11 * max(1, abs(expect)))
+
+    @pytest.mark.parametrize("q", [-0.999, -4e-15, 0.5, 80.6, 700.0, 1000.0, 1e4])
+    def test_closed_route_against_mpmath(self, q):
+        # 200-node Gauss-Laguerre was off by -0.02 in log at q = 700 and
+        # by -41 at q = 1000; -4e-15 is an exponent that should be 0 but
+        # carries rounding from its linear form
+        log_s = math.log(0.37)
+        expect = float(mpmath.loggamma(mpmath.mpf(q) + 1) + (mpmath.mpf(q) + 1) * mpmath.log(mpmath.mpf(0.37)))
+        assert log_moment_closed(q, log_s) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("q", [-0.999, -0.5, -0.3, -4e-15])
     def test_gauss_route_below_zero(self, q):
-        # -1 < q < 0 puts all of q in the weight; -4e-15 is an exponent
-        # that should be 0 but carries rounding from its linear form
-        assert log_moment_gauss(q) == pytest.approx(log_gamma(q + 1.0), abs=1e-12)
+        assert log_moment_closed(q) == pytest.approx(log_gamma(q + 1.0), abs=1e-12)
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):
-            log_moment_gauss(-1.0)
+            log_moment_closed(-1.0)
         with pytest.raises(ValueError):
-            log_moment_adaptive(-1.5)
+            log_moment_adaptive([0.5, -1.5])
+
+    def test_batched_route_b_matches_one_piece_runs(self):
+        qs = np.linspace(0.0, 600.0, 41) + np.tile([0.0, 0.37, 0.81], 14)[:41]
+        batched, failure = log_moment_adaptive(qs, math.log(1.7))
+        assert failure is None
+        alone = [log_moment_adaptive([q], math.log(1.7))[0][0] for q in qs]
+        assert batched.tolist() == pytest.approx(alone, rel=1e-13, abs=1e-13)
+
+    def test_piece_over_its_share_is_rerun_alone(self, monkeypatch):
+        # q = 600 needs 1,324 panels: over its share of a two-piece batch
+        # under a 2,048-panel budget, within the budget alone
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 2048)
+        (alone,), failure = log_moment_adaptive([600.0])
+        assert failure is None
+        queues = []
+        simpson_queue = quadrature._simpson_queue
+
+        def counting(p, *args):
+            queues.append(len(p))
+            return simpson_queue(p, *args)
+
+        monkeypatch.setattr(quadrature, "_simpson_queue", counting)
+        batched, failure = log_moment_adaptive([0.5, 600.0])
+        assert failure is None
+        assert queues == [2, 1]
+        assert batched[1] == alone
 
     def test_route_b_queue_is_bounded(self):
-        # unbounded, this queue grew to about 8 million panels and raised
-        # MemoryError under a 1.5 GB address-space limit
-        with pytest.raises(QuadratureBudgetError, match="Simpson panels"):
-            log_moment_adaptive(3000.0)
+        # unbounded, q = 3000's queue grew to about 8 million panels and
+        # raised MemoryError under a 1.5 GB address-space limit
+        qs = [0.5, 3000.0, 80.6]
+        logs, (i, exc) = log_moment_adaptive(qs)
+        assert i == 1 and isinstance(exc, QuadratureBudgetError)
+        assert math.isnan(logs[1])
+        for q, got in zip((0.5, 80.6), logs[[0, 2]].tolist()):
+            assert got == pytest.approx(log_gamma(q + 1.0), abs=5e-11 * max(1, log_gamma(q + 1.0)))
+        message = "route B needs more than 262144 Simpson panels on [6.99171, 10.8925]"
+        assert str(exc) == message
+        with pytest.raises(QuadratureBudgetError) as raised:
+            log_moment_piece(3000.0, 0.0, QuadSpec())
+        assert str(raised.value) == message
 
 
 @pytest.fixture
-def fresh_piece_cache():
-    # clear on both sides, so no test sees another's pieces and a
-    # route replaced inside a test leaves nothing cached behind it
-    log_moment_piece.cache_clear()
-    yield
-    log_moment_piece.cache_clear()
+def fresh_piece_memo(monkeypatch):
+    # an empty memo for the test alone, so no test sees another's pieces
+    # and a route replaced inside a test leaves nothing memoized behind it
+    monkeypatch.setattr(quadrature, "_pieces", OrderedDict())
 
 
-@pytest.mark.usefixtures("fresh_piece_cache")
+@pytest.mark.usefixtures("fresh_piece_memo")
 class TestPieceMemo:
     def test_fresh_value_equals_cached(self):
         quad = QuadSpec()
         first = log_moment_piece(17.3, math.log(0.3), quad)
         assert log_moment_piece(17.3, math.log(0.3), quad) is first
-        log_moment_piece.cache_clear()
+        quadrature._pieces.clear()
         fresh = log_moment_piece(17.3, math.log(0.3), quad)
         assert fresh == first
-        assert fresh == (log_moment_gauss(17.3, math.log(0.3)), log_moment_adaptive(17.3, math.log(0.3)))
+        (b,), _ = log_moment_adaptive([17.3], math.log(0.3))
+        assert fresh == (log_moment_closed(17.3, math.log(0.3)), b)
 
     def test_divergent_exponent_raises_every_call(self):
         for _ in range(3):
             with pytest.raises(ValueError):
                 log_moment_piece(-1.0, 0.0, QuadSpec())
-        assert log_moment_piece.cache_info().currsize == 0
+        assert len(quadrature._pieces) == 0
+
+    def test_memo_keeps_the_newest_pieces(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_PIECES", 4)
+        quad = QuadSpec()
+        assert fill_pieces([0.5 * i for i in range(7)], 0.0, quad) is None
+        assert [key[0] for key in quadrature._pieces] == [1.5, 2.0, 2.5, 3.0]
 
     def test_cold_and_warm_runs_give_the_same_bytes(self):
         cfg = RunConfig(
@@ -143,25 +193,49 @@ class TestPieceMemo:
             checks=["moment", "resolution"],
         )
         cold = dumps_deterministic(run_verification(cfg))
-        assert log_moment_piece.cache_info().misses > 0
+        assert len(quadrature._pieces) > 0
         warm = dumps_deterministic(run_verification(cfg))
         assert warm == cold
 
     def test_route_b_runs_once_per_distinct_exponent(self, monkeypatch):
         exponents = Counter()
+        batches = []
         route_b = quadrature.log_moment_adaptive
 
-        def counting(q, *args):
-            exponents[q] += 1
-            return route_b(q, *args)
+        def counting(qs, *args):
+            batches.append(len(qs))
+            exponents.update(qs)
+            return route_b(qs, *args)
 
         monkeypatch.setattr(quadrature, "log_moment_adaptive", counting)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "2d.2dof.gamma1-gamma2.A"]) == 0
-        info = log_moment_piece.cache_info()
-        assert info.hits > 0
-        assert len(exponents) == info.misses
         assert max(exponents.values()) == 1
+        assert len(exponents) == len(quadrature._pieces)
+        assert max(batches) == quadrature.PIECE_BATCH
+
+    def test_failing_piece_stops_the_batches_and_runs_once(self, monkeypatch):
+        # 2d.2dof.gamma1-gamma2.D at omega (1, 1e6) needs a piece past
+        # route B's budget; it must reach route B in one batch only, and
+        # no batch may start after that one
+        exponents = Counter()
+        batches = []
+        route_b = quadrature.log_moment_adaptive
+
+        def counting(qs, *args):
+            logs, failure = route_b(qs, *args)
+            batches.append((list(qs), failure))
+            exponents.update(qs)
+            return logs, failure
+
+        monkeypatch.setattr(quadrature, "log_moment_adaptive", counting)
+        spec = get("2d.2dof.gamma1-gamma2.D")
+        with pytest.raises(QuadratureBudgetError, match="Simpson panels"):
+            verify_moments(spec, FrequencyConfig((1.0, 1e6)), (1,))
+        qs, (i, _) = batches[-1]
+        assert all(failure is None for _, failure in batches[:-1])
+        assert exponents[qs[i]] == 1
+        assert (qs[i], 0.0, QuadSpec().simpson_tol) not in quadrature._pieces
 
 
 class TestDensityCatalog:
