@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Moment problems: densities, dual-route integrals, negative control.
+"""Moment problems: densities, two independent routes, negative control.
 
 Every class's resolution of identity reduces to radial moment
 identities.  The cataloged density must reproduce the generalized
-factorial targets; two independent routes (the closed form through
-log-Gamma and batched adaptive Simpson in log coordinates) certify each
-integral, and a deliberately wrong density fails loudly.
+factorial targets; two independent routes certify the integrals (the
+closed form of the reduced Gamma integrals, and the density integrated
+directly in log coordinates), and a deliberately wrong density fails
+loudly.
 """
 
 from vcslab import FrequencyConfig, density_for, get, moment_integral, moment_target, verify_moments

@@ -18,7 +18,7 @@ from .convergence import class_verdict, gamma_ratio_surface, required_positive_r
 from .frequencies import FrequencyConfig
 from .moments import verify_moments
 from .norms import DivergenceError, TailBudgetError, TermGenerator, norm_closed_form, norm_series
-from .quadrature import QuadratureBudgetError, QuadratureDisagreement
+from .quadrature import QuadratureDisagreement
 from .registry import get, registry, select
 from .report import dumps_deterministic, make_report
 from .resolution import resolution_residual
@@ -244,9 +244,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 rep = _check_limits(spec, fc, cfg)
             else:
                 raise UsageError(f"unknown check {check}")
-        except (
-            DivergenceError, TailBudgetError, QuadratureDisagreement, QuadratureBudgetError
-        ) as exc:
+        except (DivergenceError, TailBudgetError, QuadratureDisagreement) as exc:
             rep = make_report(
                 spec.id, check, (("evaluation-error", 1.0),), 0.5,
                 metadata=(("error", str(exc)),),
@@ -556,7 +554,7 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -5,8 +5,9 @@ unless the index differences satisfy the class's phase constraints;
 what remains on the diagonal is exactly the moment residual.  The Gram
 matrix is therefore assembled as: off-diagonals certified by the
 selection rule (or, at aliasing collisions of rational frequency
-ratios, computed explicitly), diagonals from the dual-route moment
-integrals.
+ratios, computed explicitly), diagonals from the closed-form moment
+integrals, whose reduction `verify_moments` certifies against the
+density.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import LogValue
-from .moments import QuadSpec, _columns, _log_moments, density_for
+from .moments import _columns, _log_moments, density_for
 from .report import VerificationReport
 from .structure import ClassSpec
 
@@ -128,7 +129,6 @@ def resolution_residual(
     fixed,
     nmax,
     tol: float = 1e-6,
-    quad: QuadSpec = QuadSpec(),
     aliasing_window: int | None = None,
 ) -> VerificationReport:
     """max |G - I| over the truncated basis at the given fixed indices."""
@@ -140,7 +140,7 @@ def resolution_residual(
     compiled = spec.compile(config, fixed)
     basis = list(itertools.product(*[range(m + 1) for m in nmax]))
     # diagonal entries: moment integral over target
-    diagonal = _log_moments(compiled, density, basis, quad).tolist()
+    diagonal = _log_moments(compiled, density, basis).tolist()
     targets = compiled.log_target_grid(_columns(basis)).tolist()
     residuals = [
         ("G[" + ",".join(map(str, m)) + "]", LogValue.exp(i).rel_diff(LogValue.exp(t)))
@@ -165,7 +165,7 @@ def resolution_residual(
         # the exponents are affine in n, so a pair's cross moment is the
         # moment at its midpoint; the entry divides it by the targets'
         # geometric mean
-        cross = _log_moments(compiled, density, 0.5 * (basis_arr[inside] + shifted[inside]), quad)
+        cross = _log_moments(compiled, density, 0.5 * (basis_arr[inside] + shifted[inside]))
         partners = np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax])
         for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
             m, mp = basis[i], basis[j]

@@ -1,12 +1,10 @@
 import json
 import subprocess
 import sys
-from collections import OrderedDict
 
-import numpy as np
 import pytest
 
-from vcslab import quadrature
+from vcslab import moments
 from vcslab.cli import main
 from vcslab.structure import ClassSpec
 
@@ -135,19 +133,18 @@ class TestVerify:
         ["2d.2dof.gamma1-gamma2.D", "--omega", "1,1e3"],
     ])
     def test_route_disagreement_is_a_fail_report(self, args, monkeypatch, tmp_path):
-        # route B staged off by 1e-3 at the first exponent it computes
-        route_b = quadrature.log_moment_adaptive
+        # the direct route staged off by 1e-3 at the first point it integrates
+        direct = moments.log_moment_direct
         staged = []
 
-        def off_once(qs, *rest):
-            logs, failure = route_b(qs, *rest)
+        def off_once(density, exponents):
+            logs = direct(density, exponents)
             if not staged:
-                staged.append(float(np.ravel(qs)[0]))
+                staged.append(density.spec_id)
                 logs[0] += 1e-3
-            return logs, failure
+            return logs
 
-        monkeypatch.setattr(quadrature, "_pieces", OrderedDict())
-        monkeypatch.setattr(quadrature, "log_moment_adaptive", off_once)
+        monkeypatch.setattr(moments, "log_moment_direct", off_once)
         out = tmp_path / "r.json"
         assert main(["verify", *args, "--checks", "moment", "--out", str(out)]) == 1
         assert len(staged) == 1
@@ -170,9 +167,10 @@ class TestVerify:
         assert main(["verify", "3d.2dof.gamma13-gamma3", "--checks", "norm", "--out", str(out)]) == 0
         assert calls == ["3d.2dof.gamma13-gamma3"]
 
-    def test_route_b_budget_is_a_fail_report(self):
-        # q reaches route B's panel budget here; without it the queue
-        # ended in a numpy _ArrayMemoryError under this 2 GB limit
+    def test_large_ratio_moments_pass_under_a_2gb_limit(self):
+        # moment exponents reach 1e6 here; the adaptive Simpson route that
+        # the direct route replaced needed more panels than its budget,
+        # and unbudgeted ran out of memory under this 2 GB limit
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -184,28 +182,21 @@ class TestVerify:
              "--omega", "1,1e6", "--checks", "moment"],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 1, proc.stderr
+        assert proc.returncode == 0, proc.stderr
         (rep,) = json.loads(proc.stdout)["results"]
-        assert rep["residuals"] == {"evaluation-error": 1.0}
-        assert "Simpson panels" in rep["metadata"]["error"]
+        assert rep["verdict"] == "pass"
 
-    def test_large_frequency_census_fails_only_on_route_b_budget(self, tmp_path):
-        # real frequency ratios 100 and 1e4 push some pieces past route
-        # B's panel budget; every other moment and Gram check passes
+    def test_large_frequency_census_passes(self, tmp_path):
+        # real frequency ratios 100 and 1e4 give moment exponents up to
+        # about 1.1e4; 20 of these checks once failed on a quadrature budget
         out = tmp_path / "r.json"
         rc = main([
             "verify", "all", "--omega", "1,100,1e4", "--checks", "moment,resolution",
             "--out", str(out),
         ])
-        assert rc == 1
+        assert rc == 0
         doc = json.loads(out.read_text())
-        assert (doc["summary"]["checks"], doc["summary"]["passed"]) == (112, 92)
-        fails = [r for r in doc["results"] if r["verdict"] != "pass"]
-        assert len(fails) == 20
-        for rep in fails:
-            assert rep["residuals"] == {"evaluation-error": 1.0}
-            assert "Simpson panels" in rep["metadata"]["error"]
-            assert "quadrature routes disagree" not in rep["metadata"]["error"]
+        assert (doc["summary"]["checks"], doc["summary"]["passed"]) == (112, 112)
 
     def test_zero_ratio_with_used_reciprocal_is_undefined(self, tmp_path):
         out = tmp_path / "r.json"
@@ -245,6 +236,21 @@ class TestVerify:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "2d.1dof.gamma1.B", "--alpha", "0.5,0", "--checks", "moment"],
+        ["report", "--alpha", "0.5,0,0"],
+    ])
+    def test_class_set_up_spec_error_exits_2(self, argv):
+        # the exponent-variant sub-classes reject a spectrum shift while
+        # their density is built; that once ended in a traceback
+        proc = run_cli(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: 2d.1dof.gamma1.B: exponent-variant sub-classes are cataloged"
+            " at zero spectrum shift\n"
+        )
 
     def test_underflowed_frontier_ratio_adds_no_tail(self, tmp_path):
         # at omega 1,100,1e4 some frontier ratios underflow to 0, whose log

@@ -1,19 +1,19 @@
-import contextlib
-import io
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 
-from vcslab import moments, quadrature
-from vcslab.cli import RunConfig, main, run_verification
+from vcslab import moments
+from vcslab.cli import RunConfig, run_verification
 from vcslab.frequencies import FrequencyConfig
 from vcslab.moments import (
+    ExpTerm,
     MeasureDensity,
     _columns,
+    _direct_log_moments,
     _integration_order,
     _log_moments,
     density_for,
@@ -24,16 +24,7 @@ from vcslab.moments import (
     solve_generalized,
     verify_moments,
 )
-from vcslab.quadrature import (
-    QuadratureBudgetError,
-    QuadSpec,
-    QuadratureDisagreement,
-    combine_routes,
-    fill_pieces,
-    log_moment_adaptive,
-    log_moment_closed,
-    log_moment_piece,
-)
+from vcslab.quadrature import QuadratureDisagreement, log_moment_closed, log_moment_direct
 from vcslab.registry import get, registry
 from vcslab.report import dumps_deterministic
 from vcslab.resolution import aliasing_solutions, selection_rule
@@ -46,25 +37,21 @@ CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
 
 
-def _reference_log_moment(compiled, density, n, quad):
-    """The moment bookkeeping one point at a time, in scalar arithmetic:
-    the oracle `_log_moments` must match bit for bit."""
+def _reference_log_moment(compiled, density, n):
+    """The closed form one point at a time, in scalar arithmetic: the
+    oracle `_log_moments` must match bit for bit."""
     e = {ct.tower: ct.z_exp.at(n) for ct in compiled.towers}
     q = {v: e.get(v, 0.0) + density.power(v) for v in density.variables}
-    log_a = log_b = density.log_const
+    log_i = density.log_const
     for term in _integration_order(density):
         a = term.self_exp
         s = (q[term.var] + 1.0) / a
         for j, bexp in term.couplings:
             q[j] -= bexp * s
-        pa, pb = moments.log_moment_piece(s - 1.0, 0.0, quad)
-        log_piece = s * term.log_scale - math.log(a)
-        log_a += pa + log_piece
-        log_b += pb + log_piece
-    log_i, _ = combine_routes(log_a, log_b, quad, context=f"({density.spec_id})")
+        log_i += log_moment_closed(s - 1.0) + (s * term.log_scale - math.log(a))
     for ct in compiled.towers:
         log_i -= ct.w_exp.at(n) * ct.log_w
-    return log_i
+    return float(log_i)
 
 
 def _reference_log_target(compiled, n):
@@ -83,6 +70,11 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+def _gamma_density(log_s):
+    """chi(u) = exp(-u/S): its moment of order q is Gamma(q+1) S^(q+1)."""
+    return MeasureDensity("gamma", (1,), 0.0, (), (ExpTerm(1, log_s),))
+
+
 class TestQuadraturePieces:
     @pytest.mark.parametrize("q", [0.0, 0.5, 3.0, 17.3, 41.25, 80.6])
     @pytest.mark.parametrize("log_s", [0.0, math.log(2.0), math.log(0.3)])
@@ -90,9 +82,8 @@ class TestQuadraturePieces:
         # int u^q e^(-u/S) du = Gamma(q+1) S^(q+1)
         expect = log_gamma(q + 1.0) + (q + 1.0) * log_s
         assert log_moment_closed(q, log_s) == pytest.approx(expect, abs=5e-13 * max(1, abs(expect)))
-        (b,), failure = log_moment_adaptive([q], log_s)
-        assert failure is None
-        assert b == pytest.approx(expect, abs=5e-11 * max(1, abs(expect)))
+        (direct,) = log_moment_direct(_gamma_density(log_s), {1: np.array([q])})
+        assert direct == pytest.approx(expect, abs=1e-10 * max(1, abs(expect)))
 
     @pytest.mark.parametrize("q", [-0.999, -4e-15, 0.5, 80.6, 700.0, 1000.0, 1e4])
     def test_closed_route_against_mpmath(self, q):
@@ -110,132 +101,16 @@ class TestQuadraturePieces:
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):
             log_moment_closed(-1.0)
-        with pytest.raises(ValueError):
-            log_moment_adaptive([0.5, -1.5])
+        # the direct route finds no peak: the integral is +inf
+        logs = log_moment_direct(_gamma_density(0.0), {1: np.array([0.5, -1.5])})
+        assert math.isfinite(logs[0]) and logs[1] == math.inf
 
-    def test_batched_route_b_matches_one_piece_runs(self):
-        qs = np.linspace(0.0, 600.0, 41) + np.tile([0.0, 0.37, 0.81], 14)[:41]
-        batched, failure = log_moment_adaptive(qs, math.log(1.7))
-        assert failure is None
-        alone = [log_moment_adaptive([q], math.log(1.7))[0][0] for q in qs]
-        assert batched.tolist() == pytest.approx(alone, rel=1e-13, abs=1e-13)
-
-    def test_piece_over_its_share_is_rerun_alone(self, monkeypatch):
-        # q = 600 needs 1,324 panels: over its share of a two-piece batch
-        # under a 2,048-panel budget, within the budget alone
-        monkeypatch.setattr(quadrature, "MAX_PANELS", 2048)
-        (alone,), failure = log_moment_adaptive([600.0])
-        assert failure is None
-        queues = []
-        simpson_queue = quadrature._simpson_queue
-
-        def counting(p, *args):
-            queues.append(len(p))
-            return simpson_queue(p, *args)
-
-        monkeypatch.setattr(quadrature, "_simpson_queue", counting)
-        batched, failure = log_moment_adaptive([0.5, 600.0])
-        assert failure is None
-        assert queues == [2, 1]
-        assert batched[1] == alone
-
-    def test_route_b_queue_is_bounded(self):
-        # unbounded, q = 3000's queue grew to about 8 million panels and
-        # raised MemoryError under a 1.5 GB address-space limit
-        qs = [0.5, 3000.0, 80.6]
-        logs, (i, exc) = log_moment_adaptive(qs)
-        assert i == 1 and isinstance(exc, QuadratureBudgetError)
-        assert math.isnan(logs[1])
-        for q, got in zip((0.5, 80.6), logs[[0, 2]].tolist()):
-            assert got == pytest.approx(log_gamma(q + 1.0), abs=5e-11 * max(1, log_gamma(q + 1.0)))
-        message = "route B needs more than 262144 Simpson panels on [6.99171, 10.8925]"
-        assert str(exc) == message
-        with pytest.raises(QuadratureBudgetError) as raised:
-            log_moment_piece(3000.0, 0.0, QuadSpec())
-        assert str(raised.value) == message
-
-
-@pytest.fixture
-def fresh_piece_memo(monkeypatch):
-    # an empty memo for the test alone, so no test sees another's pieces
-    # and a route replaced inside a test leaves nothing memoized behind it
-    monkeypatch.setattr(quadrature, "_pieces", OrderedDict())
-
-
-@pytest.mark.usefixtures("fresh_piece_memo")
-class TestPieceMemo:
-    def test_fresh_value_equals_cached(self):
-        quad = QuadSpec()
-        first = log_moment_piece(17.3, math.log(0.3), quad)
-        assert log_moment_piece(17.3, math.log(0.3), quad) is first
-        quadrature._pieces.clear()
-        fresh = log_moment_piece(17.3, math.log(0.3), quad)
-        assert fresh == first
-        (b,), _ = log_moment_adaptive([17.3], math.log(0.3))
-        assert fresh == (log_moment_closed(17.3, math.log(0.3)), b)
-
-    def test_divergent_exponent_raises_every_call(self):
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                log_moment_piece(-1.0, 0.0, QuadSpec())
-        assert len(quadrature._pieces) == 0
-
-    def test_memo_keeps_the_newest_pieces(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "MAX_PIECES", 4)
-        quad = QuadSpec()
-        assert fill_pieces([0.5 * i for i in range(7)], 0.0, quad) is None
-        assert [key[0] for key in quadrature._pieces] == [1.5, 2.0, 2.5, 3.0]
-
-    def test_cold_and_warm_runs_give_the_same_bytes(self):
-        cfg = RunConfig(
-            classes=["2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma13-gamma32"],
-            nmax=6,
-            checks=["moment", "resolution"],
-        )
-        cold = dumps_deterministic(run_verification(cfg))
-        assert len(quadrature._pieces) > 0
-        warm = dumps_deterministic(run_verification(cfg))
-        assert warm == cold
-
-    def test_route_b_runs_once_per_distinct_exponent(self, monkeypatch):
-        exponents = Counter()
-        batches = []
-        route_b = quadrature.log_moment_adaptive
-
-        def counting(qs, *args):
-            batches.append(len(qs))
-            exponents.update(qs)
-            return route_b(qs, *args)
-
-        monkeypatch.setattr(quadrature, "log_moment_adaptive", counting)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["verify", "2d.2dof.gamma1-gamma2.A"]) == 0
-        assert max(exponents.values()) == 1
-        assert len(exponents) == len(quadrature._pieces)
-        assert max(batches) == quadrature.PIECE_BATCH
-
-    def test_failing_piece_stops_the_batches_and_runs_once(self, monkeypatch):
-        # 2d.2dof.gamma1-gamma2.D at omega (1, 1e6) needs a piece past
-        # route B's budget; it must reach route B in one batch only, and
-        # no batch may start after that one
-        exponents = Counter()
-        batches = []
-        route_b = quadrature.log_moment_adaptive
-
-        def counting(qs, *args):
-            logs, failure = route_b(qs, *args)
-            batches.append((list(qs), failure))
-            exponents.update(qs)
-            return logs, failure
-
-        monkeypatch.setattr(quadrature, "log_moment_adaptive", counting)
-        spec = get("2d.2dof.gamma1-gamma2.D")
-        with pytest.raises(QuadratureBudgetError, match="Simpson panels"):
-            verify_moments(spec, FrequencyConfig((1.0, 1e6)), (1,))
-        qs, (i, _) = batches[-1]
-        assert all(failure is None for _, failure in batches[:-1])
-        assert exponents[qs[i]] == 1
-        assert (qs[i], 0.0, QuadSpec().simpson_tol) not in quadrature._pieces
+    @pytest.mark.parametrize("q", [600.0, 3000.0, 1e5, 1e7])
+    def test_direct_route_at_large_exponents(self, q):
+        # adaptive Simpson needed more than 2^18 panels from about q = 2400
+        expect = float(mpmath.loggamma(mpmath.mpf(q) + 1) + (mpmath.mpf(q) + 1) * mpmath.log(mpmath.mpf(0.37)))
+        (direct,) = log_moment_direct(_gamma_density(math.log(0.37)), {1: np.array([q])})
+        assert direct == pytest.approx(expect, rel=1e-13)
 
 
 class TestDensityCatalog:
@@ -303,6 +178,16 @@ class TestVerifyMoments:
             assert verify_moments(spec, CFG3, (1,), n_range=n_range).passed
             counts.append(calls["value"])
         assert counts[0] == counts[1] > 0
+
+    def test_cold_and_warm_runs_give_the_same_bytes(self):
+        cfg = RunConfig(
+            classes=["2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma13-gamma32"],
+            nmax=6,
+            checks=["moment", "resolution"],
+        )
+        cold = dumps_deterministic(run_verification(cfg))
+        warm = dumps_deterministic(run_verification(cfg))
+        assert warm == cold
 
     def test_plain_class_full_range(self):
         rep = verify_moments(get("2d.1dof.plain1.A"), CFG2, (0,), n_range=20)
@@ -429,9 +314,9 @@ class TestSolveGeneralized:
         )
         compiled = CompiledClass("generalized.PlainPlain", (1, 2), towers)
         points = [(0, 0), (1, 2), (3, 1), (5, 4)]
-        log_i = _log_moments(compiled, d, points, QuadSpec())
         expect = [math.lgamma(n1 + 1) + math.lgamma(n2 + 1) for n1, n2 in points]
-        assert log_i.tolist() == pytest.approx(expect, abs=1e-9)
+        for route in (_log_moments, _direct_log_moments):
+            assert route(compiled, d, points).tolist() == pytest.approx(expect, abs=1e-9)
 
 
 class TestArrayMomentPath:
@@ -444,9 +329,9 @@ class TestArrayMomentPath:
             density = density_for(spec, cfg, fixed)
             points = probe_lattice(len(spec.summed), 10)
             want = _outcome(lambda: [
-                _reference_log_moment(compiled, density, n, QuadSpec()) for n in points
+                _reference_log_moment(compiled, density, n) for n in points
             ])
-            assert _outcome(lambda: _log_moments(compiled, density, points, QuadSpec())) == want, spec.id
+            assert _outcome(lambda: _log_moments(compiled, density, points)) == want, spec.id
             targets = [_reference_log_target(compiled, n) for n in points]
             assert _bits(compiled.log_target_grid(_columns(points))) == _bits(targets), spec.id
 
@@ -465,44 +350,64 @@ class TestArrayMomentPath:
                     midpoints.append([0.5 * (a + b) for a, b in zip(m, mp)])
         assert midpoints
         for points in (basis, midpoints):
-            want = [_reference_log_moment(compiled, density, n, QuadSpec()) for n in points]
-            assert _bits(_log_moments(compiled, density, points, QuadSpec())) == _bits(want)
+            want = [_reference_log_moment(compiled, density, n) for n in points]
+            assert _bits(_log_moments(compiled, density, points)) == _bits(want)
 
     def test_perturbed_density_matches_scan_and_still_fails(self):
         spec = get("2d.1dof.plain1.A")
         compiled = spec.compile(CFG2, (0,))
         bad = density_for(spec, CFG2, (0,)).perturbed(1, 1.01)
         points = probe_lattice(1, 12)
-        want = [_reference_log_moment(compiled, bad, n, QuadSpec()) for n in points]
-        assert _bits(_log_moments(compiled, bad, points, QuadSpec())) == _bits(want)
+        want = [_reference_log_moment(compiled, bad, n) for n in points]
+        assert _bits(_log_moments(compiled, bad, points)) == _bits(want)
         assert not verify_moments(spec, CFG2, (0,), n_range=12, density=bad).passed
 
-    @pytest.mark.parametrize(
-        "raises_at,disagrees_at,expect",
-        [(5, 3, QuadratureDisagreement), (3, 5, ValueError), (4, 4, ValueError)],
-    )
-    def test_first_failing_point_raises_what_a_scan_raises(
-        self, monkeypatch, raises_at, disagrees_at, expect
-    ):
-        # on 2d.1dof.plain1.A the piece exponent at point n is n itself
-        piece = moments.log_moment_piece
+    def test_divergent_point_raises_what_a_scan_raises(self):
+        # with these powers the Gamma arguments are n1 + 2 n2 - 2 and
+        # n1/2 + n2 - 3/2: (1, 1) diverges in its second factor and
+        # (0, 0) in both, so a scan stops at (1, 1)
+        spec = get("3d.2dof.gamma1-gamma2")
+        compiled = spec.compile(CFG3, (1,))
+        density = density_for(spec, CFG3, (1,))
+        bad = MeasureDensity(density.spec_id, density.variables, density.log_const,
+                             ((1, -6.0), (2, -4.0)), density.exp_terms)
+        points = [(3, 3), (1, 1), (0, 0)]
+        want = _outcome(lambda: [_reference_log_moment(compiled, bad, n) for n in points])
+        assert want == ("ValueError", "log_gamma requires x > 0, got 0.0")
+        assert _outcome(lambda: _log_moments(compiled, bad, points)) == want
 
-        def staged(q, log_scale, quad):
-            if q == raises_at:
-                raise ValueError(f"staged failure at q = {q}")
-            a, b = piece(q, log_scale, quad)
-            return (a, b + 1e-3) if q == disagrees_at else (a, b)
 
-        monkeypatch.setattr(moments, "log_moment_piece", staged)
-        spec = get("2d.1dof.plain1.A")
-        compiled = spec.compile(CFG2, (0,))
-        density = density_for(spec, CFG2, (0,))
-        points = probe_lattice(1, 8)
-        want = _outcome(lambda: [
-            _reference_log_moment(compiled, density, n, QuadSpec()) for n in points
-        ])
-        assert want[0] == expect.__name__
-        assert _outcome(lambda: _log_moments(compiled, density, points, QuadSpec())) == want
+class TestDirectRoute:
+    @pytest.mark.parametrize("omegas", [(1.0, 2.0, 3.0), (1.37, 2.91, 0.73)])
+    def test_agrees_with_closed_form_on_every_probe_point(self, omegas):
+        for spec in registry():
+            cfg = FrequencyConfig(omegas[: spec.dimension])
+            fixed = (1,) * len(spec.fixed)
+            compiled = spec.compile(cfg, fixed)
+            density = density_for(spec, cfg, fixed)
+            points = probe_lattice(len(spec.summed), 20)
+            closed = _log_moments(compiled, density, points)
+            direct = _direct_log_moments(compiled, density, points)
+            assert np.abs(np.expm1(direct - closed)).max() <= 1e-9, spec.id
+
+    def test_reduction_tamper_is_caught(self, monkeypatch):
+        # integrating the exponential factors in the wrong order gives the
+        # closed form wrong exponents; the direct route never uses them
+        spec = get("2d.2dof.gamma1-gamma2.D")
+        integration_order = moments._integration_order
+        monkeypatch.setattr(moments, "_integration_order", lambda d: integration_order(d)[::-1])
+        with pytest.raises(QuadratureDisagreement, match=r"\(2d\.2dof\.gamma1-gamma2\.D\)"):
+            verify_moments(spec, CFG2, (2,))
+
+    @pytest.mark.parametrize("cid,var", [("2d.1dof.plain1.A", 1), ("2d.2dof.gamma1-gamma2.D", 1)])
+    def test_perturbed_density_fails_with_agreeing_routes(self, cid, var):
+        # a tampered density is integrated correctly by both routes, so
+        # its check fails on residuals, not on a disagreement
+        spec = get(cid)
+        fixed = (1,) * len(spec.fixed)
+        bad = density_for(spec, CFG2, fixed).perturbed(var, 1.01)
+        rep = verify_moments(spec, CFG2, fixed, n_range=12, density=bad)
+        assert not rep.passed and rep.max_residual > 0.01
 
 
 class TestNonUniqueness:
