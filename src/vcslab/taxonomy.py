@@ -11,6 +11,7 @@ terms.  Both rules are purely structural; `vcslab verify --kappa ij=0
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -134,11 +135,10 @@ def verify_factor(
         log_a = 0.5 * gen_a.log_term((n,)) + 1j * gen_a.phase((n,))
         log_b = 0.5 * gen_b.log_term((n,)) + 1j * gen_b.phase((n,))
         ratios.append(log_b - log_a)
-    import cmath
-
-    vals = [cmath.exp(r) for r in ratios]
-    target = cmath.exp(log_factor)
-    residuals = [(f"n={n}", abs(v - target) / abs(target)) for n, v in enumerate(vals)]
+    # each ratio over the factor, formed in log space: the factor alone
+    # may underflow or overflow
+    vals = [cmath.exp(r - log_factor) for r in ratios]
+    residuals = [(f"n={n}", abs(v - 1.0)) for n, v in enumerate(vals)]
     mean = sum(vals) / len(vals)
     variance = sum(abs(v - mean) ** 2 for v in vals) / len(vals) / abs(mean) ** 2
     residuals.append(("ratio_variance", variance / 1e-10))  # scaled into the same tolerance

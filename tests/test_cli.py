@@ -252,6 +252,18 @@ class TestVerify:
             " at zero spectrum shift\n"
         )
 
+    @pytest.mark.parametrize("argv,checks", [
+        (["2d.1dof.gamma1.A", "--kappa", "12=0", "--fixed", "n2=1000"], 1),
+        (["all", "--omega", "1e-3,1,1e3"], 56),
+    ])
+    def test_factor_relation_with_underflowing_factor_passes(self, argv, checks, tmp_path):
+        # the factor underflows to 0 here, and dividing by it once ended
+        # in a ZeroDivisionError
+        out = tmp_path / "r.json"
+        assert main(["verify", *argv, "--checks", "factor", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert (summary["checks"], summary["passed"]) == (checks, checks)
+
     def test_underflowed_frontier_ratio_adds_no_tail(self, tmp_path):
         # at omega 1,100,1e4 some frontier ratios underflow to 0, whose log
         # ended 22 checks in a math domain error
