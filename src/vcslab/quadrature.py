@@ -120,8 +120,8 @@ def log_moment_direct(density, exponents) -> np.ndarray:
         v[idx, :, lo:hi] += (m[:, idx][:, :, idx] @ nodes).transpose(1, 0, 2)
     h = density.log_grid(dict(zip(variables, v)))
     h = h + ((e.T + 1.0)[:, :, None] * v).sum(axis=0)
-    terms = np.exp(h[:, 1:] - h[:, :1] + np.concatenate([w for _, w in rules]))
-    total = h[:, 0] + np.log(np.add.reduceat(terms, starts[:-1] - 1, axis=1)).sum(axis=1)
+    weighted = np.exp(h[:, 1:] - h[:, :1] + np.concatenate([w for _, w in rules]))
+    total = h[:, 0] + np.log(np.add.reduceat(weighted, starts[:-1] - 1, axis=1)).sum(axis=1)
     # the Jacobian of every component's map at once: |det M|
     total = total - math.log(abs(np.linalg.det(a))) - 0.5 * np.log(big_e).sum(axis=-1)
     return np.where(divergent, np.inf, total)
