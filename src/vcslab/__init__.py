@@ -12,7 +12,6 @@ from .convergence import (
     class_verdict,
     comparison_check,
     gamma_ratio_surface,
-    ratio_comparison_check,
     ratio_test_double,
     row_column_check,
 )

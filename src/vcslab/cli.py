@@ -85,6 +85,9 @@ class RunConfig:
     def validate(self):
         if not self.z_grid and ({"norm", "resolution"} & set(self.checks)):
             raise UsageError("z-grid must be non-empty for norm/resolution checks")
+        bad_z = [v for v in self.z_grid if not (math.isfinite(v) and v > 0.0)]
+        if bad_z:
+            raise UsageError(f"z-grid values must be finite and positive, got {bad_z}")
         if any(t <= 0 for t in self.tol.values()):
             raise UsageError("tolerances must be positive")
         if not isinstance(self.nmax, int) or self.nmax < 0:

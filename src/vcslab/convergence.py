@@ -26,6 +26,11 @@ from .structure import ClassSpec
 RATIO_MARGIN = 0.05
 # exact log-Gamma zone; beyond, the Stirling step s*log(A) is used
 _EXACT_ARG_LIMIT = 1e6
+# depth of row_column_check's numeric cross-check of the modeled ratio
+_PROBE_DEPTH = 256
+# comparison_check's window: the first index per axis, and its width
+_COMPARISON_START = (2, 2)
+_COMPARISON_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -67,57 +72,35 @@ def structure_of(gen: TermGenerator) -> _SeriesStructure:
     )
 
 
-def _replace_factors(gen: TermGenerator, kept: list[int], plain_axes: list[int]) -> _SeriesStructure:
-    """Majorant with the non-kept Gamma factors stripped.
+def exponential_reference(gen: TermGenerator) -> _SeriesStructure:
+    """Double-exponential majorant: same weights, one n_k! per axis.
 
-    A plain factorial n_k! is installed on each axis in plain_axes; the
-    kept factors stand unchanged.  Used with Gamma(g + n) >= n!, this
-    realizes the termwise majorants of the comparison arguments.
+    Every Gamma factor of the term is stripped and a plain factorial
+    n_k! is installed on each summed axis.  With Gamma(g + n) >= n! this
+    is the termwise majorant of the comparison test.
     """
     base = structure_of(gen)
     towers = gen.compiled.towers
-    replaced = [i for i in range(len(base.factors)) if i not in kept]
 
     def log_term_grid(shape, start):
         lt = base.log_term_grid(shape, start)
-        if not replaced and not plain_axes:
-            return lt
         grids = gen.compiled.window(shape, start)
         live = lt != float("-inf")
-        args = [towers[i].gamma_arg.on_grid(grids) for i in replaced]
-        args += [grids[k] + 1.0 for k in plain_axes]
+        args = [ct.gamma_arg.on_grid(grids) for ct in towers]
+        args += [g + 1.0 for g in grids]
         # a vanished term takes no further factor
         log_gammas = log_gamma_grid(np.stack([np.where(live, a, 1.0) for a in args], axis=-1))
-        for j, i in enumerate(replaced):
-            lt = lt + (log_gammas[..., j] - towers[i].log_gamma_norm)
-        for j in range(len(replaced), len(args)):
+        for i, ct in enumerate(towers):
+            lt = lt + (log_gammas[..., i] - ct.log_gamma_norm)
+        for j in range(len(towers), len(args)):
             lt = lt - log_gammas[..., j]
         return np.where(live, lt, -np.inf)
 
-    factors = [base.factors[i] for i in kept]
-    factors += [
+    factors = [
         (1.0, tuple(1.0 if j == k else 0.0 for j in range(base.n_axes)))
-        for k in plain_axes
+        for k in range(base.n_axes)
     ]
     return _SeriesStructure(base.log_weights, factors, log_term_grid, base.n_axes)
-
-
-def exponential_reference(gen: TermGenerator) -> _SeriesStructure:
-    """Double-exponential majorant: same weights, one n_k! per axis."""
-    return _replace_factors(gen, kept=[], plain_axes=list(range(len(gen.axes))))
-
-
-def partial_plain_reference(gen: TermGenerator) -> _SeriesStructure:
-    """Majorant keeping cross-driving Gamma factors, plain own-axis ones.
-
-    Own-axis factors (the Gamma(g + n_k) of a summed tower) are replaced
-    by n_k!; factors attached to a fixed tower, whose argument climbs
-    along a summed axis with a ratio slope, are kept as they stand.
-    """
-    towers = [ct.tower for ct in gen.compiled.towers]
-    kept = [i for i, t in enumerate(towers) if t not in gen.axes]
-    plain_axes = [k for k, a in enumerate(gen.axes) if a in towers]
-    return _replace_factors(gen, kept=kept, plain_axes=plain_axes)
 
 
 # -- asymptotic ratio engine ------------------------------------------
@@ -196,7 +179,7 @@ def _decide_axis(struct: _SeriesStructure, axis: int, others=None) -> tuple[str,
     return "inconclusive", f"axis {axis}: frontier ratio {math.exp(last):.6g}"
 
 
-def row_column_check(gen: TermGenerator, probe_depth: int = 256) -> dict[int, Verdict]:
+def row_column_check(gen: TermGenerator) -> dict[int, Verdict]:
     """Per-axis ratio verdicts with the other indices held fixed."""
     struct = structure_of(gen)
     out = {}
@@ -215,7 +198,7 @@ def row_column_check(gen: TermGenerator, probe_depth: int = 256) -> dict[int, Ve
         else:
             status = "inconclusive"
         # numeric cross-check of the structural ratio inside the exact zone
-        d = min(probe_depth, 256)
+        d = _PROBE_DEPTH
         probe = tuple(d if j == k else 2 for j in range(struct.n_axes))
         exact = gen.log_term(_step(probe, k)) - gen.log_term(probe)
         modeled = _log_ratio_at(struct, k, math.log(float(d)), {j: 2 for j in range(struct.n_axes) if j != k})
@@ -230,22 +213,12 @@ def _step(n: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(v + (1 if j == k else 0) for j, v in enumerate(n))
 
 
-def comparison_check(
-    gen: TermGenerator,
-    reference: _SeriesStructure | TermGenerator | None = None,
-    threshold: tuple[int, ...] = (2, 2),
-    probe_depth: int = 24,
-) -> Verdict:
-    """Termwise-domination test against a convergent majorant."""
+def comparison_check(gen: TermGenerator) -> Verdict:
+    """Termwise-domination test against the double-exponential majorant."""
     struct = structure_of(gen)
-    if reference is None:
-        ref = exponential_reference(gen)
-    elif isinstance(reference, TermGenerator):
-        ref = structure_of(reference)
-    else:
-        ref = reference
-    k0 = tuple(threshold[: struct.n_axes])
-    shape = (probe_depth,) * len(k0)
+    ref = exponential_reference(gen)
+    k0 = _COMPARISON_START[: struct.n_axes]
+    shape = (_COMPARISON_DEPTH,) * len(k0)
     a = struct.log_term_grid(shape, k0)
     b = ref.log_term_grid(shape, k0)
     fails = a > b + 1e-12
@@ -293,47 +266,6 @@ def ratio_test_double(gen: TermGenerator) -> Verdict:
     return _ratio_decision(structure_of(gen))
 
 
-def ratio_comparison_check(
-    gen: TermGenerator,
-    reference: _SeriesStructure | None = None,
-    threshold: tuple[int, ...] = (2, 2),
-    probe_depth: int = 24,
-) -> Verdict:
-    """Cross-ratio test |a(n+e)| b(n) <= |a(n)| b(n+e) against a majorant."""
-    struct = structure_of(gen)
-    ref = reference if reference is not None else partial_plain_reference(gen)
-    k0 = tuple(threshold[: struct.n_axes])
-    # terms at n and at every n + e_k, from one window one wider per axis
-    wide = (probe_depth + 1,) * len(k0)
-    t = struct.log_term_grid(wide, k0)
-    r = ref.log_term_grid(wide, k0)
-    at_n = (slice(0, probe_depth),) * len(k0)
-    lhs, rhs = [], []
-    for k in range(len(k0)):
-        at_m = tuple(slice(1, None) if j == k else s for j, s in enumerate(at_n))
-        lhs.append(t[at_m] + r[at_n])
-        rhs.append(t[at_n] + r[at_m])
-    # axis last: C order runs n in product order, then the axes at each n
-    lhs, rhs = np.stack(lhs, axis=-1), np.stack(rhs, axis=-1)
-    finite = np.isfinite(lhs) & np.isfinite(rhs)
-    fails = finite & (lhs > rhs + 1e-12)
-    if fails.any():
-        *at, axis = np.unravel_index(int(np.argmax(fails)), fails.shape)
-        n = tuple(s + int(i) for s, i in zip(k0, at))
-        return Verdict(
-            "inconclusive",
-            f"cross-ratio inequality fails first at {n} axis {gen.axes[axis]}",
-        )
-    worst = max(0.0, float((lhs - rhs)[finite].max())) if finite.any() else 0.0
-    ref_verdict = _ratio_decision(ref)
-    if ref_verdict.convergent:
-        return Verdict(
-            "convergent",
-            f"cross-ratios bounded (worst slack {worst:.3g}) by a convergent majorant",
-        )
-    return Verdict("inconclusive", f"majorant not certified convergent: {ref_verdict.witness}")
-
-
 def required_positive_ratios(spec: ClassSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Ratio groups of which at least one must stay positive per summed axis.
 
@@ -359,12 +291,16 @@ def class_verdict(
     spec: ClassSpec,
     config: FrequencyConfig,
     fixed,
-    z=None,
     overrides: RatioOverrides | None = None,
 ) -> Verdict:
-    """Combined verdict: comparison, then ratio, then ratio-comparison."""
-    if z is None:
-        z = tuple(math.sqrt(config.omega(t)) for t in spec.tower_ids)
+    """Combined verdict at |z_t|^2 = omega_t, in three stages.
+
+    A row or column whose ratio test diverges decides divergence first;
+    then a convergent comparison with the double-exponential majorant
+    decides convergence; then the full ratio test decides either way.
+    Inconclusive when none of the three decides.
+    """
+    z = tuple(math.sqrt(config.omega(t)) for t in spec.tower_ids)
     gen = term_generator(spec, config, z, fixed, overrides)
     conditions = tuple(
         " or ".join(f"kappa{i}{j} > 0" for (i, j) in grp)
@@ -385,18 +321,13 @@ def class_verdict(
     if ratio.status != "inconclusive":
         return Verdict(ratio.status, f"ratio test: {ratio.witness}", conditions)
 
-    rcomp = ratio_comparison_check(gen)
-    if rcomp.convergent:
-        return Verdict("convergent", f"ratio-comparison test: {rcomp.witness}", conditions)
-
-    return Verdict("inconclusive", f"{comp.witness}; {ratio.witness}; {rcomp.witness}", conditions)
+    return Verdict("inconclusive", f"{comp.witness}; {ratio.witness}", conditions)
 
 
 def gamma_ratio_surface(
     kappa: float,
     gamma13: float | None = None,
     n3: int = 0,
-    kappa13: float = 1.0,
     m_range: tuple[int, int] = (50, 100),
     n_range: tuple[int, int] = (50, 100),
     step: int = 1,
@@ -408,12 +339,12 @@ def gamma_ratio_surface(
         difference = Gamma(g + kappa n + m)/Gamma(g + kappa (n+1) + m)
                      - (g + kappa (n+1) + m)^(-kappa),
 
-    g = gamma13 (default 1 + kappa13*n3).  At kappa = 0 both terms are
+    g = gamma13 (default 1 + n3).  At kappa = 0 both terms are
     exactly 1 and the difference vanishes identically.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
-    g = (1.0 + kappa13 * n3) if gamma13 is None else float(gamma13)
+    g = (1.0 + n3) if gamma13 is None else float(gamma13)
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
     if m_hi < m_lo or n_hi < n_lo:

@@ -38,6 +38,10 @@ class TailBudgetError(ArithmeticError):
     """Iteration budget exhausted before the tail certificate was met."""
 
 
+# the largest window, in terms, a 2D norm series may evaluate
+MAX_2D_TERMS = 2**22
+
+
 @dataclass(frozen=True)
 class TermGenerator:
     """Positive norm-series terms of one class at fixed parameters."""
@@ -167,8 +171,11 @@ def _certified_1d_sum(log_block, rel_tol: float, budget: int = 300_000):
             r = float(steps.max())
             ratio_history.append(r)
             if r < 1.0:
-                log_tail = logs[-1] + math.log(r) - math.log1p(-r)
-                rel = math.exp(log_tail - log_partial)
+                # a ratio that underflowed to 0 leaves no tail
+                rel = 0.0
+                if r > 0.0:
+                    log_tail = logs[-1] + math.log(r) - math.log1p(-r)
+                    rel = math.exp(log_tail - log_partial)
                 if rel <= rel_tol:
                     return log_partial, start + block, rel
             if len(ratio_history) >= 3:
@@ -198,7 +205,6 @@ def _frontier_ratio(logs: np.ndarray, prev: np.ndarray) -> float:
 
 def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
     n1, n2 = 16, 16
-    cap = 4096
     ratio_history: list[float] = []
     while True:
         logs = gen.log_term_grid((n1 + 1, n2 + 1))
@@ -233,12 +239,14 @@ def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
                 raise DivergenceError(
                     "frontier ratios at/above 1 and not decreasing: divergent series"
                 )
-        if n1 == cap and n2 == cap:
-            raise TailBudgetError("2d tail certificate not achieved within the window cap")
         if log_row_mass >= log_col_mass:
-            n1 = min(2 * n1, cap)
+            n1 *= 2
         else:
-            n2 = min(2 * n2, cap)
+            n2 *= 2
+        if (n1 + 1) * (n2 + 1) > MAX_2D_TERMS:
+            raise TailBudgetError(
+                f"2d tail certificate not achieved within {MAX_2D_TERMS} terms"
+            )
 
 
 def norm_series(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult:
@@ -289,7 +297,11 @@ def norm_closed_form(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult |
         if lw == float("-inf"):
             trunc.append(0)
             continue
-        x = math.exp(lw)
+        try:
+            x = math.exp(lw)
+        except OverflowError:
+            # a weight past the float range has no closed form
+            return None
         if t_idx is None:
             # no Gamma growth along this axis: plain geometric series
             if x >= 1.0:

@@ -113,23 +113,12 @@ def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]
     return [tuple(row) for row in deltas[hits].tolist()]
 
 
-def _phase_overlap(rule: SelectionRule, delta: tuple[int, ...], samples: int = 4096) -> complex:
-    """Numerical angular integral (1/2pi) int e^(i theta c.delta) per constraint."""
-    out = 1.0 + 0.0j
-    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    for row in rule.constraints:
-        phase = sum(c * d for c, d in zip(row, delta))
-        out *= complex(np.mean(np.exp(1j * phase * theta)))
-    return out
-
-
 def resolution_residual(
     spec: ClassSpec,
     config: FrequencyConfig,
     fixed,
     nmax,
     tol: float = 1e-6,
-    aliasing_window: int | None = None,
 ) -> VerificationReport:
     """max |G - I| over the truncated basis at the given fixed indices."""
     fixed = tuple(int(v) for v in fixed)
@@ -147,7 +136,7 @@ def resolution_residual(
         for m, i, t in zip(basis, diagonal, targets)
     ]
     # off-diagonal entries: certified zero unless the rule aliases
-    window = aliasing_window if aliasing_window is not None else max(nmax)
+    window = max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
     basis_arr = np.array(basis)
     flagged = []
@@ -161,16 +150,16 @@ def resolution_residual(
         inside = np.flatnonzero(((shifted >= 0) & (shifted <= nmax)).all(axis=1))
         if not inside.size:
             continue
-        angular = abs(_phase_overlap(rule, delta))
-        # the exponents are affine in n, so a pair's cross moment is the
-        # moment at its midpoint; the entry divides it by the targets'
-        # geometric mean
+        # an aliased delta has c.delta = 0 for every constraint, so its
+        # angular integral is 1; the exponents are affine in n, so a
+        # pair's cross moment is the moment at its midpoint, and the entry
+        # divides it by the targets' geometric mean
         cross = _log_moments(compiled, density, 0.5 * (basis_arr[inside] + shifted[inside]))
         partners = np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax])
         for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
             m, mp = basis[i], basis[j]
             log_t = 0.5 * (targets[i] + targets[j])
-            entry = angular * math.exp(log_i - log_t)
+            entry = math.exp(log_i - log_t)
             flagged.append((m, mp, entry))
             residuals.append((f"G[{m}|{mp}]", entry))
     rationality = []

@@ -116,17 +116,17 @@ def verify_factor(
     relation: FactorRelation,
     config: FrequencyConfig,
     fixed_value: int = 2,
-    z=None,
     n_probe: int = 8,
-    tol: float = 1e-10,
 ) -> VerificationReport:
-    """Check b-coefficients = factor * a-coefficients, independent of the sum index."""
+    """Check b-coefficients = factor * a-coefficients, independent of the sum index.
+
+    The variables sit at z_t = 0.9 + 0.2 t + 0.1i; the tolerance is 1e-10.
+    """
     spec_a = get(relation.sub_a)
     spec_b = get(relation.sub_b)
     s = spec_a.summed[0]
     f = spec_a.fixed[0]
-    if z is None:
-        z = {t: 0.9 + 0.2 * t + 0.1j for t in set(spec_a.tower_ids) | set(spec_b.tower_ids)}
+    z = {t: 0.9 + 0.2 * t + 0.1j for t in set(spec_a.tower_ids) | set(spec_b.tower_ids)}
     log_factor = relation.log_value(config, f, fixed_value, s, z)
     gen_a = term_generator(spec_a, config, [z[t] for t in spec_a.tower_ids], (fixed_value,))
     gen_b = term_generator(spec_b, config, [z[t] for t in spec_b.tower_ids], (fixed_value,))
@@ -146,7 +146,7 @@ def verify_factor(
         f"{relation.sub_b}~{relation.sub_a}",
         "factor",
         residuals,
-        tol,
+        1e-10,
         metadata=(
             ("factor_components", [f"{c.base}^({c.scalar}*{c.exponent})" for c in relation.components]),
             ("fixed_value", fixed_value),
@@ -158,15 +158,14 @@ def verify_factor(
 # -- sub-class enumeration ---------------------------------------------
 
 
-def enumerate_subclasses(class_family: str, keep_alpha_fixed: bool = True):
+def enumerate_subclasses(class_family: str):
     """All exponent quadruples of a family, labeled by relevance.
 
     Returns (quadruple, relevance, detail) triples where relevance is
     "base", "relevant", or "factor"; factors name the registered
-    sub-class they multiply and the factor itself.
+    sub-class they multiply and the factor itself.  Only the unit
+    leading-exponent enumeration is cataloged.
     """
-    if not keep_alpha_fixed:
-        raise SpecError("only the unit leading-exponent enumeration is cataloged")
     if class_family in FAMILY_QUADRUPLES:
         quads = FAMILY_QUADRUPLES[class_family]
         base_b1 = quads["A"][:2]
@@ -313,22 +312,26 @@ def deformation_graph(dimension: int, dof: int) -> tuple[DeformationEdge, ...]:
     return tuple(edges)
 
 
+# the ratio an edge's ancestor is evaluated at, the coefficient
+# tolerance, and the last summed index compared
+EDGE_KAPPA = 1e-6
+EDGE_TOL = 1e-4
+EDGE_WINDOW = 5
+
+
 def verify_edge_continuity(
     edge: DeformationEdge,
     config: FrequencyConfig,
     fixed,
-    kappa_small: float = 1e-6,
-    tol: float = 1e-4,
-    window: int = 5,
 ) -> VerificationReport:
-    """Coefficients of the ancestor at kappa = eps approach the descendant's."""
+    """Coefficients of the ancestor at kappa = EDGE_KAPPA approach the descendant's."""
     if edge.status != "defined":
         raise SpecError("continuity applies to defined edges")
     anc = get(edge.ancestor)
     desc = get(edge.descendant)
     z = tuple(0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids)
-    nmax = (window,) * len(anc.summed)
-    st_a = state(anc, config, z, fixed, nmax, overrides={edge.parameter: kappa_small})
+    nmax = (EDGE_WINDOW,) * len(anc.summed)
+    st_a = state(anc, config, z, fixed, nmax, overrides={edge.parameter: EDGE_KAPPA})
     if edge.via_symmetry:
         perm_omegas = list(config.omegas)
         perm_shifts = list(config.shifts)
@@ -351,8 +354,8 @@ def verify_edge_continuity(
         f"{edge.ancestor}->{edge.descendant}",
         "limit-continuity",
         residuals,
-        tol,
-        metadata=(("parameter", list(edge.parameter)), ("kappa", kappa_small)),
+        EDGE_TOL,
+        metadata=(("parameter", list(edge.parameter)), ("kappa", EDGE_KAPPA)),
     )
 
 

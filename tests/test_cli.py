@@ -15,6 +15,21 @@ def run_cli(args):
     return subprocess.run(RUN + args, capture_output=True, text=True)
 
 
+# the address-space limit applies to the child process only
+UNDER_2GB = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from vcslab.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_cli_under_2gb(args):
+    return subprocess.run(
+        [sys.executable, "-c", UNDER_2GB, *args], capture_output=True, text=True, timeout=120
+    )
+
+
 class TestList:
     def test_two_dof_listing_has_sixteen_entries(self, tmp_path):
         out = tmp_path / "ids.json"
@@ -171,20 +186,31 @@ class TestVerify:
         # moment exponents reach 1e6 here; the adaptive Simpson route that
         # the direct route replaced needed more panels than its budget,
         # and unbudgeted ran out of memory under this 2 GB limit
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from vcslab.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "verify", "2d.2dof.gamma1-gamma2.D",
-             "--omega", "1,1e6", "--checks", "moment"],
-            capture_output=True, text=True,
+        proc = run_cli_under_2gb(
+            ["verify", "2d.2dof.gamma1-gamma2.D", "--omega", "1,1e6", "--checks", "moment"]
         )
         assert proc.returncode == 0, proc.stderr
         (rep,) = json.loads(proc.stdout)["results"]
         assert rep["verdict"] == "pass"
+
+    def test_small_ratio_2d_norm_series_ends_under_a_2gb_limit(self):
+        # the heavier frontier sat at the old 4096 per-axis cap, so the same
+        # window was evaluated again without end
+        proc = run_cli_under_2gb([
+            "verify", "3d.2dof.gamma1-plain3", "--kappa", "12=1e-3", "--checks", "norm",
+            "--z-grid", "0.1",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["verdict"] == "pass"
+
+    def test_overflowing_weight_census_passes(self, tmp_path):
+        # at omega2 = 1e5 a 1d term ratio underflows to 0 and a closed-form
+        # weight overflows; both once ended in a traceback
+        out = tmp_path / "r.json"
+        assert main(["verify", "all", "--omega", "1,1e5,3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["summary"]["checks"], doc["summary"]["passed"]) == (336, 336)
 
     def test_large_frequency_census_passes(self, tmp_path):
         # real frequency ratios 100 and 1e4 give moment exponents up to
@@ -211,6 +237,9 @@ class TestVerify:
     @pytest.mark.parametrize("args", [
         ["--omega", "nan,1"],
         ["--omega", "1,2", "--fixed", "n2=-3"],
+        ["--z-grid", "nan"],
+        ["--z-grid", "0"],
+        ["--z-grid", "-1"],
     ])
     def test_invalid_input_exits_2_with_one_line(self, args):
         proc = run_cli(["verify", "2d.1dof.gamma1.A", *args])
