@@ -82,8 +82,9 @@ def exponential_reference(gen: TermGenerator) -> _SeriesStructure:
     base = structure_of(gen)
     towers = gen.compiled.towers
 
-    def log_term_grid(shape, start):
-        lt = base.log_term_grid(shape, start)
+    def log_term_grid(shape, start, terms=None):
+        # terms: gen's own log terms on this window, if the caller has them
+        lt = base.log_term_grid(shape, start) if terms is None else terms
         grids = gen.compiled.window(shape, start)
         live = lt != float("-inf")
         args = [ct.gamma_arg.on_grid(grids) for ct in towers]
@@ -160,23 +161,32 @@ def _decide_axis(struct: _SeriesStructure, axis: int, others=None) -> tuple[str,
         return "convergent", f"axis {axis}: terms vanish (zero weight)"
     spread = max(vals) - min(vals)
     last = vals[-1]
+    ratio = _ratio_text(last)
     if spread < 1e-13:
-        # no Gamma factor moves along this axis: ratio is exactly the weight
-        w = math.exp(last)
-        if w < 1.0:
-            return "convergent", f"axis {axis}: constant ratio {w:.6g} < 1 (geometric)"
+        # no Gamma factor moves along this axis: ratio is exactly the weight;
+        # a weight past the float range is >= 1
+        if last < 0.0 and math.exp(last) < 1.0:
+            return "convergent", f"axis {axis}: constant ratio {ratio} < 1 (geometric)"
         return (
             "divergent",
-            f"axis {axis}: constant ratio {w:.6g} >= 1, terms do not vanish",
+            f"axis {axis}: constant ratio {ratio} >= 1, terms do not vanish",
         )
     tail = vals[-3:]
     decreasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     increasing = all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
     if last <= math.log(1.0 - RATIO_MARGIN) and decreasing:
-        return "convergent", f"axis {axis}: ratio -> {math.exp(last):.6g} < 1"
+        return "convergent", f"axis {axis}: ratio -> {ratio} < 1"
     if last >= math.log(1.0 + RATIO_MARGIN) and increasing:
-        return "divergent", f"axis {axis}: ratio -> {math.exp(last):.6g} > 1"
-    return "inconclusive", f"axis {axis}: frontier ratio {math.exp(last):.6g}"
+        return "divergent", f"axis {axis}: ratio -> {ratio} > 1"
+    return "inconclusive", f"axis {axis}: frontier ratio {ratio}"
+
+
+def _ratio_text(log_ratio: float) -> str:
+    """The ratio e^log_ratio to 6 digits, or as exp(log_ratio) past the float range."""
+    try:
+        return f"{math.exp(log_ratio):.6g}"
+    except OverflowError:
+        return f"exp({log_ratio:.6g})"
 
 
 def row_column_check(gen: TermGenerator) -> dict[int, Verdict]:
@@ -220,7 +230,7 @@ def comparison_check(gen: TermGenerator) -> Verdict:
     k0 = _COMPARISON_START[: struct.n_axes]
     shape = (_COMPARISON_DEPTH,) * len(k0)
     a = struct.log_term_grid(shape, k0)
-    b = ref.log_term_grid(shape, k0)
+    b = ref.log_term_grid(shape, k0, a)
     fails = a > b + 1e-12
     if fails.any():
         at = np.unravel_index(int(np.argmax(fails)), shape)  # first in product order

@@ -103,5 +103,8 @@ class LogValue:
             return 1.0
         if self.sign != other.sign:
             return float("inf")
-        return abs(math.expm1(self.log_abs - other.log_abs))
+        try:
+            return abs(math.expm1(self.log_abs - other.log_abs))
+        except OverflowError:
+            return float("inf")
 

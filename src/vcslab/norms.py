@@ -206,8 +206,8 @@ def _frontier_ratio(logs: np.ndarray, prev: np.ndarray) -> float:
 def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
     n1, n2 = 16, 16
     ratio_history: list[float] = []
+    logs = gen.log_term_grid((n1 + 1, n2 + 1))
     while True:
-        logs = gen.log_term_grid((n1 + 1, n2 + 1))
         log_partial = logsumexp(logs)
         if not math.isfinite(log_partial):
             raise DivergenceError("window sum is not finite")
@@ -240,13 +240,18 @@ def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
                     "frontier ratios at/above 1 and not decreasing: divergent series"
                 )
         if log_row_mass >= log_col_mass:
+            shape, start, axis = (n1, n2 + 1), (n1 + 1, 0), 0
             n1 *= 2
         else:
+            shape, start, axis = (n1 + 1, n2), (0, n2 + 1), 1
             n2 *= 2
         if (n1 + 1) * (n2 + 1) > MAX_2D_TERMS:
             raise TailBudgetError(
                 f"2d tail certificate not achieved within {MAX_2D_TERMS} terms"
             )
+        # the window grows by the new strip only: the old part already
+        # passed, so the first bad point in product order lies in the strip
+        logs = np.concatenate([logs, gen.log_term_grid(shape, start)], axis=axis)
 
 
 def norm_series(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -50,6 +51,20 @@ def dumps_deterministic(obj) -> str:
 
     Floats serialize through repr (shortest exact round-trip, at most 17
     significant digits), which is byte-stable across runs and platforms
-    for identical doubles.
+    for identical doubles.  JSON has no inf or nan, so a residual past
+    the float range is written as the string "inf" ("-inf", "nan").
     """
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_nonfinite_as_text(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _nonfinite_as_text(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_text(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_as_text(v) for v in obj]
+    return obj

@@ -112,6 +112,14 @@ def declared_factor_relations() -> list[FactorRelation]:
     return out
 
 
+def _distance_from_one(log_v: complex) -> float:
+    """|e^log_v - 1|; inf where e^log_v is past the float range."""
+    try:
+        return abs(cmath.exp(log_v) - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 def verify_factor(
     relation: FactorRelation,
     config: FrequencyConfig,
@@ -137,10 +145,17 @@ def verify_factor(
         ratios.append(log_b - log_a)
     # each ratio over the factor, formed in log space: the factor alone
     # may underflow or overflow
-    vals = [cmath.exp(r - log_factor) for r in ratios]
-    residuals = [(f"n={n}", abs(v - 1.0)) for n, v in enumerate(vals)]
+    logs = [r - log_factor for r in ratios]
+    residuals = [(f"n={n}", _distance_from_one(v)) for n, v in enumerate(logs)]
+    # the relative variance does not change when every ratio is scaled, so
+    # the ratios are scaled by a power of e that brings the largest near 1
+    top = max(v.real for v in logs)
+    shift = round(top) if math.isfinite(top) else 0
+    vals = [cmath.exp(v - shift) for v in logs]
     mean = sum(vals) / len(vals)
-    variance = sum(abs(v - mean) ** 2 for v in vals) / len(vals) / abs(mean) ** 2
+    mean_sq = abs(mean) ** 2
+    spread = sum(abs(v - mean) ** 2 for v in vals) / len(vals)
+    variance = spread / mean_sq if mean_sq > 0.0 else math.inf
     residuals.append(("ratio_variance", variance / 1e-10))  # scaled into the same tolerance
     return make_report(
         f"{relation.sub_b}~{relation.sub_a}",

@@ -290,3 +290,16 @@ class TestSyntheticGeometric:
 
         v = _ratio_decision(self._geometric(0.5))
         assert v.convergent
+
+    def test_ratio_two_witness_prints_the_ratio(self):
+        from vcslab.convergence import _ratio_decision
+
+        assert "constant ratio 2 >= 1" in _ratio_decision(self._geometric(2.0)).witness
+
+    def test_ratio_past_the_float_range_is_divergent(self):
+        from vcslab.convergence import _SeriesStructure, _ratio_decision
+
+        # the ratio e^800 has no float: the witness carries its log
+        v = _ratio_decision(_SeriesStructure([800.0, 800.0], [], None, 2))
+        assert v.divergent
+        assert "constant ratio exp(800) >= 1" in v.witness

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vcslab.frequencies import FrequencyConfig
+from vcslab.logspace import logsumexp
 from vcslab.norms import (
     DivergenceError,
     norm_closed_form,
@@ -154,6 +155,16 @@ class TestNormSeries:
             + hyp1f1_one_closed(g23, abs(z[1]) ** 2 / 2.0).log_abs
         )
         assert abs(math.expm1(series.log_norm - expect)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 30.0])
+    def test_grown_2d_window_sums_as_one_window(self, scale):
+        # the window grows strip by strip; its sum is that of the whole
+        # final window evaluated at once, bit for bit
+        spec = get("3d.2dof.gamma1-gamma2")
+        gen = term_generator(spec, CFG3, (math.sqrt(scale), math.sqrt(2.0 * scale)), (1,))
+        res = norm_series(gen)
+        n1, n2 = res.truncation
+        assert res.log_norm == logsumexp(gen.log_term_grid((n1 + 1, n2 + 1)))
 
     def test_divergent_at_pinned_zero_ratio(self):
         # ratio k32 -> 0 with |z3|^2 = w3 leaves constant terms along n2

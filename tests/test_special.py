@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vcslab import special
 from vcslab.logspace import LogValue, logsumexp
-from vcslab.special import hyp1f1_one_closed, log_gamma
+from vcslab.special import _TABLE_SIZE, _upper_gamma_q, hyp1f1_one_closed, log_gamma, log_gamma_grid
 
 mpmath.mp.dps = 40
 
@@ -73,6 +74,98 @@ class TestLogGamma:
         lhs = log_gamma(x + 1.0)
         rhs = log_gamma(x) + math.log(x)
         assert lhs == pytest.approx(rhs, abs=1e-11 * max(1.0, abs(rhs)))
+
+
+def _ulps_off(got: float, exact) -> float:
+    """|got - exact| in ulps of max(1, |exact|)."""
+    return float(abs(mpmath.mpf(got) - exact)) / math.ulp(max(1.0, abs(float(exact))))
+
+
+class TestLogGammaAccuracy:
+    """math.lgamma against 40-digit mpmath, over the whole positive float range."""
+
+    def test_within_eight_ulps(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 300.0, 800),
+            10.0 ** rng.uniform(-3.0, 4.0, 800),
+            np.arange(0.5, 200.0, 1.0),  # half-integers
+            1.0 + rng.uniform(-0.05, 0.05, 200),  # around the zeros at 1 and 2
+            2.0 + rng.uniform(-0.05, 0.05, 200),
+            [5e-324, 1e-300, 1e300, 1e305],
+        ])
+        worst = max(_ulps_off(log_gamma(float(x)), mpmath.loggamma(mpmath.mpf(float(x)))) for x in xs)
+        assert worst <= 8.0
+
+    def test_past_the_float_range_is_inf(self):
+        # log Gamma(x) passes the largest float near x = 2.6e305
+        for x in (1e306, 1.7976931348623157e308, math.inf):
+            assert log_gamma(x) == math.inf
+
+
+# integers on both sides of the table bound, half-integers, and the extremes
+_GRID_ELEMENTS = st.one_of(
+    st.integers(1, 3 * _TABLE_SIZE).map(float),
+    st.integers(0, 3 * _TABLE_SIZE).map(lambda k: k + 0.5),
+    st.floats(min_value=5e-324, max_value=1e300, allow_nan=False),
+    st.sampled_from([1e-300, 1e300, 1e306, float(_TABLE_SIZE - 1), float(_TABLE_SIZE)]),
+)
+_BAD_ELEMENTS = st.sampled_from([0.0, -0.0, -1.0, -2.5, np.nan, -np.inf])
+
+
+class TestLogGammaGrid:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=_GRID_ELEMENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_bit_for_bit(self, x):
+        got = log_gamma_grid(x)
+        assert got.shape == x.shape
+        want = [log_gamma(float(v)) for v in x.flat]
+        assert [float(v) for v in got.flat] == want
+
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=_GRID_ELEMENTS),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_point_in_c_order_raises(self, x, data):
+        for _ in range(data.draw(st.integers(1, 3))):
+            x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(_BAD_ELEMENTS)
+        with pytest.raises(ValueError) as scalar:
+            [log_gamma(float(v)) for v in x.flat]
+        with pytest.raises(ValueError) as grid:
+            log_gamma_grid(x)
+        assert str(grid.value) == str(scalar.value)
+
+    def test_zero_dimensional(self):
+        assert float(log_gamma_grid(np.asarray(3.5))) == log_gamma(3.5)
+
+
+class TestRegularizedGammaP:
+    """P(a, x) = 1 - Q(a, x) from the continued fraction, where the 1F1 closed form uses it."""
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 0.5, 1.0, 2.5, 9.99, 10.0, 37.0, 1e3, 1e5, 1e6])
+    @pytest.mark.parametrize("offset", [1.0, 1.5, 3.0, 10.0])
+    def test_against_high_precision(self, a, offset):
+        # x = a + 1 and then offset standard deviations past the mean a
+        x = a + 1.0 if offset == 1.0 else a + offset * max(1.0, math.sqrt(a))
+        q = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x), mpmath.inf, regularized=True)
+        got = 1.0 - _upper_gamma_q(a, x)
+        assert abs(got - (1 - q)) <= 1e-13 * (1 - q)
+        # Q itself to a relative 1e-14 per unit of x - a, where it is a normal float
+        if q > 1e-300:
+            assert abs(_upper_gamma_q(a, x) - q) <= 1e-14 * (1.0 + x - a) * q
+
+
+    @pytest.mark.parametrize("sigmas", [0.0, 0.3, 1.0, 3.0])
+    def test_normal_limit_takes_over_within_its_bound(self, sigmas, monkeypatch):
+        # at a = 1e10 the normal limit and the fraction differ by about the
+        # next term of the uniform expansion, at most 1/(3 sqrt(2 pi a))
+        # = 0.133/sqrt(a) plus terms of order 1/a
+        a = special._NORMAL_FROM
+        x = a + max(1.0, sigmas * math.sqrt(a))
+        limit = _upper_gamma_q(a, x)
+        monkeypatch.setattr(special, "_NORMAL_FROM", math.inf)
+        assert abs(_upper_gamma_q(a, x) - limit) <= 0.14 / math.sqrt(a)
 
 
 class TestPochhammer:
@@ -215,6 +308,11 @@ class TestLogValue:
     def test_mul_matches_float(self, x, y):
         prod = LogValue.from_value(x) * LogValue.from_value(y)
         assert prod.value == pytest.approx(x * y, rel=1e-12)
+
+    def test_rel_diff_past_the_float_range_is_inf(self):
+        assert LogValue(800.0).rel_diff(LogValue(0.0)) == math.inf
+        assert LogValue(0.0).rel_diff(LogValue(800.0)) == 1.0
+        assert LogValue(1.0).rel_diff(LogValue(0.0)) == math.expm1(1.0)
 
     def test_lower_regularized_bounds(self):
         # P(a, x) = gamma(a, x) / Gamma(a) lies in [0, 1] on both sides of the x = b switch
