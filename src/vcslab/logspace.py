@@ -97,14 +97,23 @@ class LogValue:
 
     def rel_diff(self, other: "LogValue") -> float:
         """Relative difference |self - other| / |other| without leaving log scale."""
-        if other.sign == 0:
-            return 0.0 if self.sign == 0 else float("inf")
-        if self.sign == 0:
-            return 1.0
-        if self.sign != other.sign:
+        if self.sign * other.sign == -1:
             return float("inf")
-        try:
-            return abs(math.expm1(self.log_abs - other.log_abs))
-        except OverflowError:
-            return float("inf")
+        return rel_diff_from_logs(self.log_abs, other.log_abs)
+
+
+def rel_diff_from_logs(log_a: float, log_b: float) -> float:
+    """|a - b| / |b| for a, b >= 0 given by their logs (-inf for zero).
+
+    The same float as LogValue.exp(log_a).rel_diff(LogValue.exp(log_b)),
+    without building either LogValue; inf past the expm1 range.
+    """
+    if log_b == float("-inf"):
+        return 0.0 if log_a == float("-inf") else float("inf")
+    if log_a == float("-inf"):
+        return 1.0
+    try:
+        return abs(math.expm1(log_a - log_b))
+    except OverflowError:
+        return float("inf")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frequencies import FrequencyConfig
-from .logspace import LogValue
+from .logspace import LogValue, rel_diff_from_logs
 from .quadrature import combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
@@ -400,7 +400,7 @@ def verify_moments(
         combine_routes(integrals[i], log_direct, context=f"({density.spec_id})")
     targets = compiled.log_target_grid(_columns(points)).tolist()
     residuals = [
-        (",".join(map(str, n)), LogValue.exp(i).rel_diff(LogValue.exp(t)))
+        (",".join(map(str, n)), rel_diff_from_logs(i, t))
         for n, i, t in zip(points, integrals, targets)
     ]
     return make_report(

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .frequencies import FrequencyConfig
-from .logspace import LogValue
+from .logspace import rel_diff_from_logs
 from .moments import _columns, _log_moments, density_for
 from .report import VerificationReport
 from .structure import ClassSpec
@@ -132,7 +132,7 @@ def resolution_residual(
     diagonal = _log_moments(compiled, density, basis).tolist()
     targets = compiled.log_target_grid(_columns(basis)).tolist()
     residuals = [
-        ("G[" + ",".join(map(str, m)) + "]", LogValue.exp(i).rel_diff(LogValue.exp(t)))
+        ("G[" + ",".join(map(str, m)) + "]", rel_diff_from_logs(i, t))
         for m, i, t in zip(basis, diagonal, targets)
     ]
     # off-diagonal entries: certified zero unless the rule aliases

@@ -18,9 +18,10 @@ import numpy as np
 
 from .logspace import LogValue
 
-# integer arguments below this come from the table
+# integer arguments up to this come from the table
 _TABLE_SIZE = 1024
-_LOG_GAMMA_INT = np.array([math.inf] + [math.lgamma(k) for k in range(1, _TABLE_SIZE)])
+# log Gamma(k) at k = 0 .. _TABLE_SIZE; entry 0 only stands in for x < 1
+_LOG_GAMMA_INT = np.array([math.inf] + [math.lgamma(k) for k in range(1, _TABLE_SIZE + 1)])
 
 
 def log_gamma(x: float) -> float:
@@ -40,19 +41,20 @@ def log_gamma_grid(x: np.ndarray) -> np.ndarray:
     ValueError, as a scalar scan in that order would.
     """
     x = np.asarray(x, dtype=float)
-    bad = ~(x > 0.0)
-    if bad.any():
+    if not (x > 0.0).all():
+        bad = ~(x > 0.0)
         raise ValueError(f"log_gamma requires x > 0, got {float(x.flat[np.argmax(bad)])}")
-    out = np.empty(x.shape)
-    tabled = (x < _TABLE_SIZE) & (x == np.floor(x))
-    out[tabled] = _LOG_GAMMA_INT[x[tabled].astype(np.intp)]
-    rest = ~tabled
-    values = x[rest].tolist()
-    try:
-        out[rest] = [math.lgamma(v) for v in values]
-    except OverflowError:
-        out[rest] = [log_gamma(v) for v in values]
-    return out
+    flat = x.ravel()
+    k = np.minimum(flat, _TABLE_SIZE).astype(np.intp)
+    out = _LOG_GAMMA_INT[k]
+    rest = np.flatnonzero(k != flat)
+    if rest.size:
+        values = flat[rest].tolist()
+        try:
+            out[rest] = np.fromiter(map(math.lgamma, values), float, len(values))
+        except OverflowError:
+            out[rest] = [log_gamma(v) for v in values]
+    return out.reshape(x.shape)
 
 
 # the continued fraction stops once a step changes it by less than this

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vcslab import special
-from vcslab.logspace import LogValue, logsumexp
+from vcslab.logspace import LogValue, logsumexp, rel_diff_from_logs
 from vcslab.special import _TABLE_SIZE, _upper_gamma_q, hyp1f1_one_closed, log_gamma, log_gamma_grid
 
 mpmath.mp.dps = 40
@@ -313,6 +313,16 @@ class TestLogValue:
         assert LogValue(800.0).rel_diff(LogValue(0.0)) == math.inf
         assert LogValue(0.0).rel_diff(LogValue(800.0)) == 1.0
         assert LogValue(1.0).rel_diff(LogValue(0.0)) == math.expm1(1.0)
+
+    def test_rel_diff_from_logs_cases(self):
+        ninf = -math.inf
+        assert rel_diff_from_logs(ninf, ninf) == 0.0
+        assert rel_diff_from_logs(2.0, ninf) == math.inf
+        assert rel_diff_from_logs(ninf, 2.0) == 1.0
+        assert rel_diff_from_logs(800.0, 0.0) == math.inf
+        assert rel_diff_from_logs(0.5, 2.0) == abs(math.expm1(-1.5))
+        assert LogValue(0.5, -1).rel_diff(LogValue(0.5, 1)) == math.inf
+        assert LogValue(0.5, -1).rel_diff(LogValue(2.0, -1)) == abs(math.expm1(-1.5))
 
     def test_lower_regularized_bounds(self):
         # P(a, x) = gamma(a, x) / Gamma(a) lies in [0, 1] on both sides of the x = b switch
