@@ -2,7 +2,7 @@
 
 Both rest on the standard library, so importing vcslab loads no scipy.
 `log_gamma` is `math.lgamma` behind a domain check.  `log_gamma_grid`
-is the same function over an array: integers below `_TABLE_SIZE` come
+is the same function over an array: integers up to `_TABLE_SIZE` come
 from a table of `math.lgamma` values, every other element from
 `math.lgamma` itself, so scalar and grid terms agree bit for bit.
 The regularized incomplete gamma P(a, x) that the 1F1 closed form needs
