@@ -10,6 +10,7 @@ loudly.
 """
 
 from vcslab import FrequencyConfig, density_for, get, moment_integral, moment_target, verify_moments
+from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import nonuniqueness_partner, solve_generalized
 
 cfg = FrequencyConfig((1.0, 2.0))
@@ -25,7 +26,7 @@ print("\n== moment identities, a few indices ==")
 for n in [(0,), (3,), (7,), (15,)]:
     val = moment_integral(spec, cfg, (2,), n, density=rho)
     tgt = moment_target(spec, cfg, (2,), n)
-    print(f" n1={n[0]:>2d}: integral/target - 1 = {val.rel_diff(tgt):+.2e}")
+    print(f" n1={n[0]:>2d}: integral/target - 1 = {rel_diff_from_logs(val, tgt):+.2e}")
 
 print("\n== full verification report ==")
 rep = verify_moments(spec, cfg, (2,), n_range=20)

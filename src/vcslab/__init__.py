@@ -12,11 +12,9 @@ from .convergence import (
     class_verdict,
     comparison_check,
     gamma_ratio_surface,
-    ratio_test_double,
     row_column_check,
 )
 from .frequencies import FrequencyConfig
-from .logspace import LogValue
 from .moments import (
     MeasureDensity,
     density_for,

@@ -77,9 +77,10 @@ class RunConfig:
         if "fixed" in raw:
             cfg.fixed = {int(k): int(v) for k, v in raw["fixed"].items()}
         if "kappa" in raw:
-            cfg.kappa_overrides = {
-                (int(k[0]), int(k[1])): float(v) for k, v in raw["kappa"].items()
-            }
+            try:
+                cfg.kappa_overrides = {_kappa_key(k): float(v) for k, v in raw["kappa"].items()}
+            except ValueError:
+                raise UsageError(f"kappa expects {{\"ij\": V}}, got {raw['kappa']!r}")
         return cfg
 
     def validate(self):
@@ -92,9 +93,17 @@ class RunConfig:
             raise UsageError("tolerances must be positive")
         if not isinstance(self.nmax, int) or self.nmax < 0:
             raise UsageError(f"nmax must be a non-negative integer, got {self.nmax!r}")
+        bad_fixed = sorted(f"n{k}" for k in self.fixed if k not in (1, 2, 3))
+        if bad_fixed:
+            raise UsageError(f"fixed indices name a tower in 1-3, got {bad_fixed}")
         negative = {f"n{k}": v for k, v in sorted(self.fixed.items()) if v < 0}
         if negative:
             raise UsageError(f"fixed indices must be non-negative, got {negative}")
+        bad_pairs = sorted(
+            f"{i}{j}" for i, j in self.kappa_overrides if i == j or not {i, j} <= {1, 2, 3}
+        )
+        if bad_pairs:
+            raise UsageError(f"kappa keys name two distinct towers in 1-3, got {bad_pairs}")
         bad_kappa = {
             f"{i}{j}": v
             for (i, j), v in sorted(self.kappa_overrides.items())
@@ -317,15 +326,21 @@ def _parse_fixed(items) -> dict[int, int]:
     return out
 
 
+def _kappa_key(key: str) -> tuple[int, int]:
+    """The tower pair (i, j) of a kappa key "ij" or "i,j": exactly two digits."""
+    key = key.replace(",", "")
+    if len(key) != 2:
+        raise ValueError(key)
+    return int(key[0]), int(key[1])
+
+
 def _parse_kappa(items) -> dict[tuple[int, int], float]:
     out = {}
     for item in items or []:
         try:
             key, val = item.split("=")
-            key = key.replace(",", "")
-            i, j = int(key[0]), int(key[1])
-            out[(i, j)] = float(val)
-        except (ValueError, IndexError):
+            out[_kappa_key(key)] = float(val)
+        except ValueError:
             raise UsageError(f"--kappa expects ij=V, got {item!r}")
     return out
 

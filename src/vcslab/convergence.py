@@ -31,6 +31,8 @@ _PROBE_DEPTH = 256
 # comparison_check's window: the first index per axis, and its width
 _COMPARISON_START = (2, 2)
 _COMPARISON_DEPTH = 24
+# the small values at which the rows/columns scan holds the other indices
+_OTHERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -46,62 +48,6 @@ class Verdict:
     @property
     def divergent(self) -> bool:
         return self.status == "divergent"
-
-
-class _SeriesStructure:
-    """Structural view a ratio engine needs: weights and Gamma slopes.
-
-    log_term_grid(shape, start) gives the log terms on an index window,
-    as `TermGenerator.log_term_grid` does.
-    """
-
-    def __init__(self, log_weights, factors, log_term_grid, n_axes):
-        self.log_weights = tuple(log_weights)
-        self.factors = tuple(factors)  # (const, slopes per axis)
-        self.log_term_grid = log_term_grid
-        self.n_axes = n_axes
-
-
-def structure_of(gen: TermGenerator) -> _SeriesStructure:
-    n_axes = len(gen.axes)
-    return _SeriesStructure(
-        [gen.log_weight(k) for k in range(n_axes)],
-        gen.gamma_factors(),
-        gen.log_term_grid,
-        n_axes,
-    )
-
-
-def exponential_reference(gen: TermGenerator) -> _SeriesStructure:
-    """Double-exponential majorant: same weights, one n_k! per axis.
-
-    Every Gamma factor of the term is stripped and a plain factorial
-    n_k! is installed on each summed axis.  With Gamma(g + n) >= n! this
-    is the termwise majorant of the comparison test.
-    """
-    base = structure_of(gen)
-    towers = gen.compiled.towers
-
-    def log_term_grid(shape, start, terms=None):
-        # terms: gen's own log terms on this window, if the caller has them
-        lt = base.log_term_grid(shape, start) if terms is None else terms
-        grids = gen.compiled.window(shape, start)
-        live = lt != float("-inf")
-        args = [ct.gamma_arg.on_grid(grids) for ct in towers]
-        args += [g + 1.0 for g in grids]
-        # a vanished term takes no further factor
-        log_gammas = log_gamma_grid(np.stack([np.where(live, a, 1.0) for a in args], axis=-1))
-        for i, ct in enumerate(towers):
-            lt = lt + (log_gammas[..., i] - ct.log_gamma_norm)
-        for j in range(len(towers), len(args)):
-            lt = lt - log_gammas[..., j]
-        return np.where(live, lt, -np.inf)
-
-    factors = [
-        (1.0, tuple(1.0 if j == k else 0.0 for j in range(base.n_axes)))
-        for k in range(base.n_axes)
-    ]
-    return _SeriesStructure(base.log_weights, factors, log_term_grid, base.n_axes)
 
 
 # -- asymptotic ratio engine ------------------------------------------
@@ -131,12 +77,16 @@ def _log_arg_at(c: float, slopes, axis: int, ln_depth: float, others: dict[int, 
     return out
 
 
-def _log_ratio_at(struct: _SeriesStructure, axis: int, ln_depth: float, others=None) -> float:
-    lw = struct.log_weights[axis]
+def _log_ratio_at(log_weights, factors, axis: int, ln_depth: float, others=None) -> float:
+    """log of the term ratio along axis: the axis weight over each Gamma factor's step.
+
+    factors holds (constant, per-axis slopes) of every Gamma argument.
+    """
+    lw = log_weights[axis]
     if lw == float("-inf"):
         return float("-inf")
     out = lw
-    for c, slopes in struct.factors:
+    for c, slopes in factors:
         s = slopes[axis]
         if s == 0.0:
             continue
@@ -154,9 +104,9 @@ _DEPTHS = [math.log(48.0), math.log(192.0), math.log(768.0)] + [
 ]
 
 
-def _decide_axis(struct: _SeriesStructure, axis: int, others=None) -> tuple[str, str]:
+def _decide_axis(log_weights, factors, axis: int, others=None) -> tuple[str, str]:
     """(status, witness) for the term ratio along one axis."""
-    vals = [_log_ratio_at(struct, axis, L, others) for L in _DEPTHS]
+    vals = [_log_ratio_at(log_weights, factors, axis, L, others) for L in _DEPTHS]
     if all(v == float("-inf") for v in vals):
         return "convergent", f"axis {axis}: terms vanish (zero weight)"
     spread = max(vals) - min(vals)
@@ -189,18 +139,28 @@ def _ratio_text(log_ratio: float) -> str:
         return f"exp({log_ratio:.6g})"
 
 
+def _rows_columns(log_weights, factors, axis: int) -> list[tuple[str, str]]:
+    """_decide_axis along axis with every other index at each value of _OTHERS."""
+    return [
+        _decide_axis(log_weights, factors, axis, {j: v for j in range(len(log_weights)) if j != axis})
+        for v in _OTHERS
+    ]
+
+
+def _log_weights(gen: TermGenerator) -> list[float]:
+    return [gen.log_weight(k) for k in range(len(gen.axes))]
+
+
 def row_column_check(gen: TermGenerator) -> dict[int, Verdict]:
     """Per-axis ratio verdicts with the other indices held fixed."""
-    struct = structure_of(gen)
+    log_weights = _log_weights(gen)
+    factors = gen.gamma_factors()
+    n_axes = len(log_weights)
     out = {}
-    for k in range(struct.n_axes):
-        statuses = []
-        notes = []
-        for v in (0, 1, 2):
-            others = {j: v for j in range(struct.n_axes) if j != k}
-            s, w = _decide_axis(struct, k, others)
-            statuses.append(s)
-            notes.append(w + f" [others={v}]")
+    for k in range(n_axes):
+        decisions = _rows_columns(log_weights, factors, k)
+        statuses = [s for s, _ in decisions]
+        notes = [w + f" [others={v}]" for v, (_, w) in zip(_OTHERS, decisions)]
         if all(s == "convergent" for s in statuses):
             status = "convergent"
         elif any(s == "divergent" for s in statuses):
@@ -209,9 +169,11 @@ def row_column_check(gen: TermGenerator) -> dict[int, Verdict]:
             status = "inconclusive"
         # numeric cross-check of the structural ratio inside the exact zone
         d = _PROBE_DEPTH
-        probe = tuple(d if j == k else 2 for j in range(struct.n_axes))
+        probe = tuple(d if j == k else 2 for j in range(n_axes))
         exact = gen.log_term(_step(probe, k)) - gen.log_term(probe)
-        modeled = _log_ratio_at(struct, k, math.log(float(d)), {j: 2 for j in range(struct.n_axes) if j != k})
+        modeled = _log_ratio_at(
+            log_weights, factors, k, math.log(float(d)), {j: 2 for j in range(n_axes) if j != k}
+        )
         if math.isfinite(exact) and math.isfinite(modeled) and abs(exact - modeled) > 5e-2:
             status = "inconclusive"
             notes.append(f"structural ratio mismatch exact={exact:.3g} model={modeled:.3g}")
@@ -223,14 +185,36 @@ def _step(n: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(v + (1 if j == k else 0) for j, v in enumerate(n))
 
 
+def _majorant_grid(gen: TermGenerator, terms, shape, start):
+    """Log terms of the double-exponential majorant on an index window.
+
+    The majorant has gen's weights, with every Gamma factor stripped and
+    a plain factorial n_k! installed on each summed axis; with
+    Gamma(g + n) >= n! it dominates gen termwise.  terms are gen's own
+    log terms on the window.
+    """
+    towers = gen.compiled.towers
+    grids = gen.compiled.window(shape, start)
+    live = terms != float("-inf")
+    args = [ct.gamma_arg.on_grid(grids) for ct in towers]
+    args += [g + 1.0 for g in grids]
+    # a vanished term takes no further factor
+    log_gammas = log_gamma_grid(np.stack([np.where(live, a, 1.0) for a in args], axis=-1))
+    lt = terms
+    for i, ct in enumerate(towers):
+        lt = lt + (log_gammas[..., i] - ct.log_gamma_norm)
+    for j in range(len(towers), len(args)):
+        lt = lt - log_gammas[..., j]
+    return np.where(live, lt, -np.inf)
+
+
 def comparison_check(gen: TermGenerator) -> Verdict:
     """Termwise-domination test against the double-exponential majorant."""
-    struct = structure_of(gen)
-    ref = exponential_reference(gen)
-    k0 = _COMPARISON_START[: struct.n_axes]
-    shape = (_COMPARISON_DEPTH,) * len(k0)
-    a = struct.log_term_grid(shape, k0)
-    b = ref.log_term_grid(shape, k0, a)
+    n_axes = len(gen.axes)
+    k0 = _COMPARISON_START[:n_axes]
+    shape = (_COMPARISON_DEPTH,) * n_axes
+    a = gen.log_term_grid(shape, k0)
+    b = _majorant_grid(gen, a, shape, k0)
     fails = a > b + 1e-12
     if fails.any():
         at = np.unravel_index(int(np.argmax(fails)), shape)  # first in product order
@@ -239,7 +223,9 @@ def comparison_check(gen: TermGenerator) -> Verdict:
             "inconclusive",
             f"domination fails first at {n}: log a={float(a[at]):.6g} > log b={float(b[at]):.6g}",
         )
-    ref_verdict = _ratio_decision(ref)
+    # the majorant's Gamma factors: one n_k! per axis
+    factorials = [(1.0, tuple(1.0 if j == k else 0.0 for j in range(n_axes))) for k in range(n_axes)]
+    ref_verdict = _ratio_decision(_log_weights(gen), factorials)
     if ref_verdict.convergent:
         return Verdict(
             "convergent",
@@ -248,18 +234,12 @@ def comparison_check(gen: TermGenerator) -> Verdict:
     return Verdict("inconclusive", f"majorant not certified convergent: {ref_verdict.witness}")
 
 
-def _ratio_decision(struct: _SeriesStructure) -> Verdict:
+def _ratio_decision(log_weights, factors) -> Verdict:
     """Full ratio-test decision (rows/columns plus joint limit)."""
-    per_axis = []
-    for k in range(struct.n_axes):
-        statuses = []
-        for v in (0, 1, 2):
-            others = {j: v for j in range(struct.n_axes) if j != k}
-            s, _ = _decide_axis(struct, k, others)
-            statuses.append(s)
-        per_axis.append(statuses)
+    n_axes = len(log_weights)
+    per_axis = [[s for s, _ in _rows_columns(log_weights, factors, k)] for k in range(n_axes)]
     rows_cols_ok = all(all(s == "convergent" for s in sts) for sts in per_axis)
-    joint = [_decide_axis(struct, k, None) for k in range(struct.n_axes)]
+    joint = [_decide_axis(log_weights, factors, k, None) for k in range(n_axes)]
     if any(s == "divergent" for s, _ in joint):
         return Verdict("divergent", "; ".join(w for s, w in joint if s == "divergent"))
     if any(all(s == "divergent" for s in sts) for sts in per_axis):
@@ -270,10 +250,6 @@ def _ratio_decision(struct: _SeriesStructure) -> Verdict:
             "rows/columns convergent; " + "; ".join(w for s, w in joint if s == "convergent"),
         )
     return Verdict("inconclusive", "; ".join(w for _, w in joint))
-
-
-def ratio_test_double(gen: TermGenerator) -> Verdict:
-    return _ratio_decision(structure_of(gen))
 
 
 def required_positive_ratios(spec: ClassSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -327,7 +303,7 @@ def class_verdict(
     if comp.convergent:
         return Verdict("convergent", f"comparison test: {comp.witness}", conditions)
 
-    ratio = ratio_test_double(gen)
+    ratio = _ratio_decision(_log_weights(gen), gen.gamma_factors())
     if ratio.status != "inconclusive":
         return Verdict(ratio.status, f"ratio test: {ratio.witness}", conditions)
 

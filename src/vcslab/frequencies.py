@@ -29,6 +29,8 @@ class FrequencyConfig:
             raise ValueError("FrequencyConfig supports 2 or 3 towers")
         if any(not (w > 0.0) or not math.isfinite(w) for w in omegas):
             raise ValueError(f"every frequency must be positive and finite: {omegas}")
+        if any(not 0.0 < wj / wi < math.inf for wi in omegas for wj in omegas):
+            raise ValueError(f"every frequency ratio must be positive and finite: {omegas}")
         shifts = tuple(float(a) for a in self.shifts) if self.shifts else (0.0,) * len(omegas)
         if len(shifts) != len(omegas):
             raise ValueError("one shift per tower required")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frequencies import FrequencyConfig
-from .logspace import LogValue, rel_diff_from_logs
+from .logspace import rel_diff_from_logs
 from .quadrature import combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
@@ -342,11 +342,11 @@ def _columns(points) -> list[np.ndarray]:
     return list(np.asarray(points, dtype=float).T)
 
 
-def moment_target(spec: ClassSpec, config: FrequencyConfig, fixed, n) -> LogValue:
-    """Product of the factorial targets R_t(n)."""
+def moment_target(spec: ClassSpec, config: FrequencyConfig, fixed, n) -> float:
+    """log of the product of the factorial targets R_t(n)."""
     compiled = spec.compile(config, fixed)
     compiled.check(n)
-    return LogValue.exp(compiled.log_target(n))
+    return compiled.log_target(n)
 
 
 def moment_integral(
@@ -355,12 +355,12 @@ def moment_integral(
     fixed,
     n,
     density: MeasureDensity | None = None,
-) -> LogValue:
-    """The radial moment integral at summed multi-index n."""
+) -> float:
+    """log of the radial moment integral at summed multi-index n."""
     density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed)
     compiled.check(n)
-    return LogValue.exp(float(_log_moments(compiled, density, [n])[0]))
+    return float(_log_moments(compiled, density, [n])[0])
 
 
 def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:

@@ -320,7 +320,7 @@ def norm_closed_form(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult |
         if own and slope == 1.0:
             # sum_n x^n Gamma(b)/Gamma(b+n) = 1F1(1;b;x); the n = 0 term
             # is already inside the origin term
-            log_norm += x if const == 1.0 else hyp1f1_one_closed(const, x).log_abs
+            log_norm += x if const == 1.0 else hyp1f1_one_closed(const, x)
             trunc.append(0)
         else:
             # Gamma argument climbs with ratio slope: certified 1d sum of

@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .logspace import LogValue
-
 # integer arguments up to this come from the table
 _TABLE_SIZE = 1024
 # log Gamma(k) at k = 0 .. _TABLE_SIZE; entry 0 only stands in for x < 1
@@ -126,8 +124,8 @@ def _log_q_prefactor(a: float, x: float) -> float:
     return a * math.log1p(d / a) - d + 0.5 * math.log(a / (2.0 * math.pi)) - mu
 
 
-def hyp1f1_one_closed(b: float, x: float) -> LogValue:
-    """1F1(1;b;x) = sum_k x^k / (b)_k for b >= 1, x >= 0.
+def hyp1f1_one_closed(b: float, x: float) -> float:
+    """log 1F1(1;b;x), where 1F1(1;b;x) = sum_k x^k / (b)_k for b >= 1, x >= 0.
 
     Below x = b the terms fall monotonically from the first, so they are
     summed directly.  From x = b on the sum is taken from
@@ -139,9 +137,9 @@ def hyp1f1_one_closed(b: float, x: float) -> LogValue:
     if not x >= 0.0:
         raise ValueError("hyp1f1_one_closed requires x >= 0")
     if x == 0.0:
-        return LogValue.one()
+        return 0.0
     if b == 1.0:
-        return LogValue.exp(x)
+        return x
     if x < b:
         term = 1.0
         total = 1.0
@@ -150,6 +148,6 @@ def hyp1f1_one_closed(b: float, x: float) -> LogValue:
             term *= x / (b + k)
             total += term
             k += 1
-        return LogValue.from_value(total)
+        return math.log(total)
     log_p = math.log1p(-_upper_gamma_q(b - 1.0, x))
-    return LogValue.exp(x + (1.0 - b) * math.log(x) + log_gamma(b) + log_p)
+    return x + (1.0 - b) * math.log(x) + log_gamma(b) + log_p

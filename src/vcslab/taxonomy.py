@@ -26,6 +26,8 @@ from .special import log_gamma
 from .structure import ClassSpec, LinForm, SpecError
 
 _SWAP = {1: 2, 2: 1}
+# verify_factor compares the coefficients at summed indices 0 .. _N_PROBE - 1
+_N_PROBE = 8
 
 
 # -- factor relations --------------------------------------------------
@@ -124,7 +126,6 @@ def verify_factor(
     relation: FactorRelation,
     config: FrequencyConfig,
     fixed_value: int = 2,
-    n_probe: int = 8,
 ) -> VerificationReport:
     """Check b-coefficients = factor * a-coefficients, independent of the sum index.
 
@@ -139,7 +140,7 @@ def verify_factor(
     gen_a = term_generator(spec_a, config, [z[t] for t in spec_a.tower_ids], (fixed_value,))
     gen_b = term_generator(spec_b, config, [z[t] for t in spec_b.tower_ids], (fixed_value,))
     ratios = []
-    for n in range(n_probe):
+    for n in range(_N_PROBE):
         log_a = 0.5 * gen_a.log_term((n,)) + 1j * gen_a.phase((n,))
         log_b = 0.5 * gen_b.log_term((n,)) + 1j * gen_b.phase((n,))
         ratios.append(log_b - log_a)
@@ -297,8 +298,6 @@ def deformation_graph(dimension: int, dof: int) -> tuple[DeformationEdge, ...]:
     for spec in registry():
         if spec.dimension != dimension or spec.dof != dof:
             continue
-        if dimension == 3 and spec.dof != dof:
-            continue
         for pair in sorted(spec.ratios_used()):
             rev = (pair[1], pair[0])
             if rev in spec.ratios_used():
@@ -400,8 +399,6 @@ def collapse_to_classes(edges: list[DeformationEdge]) -> list[DeformationEdge]:
 
 
 # -- class counting ----------------------------------------------------
-
-_FORM_TOKENS = ("plain", "own1", "own2", "both")  # per-tower dependence pattern
 
 
 def _pair_orbits_case12() -> list[frozenset]:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 
+from child_env import src_env
 from vcslab.convergence import class_verdict, gamma_ratio_surface
 from vcslab.frequencies import FrequencyConfig
 from vcslab.moments import verify_moments
@@ -214,7 +215,9 @@ class TestCriterion7Determinism:
         payloads = []
         for run in ("1", "2"):
             out = tmp_path / f"report-{run}.json"
-            proc = subprocess.run(args + ["--out", str(out)], capture_output=True, text=True)
+            proc = subprocess.run(
+                args + ["--out", str(out)], capture_output=True, text=True, env=src_env()
+            )
             assert proc.returncode == 0, proc.stderr
             payloads.append(out.read_bytes())
         ok = payloads[0] == payloads[1]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from child_env import src_env
 from vcslab import moments
 from vcslab.cli import main
 from vcslab.structure import ClassSpec
@@ -12,7 +13,7 @@ RUN = [sys.executable, "-m", "vcslab.cli"]
 
 
 def run_cli(args):
-    return subprocess.run(RUN + args, capture_output=True, text=True)
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=src_env())
 
 
 # the address-space limit applies to the child process only
@@ -26,7 +27,8 @@ UNDER_2GB = (
 
 def run_cli_under_2gb(args):
     return subprocess.run(
-        [sys.executable, "-c", UNDER_2GB, *args], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", UNDER_2GB, *args],
+        capture_output=True, text=True, timeout=120, env=src_env(),
     )
 
 
@@ -240,6 +242,14 @@ class TestVerify:
         ["--z-grid", "nan"],
         ["--z-grid", "0"],
         ["--z-grid", "-1"],
+        # frequency ratios past the float range
+        ["--omega", "1e300,1e-300"],
+        ["--omega", "1e300,1e-300,1"],
+        # kappa and fixed keys that name no tower pair or tower
+        ["--kappa", "123=0.5"],
+        ["--kappa", "11=0.5"],
+        ["--kappa", "45=0.5"],
+        ["--fixed", "n7=3"],
     ])
     def test_invalid_input_exits_2_with_one_line(self, args):
         proc = run_cli(["verify", "2d.1dof.gamma1.A", *args])
@@ -255,6 +265,10 @@ class TestVerify:
          {"kappa": {"12": float("inf")}, "checks": ["norm"]}),
         ("2d.1dof.plain1.A", ["--alpha", "nan,0", "--checks", "norm"],
          {"alphas": [float("nan"), 0.0], "checks": ["norm"]}),
+        # keys that name no tower pair or tower were once ignored
+        ("2d.1dof.gamma1.A", ["--kappa", "123=0.5"], {"kappa": {"123": 0.5}}),
+        ("2d.1dof.gamma1.A", ["--kappa", "45=0.5"], {"kappa": {"45": 0.5}}),
+        ("2d.1dof.gamma1.A", ["--fixed", "n7=3"], {"fixed": {"7": 3}}),
     ])
     def test_non_finite_or_negative_parameters_exit_2(self, cid, args, config, tmp_path, capsys):
         # each once ended in a traceback from log_gamma, json or the norm series
@@ -416,7 +430,8 @@ class TestReport:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "r.json")], capture_output=True, text=True
+            [sys.executable, "-c", code, str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

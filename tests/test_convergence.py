@@ -5,11 +5,12 @@ import pytest
 
 from vcslab.convergence import (
     Verdict,
+    _log_weights,
+    _majorant_grid,
+    _ratio_decision,
     class_verdict,
     comparison_check,
-    exponential_reference,
     gamma_ratio_surface,
-    ratio_test_double,
     row_column_check,
 )
 from vcslab.frequencies import FrequencyConfig
@@ -23,6 +24,11 @@ CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
 
 def probe_z(spec, cfg, scale=1.0):
     return tuple(math.sqrt(scale * cfg.omega(t)) for t in spec.tower_ids)
+
+
+def ratio_decision(gen):
+    """The full ratio test on gen's axis weights and Gamma slopes."""
+    return _ratio_decision(_log_weights(gen), gen.gamma_factors())
 
 
 class TestRowColumn:
@@ -68,17 +74,17 @@ class TestRatioTests:
         # synthetic geometric double series through a plain-class generator
         spec = get("3d.2dof.plain-plain")
         slow = term_generator(spec, CFG3, (math.sqrt(0.5), math.sqrt(1.0)), (0,))
-        assert ratio_test_double(slow).convergent
+        assert ratio_decision(slow).convergent
 
     def test_dependent_class_joint_ratio_vanishes(self):
         spec = get("3d.2dof.gamma1-plain3")
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-        v = ratio_test_double(gen)
+        v = ratio_decision(gen)
         assert v.convergent
 
 
 def scalar_majorant(gen):
-    """Per-point log terms of the majorant `exponential_reference` builds on gen."""
+    """Per-point log terms of the majorant `_majorant_grid` builds on gen."""
 
     def log_term(n):
         lt = gen.log_term(n)
@@ -109,7 +115,7 @@ class TestProbeWindows:
             cfg = CFG3 if spec.dimension == 3 else CFG2
             gen = term_generator(spec, cfg, probe_z(spec, cfg, 0.7), (1,) * len(spec.fixed))
             start, shape = ((2, 4), (5, 6)) if len(gen.axes) == 2 else ((2,), (24,))
-            grid = exponential_reference(gen).log_term_grid(shape, start)
+            grid = _majorant_grid(gen, gen.log_term_grid(shape, start), shape, start)
             scalar = scalar_majorant(gen)
             for n in itertools.product(*[range(k, k + s) for k, s in zip(start, shape)]):
                 idx = tuple(v - k for v, k in zip(n, start))
@@ -267,39 +273,20 @@ class TestSpecInvariants:
 
 
 class TestSyntheticGeometric:
-    def _geometric(self, r):
-        # bare double-geometric structure r^(n1+n2): no Gamma factors
-        from vcslab.convergence import _SeriesStructure
-
-        log_r = math.log(r)
-        return _SeriesStructure(
-            [log_r, log_r],
-            [],
-            lambda n: (n[0] + n[1]) * log_r,
-            2,
-        )
-
+    # bare double-geometric weights r^(n1+n2): no Gamma factors
     def test_ratio_two_divergent(self):
-        from vcslab.convergence import _ratio_decision
-
-        v = _ratio_decision(self._geometric(2.0))
+        v = _ratio_decision([math.log(2.0)] * 2, [])
         assert v.divergent
 
     def test_ratio_half_convergent(self):
-        from vcslab.convergence import _ratio_decision
-
-        v = _ratio_decision(self._geometric(0.5))
+        v = _ratio_decision([math.log(0.5)] * 2, [])
         assert v.convergent
 
     def test_ratio_two_witness_prints_the_ratio(self):
-        from vcslab.convergence import _ratio_decision
-
-        assert "constant ratio 2 >= 1" in _ratio_decision(self._geometric(2.0)).witness
+        assert "constant ratio 2 >= 1" in _ratio_decision([math.log(2.0)] * 2, []).witness
 
     def test_ratio_past_the_float_range_is_divergent(self):
-        from vcslab.convergence import _SeriesStructure, _ratio_decision
-
         # the ratio e^800 has no float: the witness carries its log
-        v = _ratio_decision(_SeriesStructure([800.0, 800.0], [], None, 2))
+        v = _ratio_decision([800.0, 800.0], [])
         assert v.divergent
         assert "constant ratio exp(800) >= 1" in v.witness

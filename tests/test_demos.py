@@ -1,13 +1,12 @@
 """Every narrative demo runs to completion against the library in src/."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from child_env import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,7 +16,5 @@ def test_six_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr

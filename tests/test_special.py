@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vcslab import special
-from vcslab.logspace import LogValue, logsumexp, rel_diff_from_logs
+from vcslab.logspace import logsumexp, rel_diff_from_logs
 from vcslab.special import _TABLE_SIZE, _upper_gamma_q, hyp1f1_one_closed, log_gamma, log_gamma_grid
 
 mpmath.mp.dps = 40
@@ -25,7 +25,7 @@ def pochhammer(gamma, n):
 
 
 def hyp1f1_one_series(b, x):
-    """Reference 1F1(1;b;x) by direct summation: (value, relative tail bound)."""
+    """Reference log 1F1(1;b;x) by direct summation: (log value, relative tail bound)."""
     term = 1.0
     total = 1.0
     k = 0
@@ -35,14 +35,14 @@ def hyp1f1_one_series(b, x):
         k += 1
     r = x / (b + k)
     tail = term * r / (1.0 - r) if r < 1.0 else float("inf")
-    return LogValue.from_value(total), tail / total
+    return math.log(total), tail / total
 
 
 def lower_incomplete_gamma(a, x):
-    """gamma(a, x) = x^a e^-x 1F1(1; a+1; x) / a: the 1F1 closed form at b = a + 1."""
+    """log gamma(a, x) = log(x^a e^-x 1F1(1; a+1; x) / a): the 1F1 closed form at b = a + 1."""
     if x == 0.0:
-        return LogValue.zero()
-    return LogValue.exp(a * math.log(x) - x - math.log(a)) * hyp1f1_one_closed(a + 1.0, x)
+        return -math.inf
+    return a * math.log(x) - x - math.log(a) + hyp1f1_one_closed(a + 1.0, x)
 
 
 class TestLogGamma:
@@ -207,15 +207,15 @@ class TestUpperIncompleteGamma:
     def test_exponential_tail(self):
         # Gamma(1, x) = e^-x, so gamma(1, x) = 1 - e^-x
         for x in (0.1, 1.0, 30.0, 200.0):
-            assert lower_incomplete_gamma(1.0, x).value == pytest.approx(-math.expm1(-x), rel=1e-12)
+            assert math.exp(lower_incomplete_gamma(1.0, x)) == pytest.approx(-math.expm1(-x), rel=1e-12)
 
     def test_adaptive_quadrature_oracle(self):
         # Gamma(2,1) = 2/e, so gamma(2,1) = 1 - 2/e, frozen from the quad oracle below
-        assert lower_incomplete_gamma(2.0, 1.0).value == pytest.approx(0.2642411176571153, rel=1e-12)
+        assert math.exp(lower_incomplete_gamma(2.0, 1.0)) == pytest.approx(0.2642411176571153, rel=1e-12)
         from scipy.integrate import quad
 
         val, _ = quad(lambda t: t * math.exp(-t), 0.0, 1.0)
-        assert lower_incomplete_gamma(2.0, 1.0).value == pytest.approx(val, rel=1e-10)
+        assert math.exp(lower_incomplete_gamma(2.0, 1.0)) == pytest.approx(val, rel=1e-10)
 
     @pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 7.5, 23.0, 50.0])
     @pytest.mark.parametrize("x", [0.0, 0.4, 1.0, 6.0, 24.0, 80.0, 200.0])
@@ -224,34 +224,34 @@ class TestUpperIncompleteGamma:
         got = lower_incomplete_gamma(a, x)
         exact = mpmath.gammainc(a_mp, 0, x_mp)
         if x == 0.0:
-            assert got.sign == 0
+            assert got == -math.inf
         else:
             log_exact = float(mpmath.log(exact))
-            assert abs(got.log_abs - log_exact) <= 1e-12 * max(1.0, abs(log_exact))
+            assert abs(got - log_exact) <= 1e-12 * max(1.0, abs(log_exact))
         # the split adds back up to Gamma(a) with mpmath's upper part
-        total = float(mpmath.gammainc(a_mp, x_mp)) + got.value
+        total = float(mpmath.gammainc(a_mp, x_mp)) + math.exp(got)
         assert total == pytest.approx(math.exp(log_gamma(a)), rel=1e-12)
 
 
 class TestHyp1F1One:
     def test_collapses_to_exponential(self):
         for x in (0.0, 0.5, 3.0, 25.0):
-            assert hyp1f1_one_closed(1.0, x).log_abs == pytest.approx(x, abs=1e-12 * max(1.0, x))
+            assert hyp1f1_one_closed(1.0, x) == pytest.approx(x, abs=1e-12 * max(1.0, x))
 
     def test_empty_sum(self):
         for b in (1.0, 1.5, 2.0, 40.0):
-            assert hyp1f1_one_closed(b, 0.0).value == 1.0
+            assert hyp1f1_one_closed(b, 0.0) == 0.0
 
     def test_direct_series_oracle(self):
         # 1F1(1;2;x) = (e^x - 1)/x, at x = 1: e - 1
-        assert hyp1f1_one_closed(2.0, 1.0).value == pytest.approx(math.e - 1.0, rel=1e-12)
+        assert math.exp(hyp1f1_one_closed(2.0, 1.0)) == pytest.approx(math.e - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("x", [0.0, 0.01, 0.7, 3.0, 10.0, 25.0])
     def test_series_vs_closed_form_grid(self, b, x):
         series, tail = hyp1f1_one_series(b, x)
         closed = hyp1f1_one_closed(b, x)
-        assert series.rel_diff(closed) <= 1e-9
+        assert rel_diff_from_logs(series, closed) <= 1e-9
         assert tail <= 1e-12
 
     # both sides of the x = b switch, and b = 150, 400 where the closed
@@ -262,7 +262,7 @@ class TestHyp1F1One:
     )
     def test_against_high_precision(self, b, x):
         exact = float(mpmath.log(mpmath.hyp1f1(1, mpmath.mpf(b), mpmath.mpf(x))))
-        got = hyp1f1_one_closed(b, x).log_abs
+        got = hyp1f1_one_closed(b, x)
         assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_domain_errors(self):
@@ -292,43 +292,24 @@ class TestStirlingRatio:
 
 
 class TestLogValue:
-    def test_zero_semantics(self):
-        z = LogValue.zero()
-        assert z.sign == 0 and z.value == 0.0
-        assert (z * LogValue.one()).sign == 0
-
-    def test_composition(self):
-        a = LogValue.from_value(-3.0)
-        b = LogValue.from_value(2.0)
-        assert (a * b).value == pytest.approx(-6.0)
-        assert (a / b).value == pytest.approx(-1.5)
-
-    @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3))
-    @settings(max_examples=100, deadline=None)
-    def test_mul_matches_float(self, x, y):
-        prod = LogValue.from_value(x) * LogValue.from_value(y)
-        assert prod.value == pytest.approx(x * y, rel=1e-12)
-
-    def test_rel_diff_past_the_float_range_is_inf(self):
-        assert LogValue(800.0).rel_diff(LogValue(0.0)) == math.inf
-        assert LogValue(0.0).rel_diff(LogValue(800.0)) == 1.0
-        assert LogValue(1.0).rel_diff(LogValue(0.0)) == math.expm1(1.0)
+    """Values carried as float logs: relative differences and the P(a, x) bounds."""
 
     def test_rel_diff_from_logs_cases(self):
         ninf = -math.inf
         assert rel_diff_from_logs(ninf, ninf) == 0.0
         assert rel_diff_from_logs(2.0, ninf) == math.inf
         assert rel_diff_from_logs(ninf, 2.0) == 1.0
-        assert rel_diff_from_logs(800.0, 0.0) == math.inf
         assert rel_diff_from_logs(0.5, 2.0) == abs(math.expm1(-1.5))
-        assert LogValue(0.5, -1).rel_diff(LogValue(0.5, 1)) == math.inf
-        assert LogValue(0.5, -1).rel_diff(LogValue(2.0, -1)) == abs(math.expm1(-1.5))
+        # past the float range
+        assert rel_diff_from_logs(800.0, 0.0) == math.inf
+        assert rel_diff_from_logs(0.0, 800.0) == 1.0
+        assert rel_diff_from_logs(1.0, 0.0) == math.expm1(1.0)
 
     def test_lower_regularized_bounds(self):
         # P(a, x) = gamma(a, x) / Gamma(a) lies in [0, 1] on both sides of the x = b switch
         for a in (0.5, 3.0, 20.0):
             for x in (0.0, 0.1, a, 10 * a + 5):
-                p = lower_incomplete_gamma(a, x).value / math.exp(log_gamma(a))
+                p = math.exp(lower_incomplete_gamma(a, x)) / math.exp(log_gamma(a))
                 assert -1e-15 <= p <= 1.0 + 1e-15
 
 
