@@ -300,7 +300,8 @@ class TestLogValue:
         assert rel_diff_from_logs(2.0, ninf) == math.inf
         assert rel_diff_from_logs(ninf, 2.0) == 1.0
         assert rel_diff_from_logs(0.5, 2.0) == abs(math.expm1(-1.5))
-        # past the float range
+
+    def test_rel_diff_past_the_float_range_is_inf(self):
         assert rel_diff_from_logs(800.0, 0.0) == math.inf
         assert rel_diff_from_logs(0.0, 800.0) == 1.0
         assert rel_diff_from_logs(1.0, 0.0) == math.expm1(1.0)
