@@ -66,21 +66,28 @@ class RunConfig:
         with open(path) as fh:
             raw = json.load(fh)
         cfg = cls()
-        for key in ("classes", "omegas", "alphas", "z_grid", "nmax", "checks", "out"):
+        # each value converts as the text of its flag would
+        num, whole = (lambda v: float(str(v))), (lambda v: int(str(v)))
+        convert = {
+            "classes": lambda v: [str(x) for x in v],
+            "checks": lambda v: [str(x) for x in v],
+            "omegas": lambda v: [num(x) for x in v],
+            "alphas": lambda v: [num(x) for x in v],
+            "z_grid": lambda v: [num(x) for x in v],
+            "nmax": whole,
+            "out": lambda v: None if v is None else str(v),
+            "tol": lambda v: {**cfg.tol, **{str(k): num(x) for k, x in v.items()}}
+            if isinstance(v, dict) else dict.fromkeys(cfg.tol, num(v)),
+            "fixed": lambda v: {whole(k): whole(x) for k, x in v.items()},
+            "kappa": lambda v: {_kappa_key(k): num(x) for k, x in v.items()},
+        }
+        for key, to_field in convert.items():
             if key in raw:
-                setattr(cfg, key, raw[key])
-        if "tol" in raw:
-            if isinstance(raw["tol"], dict):
-                cfg.tol.update(raw["tol"])
-            else:
-                cfg.tol = {k: float(raw["tol"]) for k in cfg.tol}
-        if "fixed" in raw:
-            cfg.fixed = {int(k): int(v) for k, v in raw["fixed"].items()}
-        if "kappa" in raw:
-            try:
-                cfg.kappa_overrides = {_kappa_key(k): float(v) for k, v in raw["kappa"].items()}
-            except ValueError:
-                raise UsageError(f"kappa expects {{\"ij\": V}}, got {raw['kappa']!r}")
+                try:
+                    value = to_field(raw[key])
+                except (AttributeError, TypeError, ValueError):
+                    raise UsageError(f"config field {key!r} has a value of the wrong type: {raw[key]!r}")
+                setattr(cfg, "kappa_overrides" if key == "kappa" else key, value)
         return cfg
 
     def validate(self):

@@ -35,11 +35,11 @@ class DivergenceError(ArithmeticError):
 
 
 class TailBudgetError(ArithmeticError):
-    """Iteration budget exhausted before the tail certificate was met."""
+    """No tail certificate within the term budget or the float range."""
 
 
-# the largest window, in terms, a 2D norm series may evaluate
-MAX_2D_TERMS = 2**22
+# the largest window, in terms, a norm series may evaluate
+MAX_TERMS = 2**22
 
 
 @dataclass(frozen=True)
@@ -150,117 +150,107 @@ class NormResult:
     flags: tuple[str, ...] = ()
 
 
-def _certified_1d_sum(log_block, rel_tol: float, budget: int = 300_000):
-    """log of sum_n exp(t_n) with a geometric tail certificate.
-
-    log_block(start, count) returns the array t_start .. t_(start+count-1).
-    """
-    block = 64
-    start = 0
-    log_partial = float("-inf")
-    ratio_history: list[float] = []
-    while start < budget:
-        logs = log_block(start, block)
-        log_partial = logsumexp(np.append(logs, log_partial))
-        finite = np.isfinite(logs)
-        if not finite[-8:].any():
-            # weight is exactly zero along this axis beyond some index
-            return log_partial, start + block, 0.0
-        if finite[-4:].all():
-            steps = np.exp(np.diff(logs[-4:]))
-            r = float(steps.max())
-            ratio_history.append(r)
-            if r < 1.0:
-                # a ratio that underflowed to 0 leaves no tail
-                rel = 0.0
-                if r > 0.0:
-                    log_tail = logs[-1] + math.log(r) - math.log1p(-r)
-                    rel = math.exp(log_tail - log_partial)
-                if rel <= rel_tol:
-                    return log_partial, start + block, rel
-            if len(ratio_history) >= 3:
-                a, b, c = ratio_history[-3:]
-                if a >= 1.0 - 1e-12 and b >= a - 1e-12 and c >= b - 1e-12:
-                    raise DivergenceError(
-                        "term ratios at/above 1 and not decreasing: divergent series"
-                    )
-        start += block
-        block = min(2 * block, 8192)
-    raise TailBudgetError("1d tail certificate not achieved within the iteration budget")
-
-
-def _norm_series_1d(gen: TermGenerator, rel_tol: float) -> NormResult:
-    log_norm, cutoff, rel = _certified_1d_sum(
-        lambda start, count: gen.log_term_grid((count,), (start,)), rel_tol
-    )
-    return NormResult(log_norm, (cutoff,), rel, "series")
-
-
 def _frontier_ratio(logs: np.ndarray, prev: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):
+    """Largest term ratio from one window slice to the next.
+
+    Only a term that had already vanished (-inf after -inf: nan) gets
+    ratio 0; a ratio past the float range stays inf.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
         r = np.exp(logs - prev)
-    r = np.where(np.isfinite(r), r, 0.0)
-    return float(r.max()) if r.size else 0.0
+    return float(np.where(np.isnan(r), 0.0, r).max())
 
 
-def _norm_series_2d(gen: TermGenerator, rel_tol: float) -> NormResult:
-    n1, n2 = 16, 16
-    ratio_history: list[float] = []
-    logs = gen.log_term_grid((n1 + 1, n2 + 1))
+def _check_budget_reachable(log_window, ndim: int, axis: int) -> None:
+    """Raise TailBudgetError where no window within MAX_TERMS can be certified along axis.
+
+    Every window holds indices 0..16 on the other axis.  Log-concave terms
+    that do not yet fall past the budget on one of those lines have a
+    frontier ratio >= 1 in every window the budget admits.  Terms that have
+    vanished there, or are nan, decide nothing.
+    """
+    probe = log_window(
+        tuple(2 if k == axis else 17 for k in range(ndim)),
+        tuple(MAX_TERMS if k == axis else 0 for k in range(ndim)),
+    )
+    t0, t1 = np.moveaxis(probe, axis, 0)
+    if np.any((t1 >= t0) & (t0 > -np.inf)):
+        raise TailBudgetError(
+            f"terms do not fall at index {MAX_TERMS} of axis {axis}: "
+            f"no tail certificate within {MAX_TERMS} terms"
+        )
+
+
+def _certified_sum(log_window, ndim: int):
+    """log of the sum of exp(t_n) over n >= 0 in ndim axes, with a geometric tail certificate.
+
+    log_window(shape, start) returns t on the window [start_i, start_i +
+    shape_i) per axis.  The window starts at 17 terms per axis and doubles
+    along the axis whose frontier slice holds more mass, evaluating only the
+    new strip; before it first grows, `_check_budget_reachable` probes past
+    the budget along each axis whose terms still rise.  It is certified once
+    every frontier ratio is below 1 and the geometric tail past the frontier
+    is at most 1e-12 of the sum; the tail assumes terms log-concave along
+    each axis, as they are when every Gamma slope is >= 0.  Returns
+    (log sum, last index per axis, relative tail).
+    """
+    last = [16] * ndim
+    logs = log_window((17,) * ndim, (0,) * ndim)
     while True:
         log_partial = logsumexp(logs)
-        if not math.isfinite(log_partial):
-            raise DivergenceError("window sum is not finite")
-        log_row_mass = logsumexp(logs[n1, :])
-        log_col_mass = logsumexp(logs[:, n2])
-        r1 = _frontier_ratio(logs[n1, :], logs[n1 - 1, :])
-        r2 = _frontier_ratio(logs[:, n2], logs[:, n2 - 1])
-        if r1 < 1.0 and r2 < 1.0:
-            pieces = []
-            # a ratio that underflowed to 0 leaves no tail on its frontier
-            if math.isfinite(log_row_mass) and r1 > 0.0:
-                pieces.append(log_row_mass + math.log(r1) - math.log1p(-r1))
-            if math.isfinite(log_col_mass) and r2 > 0.0:
-                pieces.append(log_col_mass + math.log(r2) - math.log1p(-r2))
-            if math.isfinite(logs[n1, n2]) and r1 > 0.0 and r2 > 0.0:
-                pieces.append(
-                    logs[n1, n2]
-                    + math.log(r1) - math.log1p(-r1)
-                    + math.log(r2) - math.log1p(-r2)
-                )
-            log_tail = logsumexp(pieces) if pieces else float("-inf")
-            rel = math.exp(log_tail - log_partial) if math.isfinite(log_tail) else 0.0
-            if rel <= rel_tol:
-                return NormResult(log_partial, (n1, n2), rel, "series")
-        ratio_history.append(max(r1, r2))
-        if len(ratio_history) >= 3:
-            a, b, c = ratio_history[-3:]
-            if a >= 1.0 - 1e-12 and b >= a - 1e-12 and c >= b - 1e-12:
-                raise DivergenceError(
-                    "frontier ratios at/above 1 and not decreasing: divergent series"
-                )
-        if log_row_mass >= log_col_mass:
-            shape, start, axis = (n1, n2 + 1), (n1 + 1, 0), 0
-            n1 *= 2
-        else:
-            shape, start, axis = (n1 + 1, n2), (0, n2 + 1), 1
-            n2 *= 2
-        if (n1 + 1) * (n2 + 1) > MAX_2D_TERMS:
-            raise TailBudgetError(
-                f"2d tail certificate not achieved within {MAX_2D_TERMS} terms"
-            )
+        if not log_partial < float("inf"):
+            raise TailBudgetError(f"window sum is {log_partial}: no tail certificate")
+        if log_partial == float("-inf"):
+            return log_partial, tuple(last), 0.0
+        masses = [logsumexp(np.take(logs, -1, axis=k)) for k in range(ndim)]
+        ratios = [
+            _frontier_ratio(np.take(logs, -1, axis=k), np.take(logs, -2, axis=k))
+            for k in range(ndim)
+        ]
+        if max(ratios) < 1.0:
+            # each frontier slice, and in 2d the corner past both, times
+            # r / (1 - r) for every axis it lies past
+            gains = [math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf for r in ratios]
+            pieces = [m + g for m, g in zip(masses, gains)]
+            if ndim == 2:
+                pieces.append(logs[-1, -1] + gains[0] + gains[1])
+            rel = math.exp(logsumexp(pieces) - log_partial)
+            if rel <= 1e-12:
+                return log_partial, tuple(last), rel
+        if logs.size == 17**ndim:
+            # log-concave terms that already fall on the first frontier fall
+            # past the budget too; only the others need a probe
+            for k in range(ndim):
+                if ratios[k] >= 1.0:
+                    _check_budget_reachable(log_window, ndim, k)
+        axis = int(np.argmax(masses))
+        strip = [v + 1 for v in last]
+        strip[axis] = last[axis]
+        last[axis] *= 2
+        if math.prod(v + 1 for v in last) > MAX_TERMS:
+            raise TailBudgetError(f"tail certificate not achieved within {MAX_TERMS} terms")
+        start = tuple(strip[k] + 1 if k == axis else 0 for k in range(ndim))
         # the window grows by the new strip only: the old part already
         # passed, so the first bad point in product order lies in the strip
-        logs = np.concatenate([logs, gen.log_term_grid(shape, start)], axis=axis)
+        logs = np.concatenate([logs, log_window(tuple(strip), start)], axis=axis)
 
 
-def norm_series(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult:
-    """Certified evaluation of the squared-coefficient sum."""
-    if len(gen.axes) == 1:
-        return _norm_series_1d(gen, rel_tol)
-    if len(gen.axes) == 2:
-        return _norm_series_2d(gen, rel_tol)
-    raise SpecError("norm_series supports one or two summed indices")
+def norm_series(gen: TermGenerator) -> NormResult:
+    """Certified evaluation of the squared-coefficient sum.
+
+    An axis along which no Gamma argument moves is a geometric series in
+    its weight, so a weight >= 1 there diverges.
+    """
+    ndim = len(gen.axes)
+    if ndim not in (1, 2):
+        raise SpecError("norm_series supports one or two summed indices")
+    for k in range(ndim):
+        if all(slopes[k] == 0.0 for _, slopes in gen.gamma_factors()) and gen.log_weight(k) >= 0.0:
+            raise DivergenceError(
+                f"no Gamma growth along n{gen.axes[k]} and its weight is >= 1: divergent series"
+            )
+    log_norm, last, rel = _certified_sum(gen.log_term_grid, ndim)
+    return NormResult(log_norm, last, rel, "series")
 
 
 def _axis_factor_analysis(gen: TermGenerator):
@@ -282,7 +272,7 @@ def _axis_factor_analysis(gen: TermGenerator):
     return [lst[0] if lst else None for lst in per_axis]
 
 
-def norm_closed_form(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult | None:
+def norm_closed_form(gen: TermGenerator) -> NormResult | None:
     """Factorized/closed evaluation of the norm; None when unavailable.
 
     Never sums the double series: per-axis factors are the exponential,
@@ -327,11 +317,11 @@ def norm_closed_form(gen: TermGenerator, rel_tol: float = 1e-12) -> NormResult |
             # x^n Gamma(c)/Gamma(c + slope n)
             log_g0 = log_gamma(const)
 
-            def log_block(start, count):
-                n = np.arange(start, start + count, dtype=float)
+            def log_window(shape, start):
+                n = np.arange(start[0], start[0] + shape[0], dtype=float)
                 return n * lw - (log_gamma_grid(const + slope * n) - log_g0)
 
-            log_s, cut, rel = _certified_1d_sum(log_block, rel_tol)
+            log_s, (cut,), rel = _certified_sum(log_window, 1)
             log_norm += log_s
             tail = max(tail, rel)
             method = "factorized"
@@ -374,7 +364,7 @@ def state(
     if isinstance(nmax, int):
         nmax = (nmax,) * len(spec.summed)
     gen = term_generator(spec, config, z, fixed, overrides)
-    norm = norm_series(gen, rel_tol=1e-12)
+    norm = norm_series(gen)
     if not math.isfinite(norm.log_norm):
         raise SpecError(
             f"{spec.id}: state vanishes identically (fixed-index powers of a zero variable)"

@@ -206,6 +206,23 @@ class TestVerify:
         (rep,) = json.loads(proc.stdout)["results"]
         assert rep["verdict"] == "pass"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_small_ratio_norm_ends_in_a_tail_budget_error(self, tmp_path):
+        # the terms still rise past the term budget, so no certificate can
+        # be had; a three-ratio heuristic once called these series divergent
+        out = tmp_path / "r.json"
+        rc = main([
+            "verify", "2d.2dof.plain-plain.B", "2d.2dof.gamma1-plain.B", "--omega", "1,1e-3",
+            "--checks", "norm", "--out", str(out),
+        ])
+        assert rc == 1
+        results = json.loads(out.read_text())["results"]
+        assert [r["verdict"] for r in results] == ["fail", "fail"]
+        for r in results:
+            assert list(r["residuals"]) == ["evaluation-error"]
+            assert "no tail certificate within" in r["metadata"]["error"]
+            assert "divergent" not in r["metadata"]["error"]
+
     def test_overflowing_weight_census_passes(self, tmp_path):
         # at omega2 = 1e5 a 1d term ratio underflows to 0 and a closed-form
         # weight overflows; both once ended in a traceback
@@ -279,6 +296,22 @@ class TestVerify:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"fixed": {"x": 1}},
+        {"tol": {"norm": "x"}},
+        {"z_grid": [1, "a"]},
+        {"omegas": [1, None]},
+    ])
+    def test_config_field_of_the_wrong_type_exits_2(self, config, tmp_path, capsys):
+        # each once ended in a ValueError or TypeError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["verify", "2d.1dof.gamma1.A", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: config field ") and err.count("\n") == 1
+        assert repr(next(iter(config))) in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "2d.1dof.gamma1.B", "--alpha", "0.5,0", "--checks", "moment"],

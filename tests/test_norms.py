@@ -7,7 +7,11 @@ import pytest
 from vcslab.frequencies import FrequencyConfig
 from vcslab.logspace import logsumexp
 from vcslab.norms import (
+    MAX_TERMS,
     DivergenceError,
+    TailBudgetError,
+    _certified_sum,
+    _frontier_ratio,
     norm_closed_form,
     norm_series,
     state,
@@ -157,14 +161,37 @@ class TestNormSeries:
         assert abs(math.expm1(series.log_norm - expect)) <= 1e-9
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 30.0])
-    def test_grown_2d_window_sums_as_one_window(self, scale):
+    def test_grown_window_sums_as_one_window(self, scale):
         # the window grows strip by strip; its sum is that of the whole
         # final window evaluated at once, bit for bit
-        spec = get("3d.2dof.gamma1-gamma2")
-        gen = term_generator(spec, CFG3, (math.sqrt(scale), math.sqrt(2.0 * scale)), (1,))
-        res = norm_series(gen)
-        n1, n2 = res.truncation
-        assert res.log_norm == logsumexp(gen.log_term_grid((n1 + 1, n2 + 1)))
+        specs = [s for s in registry() if len(s.summed) == 1] + [get("3d.2dof.gamma1-gamma2")]
+        for spec in specs:
+            cfg = CFG3 if spec.dimension == 3 else CFG2
+            z = tuple(math.sqrt(scale * cfg.omega(t)) for t in spec.tower_ids)
+            gen = term_generator(spec, cfg, z, (1,) * len(spec.fixed))
+            res = norm_series(gen)
+            window = tuple(v + 1 for v in res.truncation)
+            assert res.log_norm == logsumexp(gen.log_term_grid(window)), spec.id
+
+    def test_frontier_ratio_keeps_overflow_and_zeroes_vanished_terms(self):
+        prev = np.array([-800.0, -np.inf, 0.0])
+        # an overflowing ratio certifies nothing
+        assert _frontier_ratio(np.array([0.0, -np.inf, -1.0]), prev) == math.inf
+        # a term that had already vanished has ratio 0
+        assert _frontier_ratio(np.array([-801.0, -np.inf, -1.0]), prev) == math.exp(-1.0)
+        assert _frontier_ratio(np.array([-np.inf]), np.array([-np.inf])) == 0.0
+
+    def test_terms_rising_past_the_budget_end_before_the_window_grows(self):
+        calls = []
+
+        def log_window(shape, start):
+            calls.append((shape, start))
+            return (np.arange(start[0], start[0] + shape[0]) * math.log(1e3)).astype(float)
+
+        with pytest.raises(TailBudgetError):
+            _certified_sum(log_window, 1)
+        # the first window, then one probe past the budget
+        assert calls == [((17,), (0,)), ((2,), (MAX_TERMS,))]
 
     def test_divergent_at_pinned_zero_ratio(self):
         # ratio k32 -> 0 with |z3|^2 = w3 leaves constant terms along n2
@@ -255,6 +282,9 @@ class TestState:
 
         with pytest.raises(SpecError):
             state(get("2d.2dof.gamma1-plain.A"), CFG2, (0.0, 0.0), (1,), (6,))
+        # two summed axes: the window sum is -inf, not a divergence
+        with pytest.raises(SpecError):
+            state(get("3d.3dof.min"), CFG3, (1, 1, 0), (1,), (4, 4))
 
     def test_poisson_weights(self):
         lam = 1.7 ** 2 / 1.0

@@ -339,7 +339,7 @@ def _log_arrays(draw):
     elif kind == "column" and a.ndim == 2:
         a = a[:, draw(st.integers(0, a.shape[1] - 1))]  # strided, as logs[:, n2]
     elif kind == "appended":
-        a = np.append(a, -np.inf)  # the running sum of _certified_1d_sum
+        a = np.append(a, -np.inf)  # a window with a vanished term, as in _certified_sum
     return a
 
 
