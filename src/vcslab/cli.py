@@ -263,7 +263,12 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 rep = _check_limits(spec, fc, cfg)
             else:
                 raise UsageError(f"unknown check {check}")
-        except (DivergenceError, TailBudgetError, QuadratureDisagreement) as exc:
+        except SpecError:
+            raise
+        except (DivergenceError, TailBudgetError, QuadratureDisagreement, ValueError) as exc:
+            # a ValueError here is an argument outside a special function's
+            # domain, such as a moment exponent <= -1 built from a ratio
+            # past the float range
             rep = make_report(
                 spec.id, check, (("evaluation-error", 1.0),), 0.5,
                 metadata=(("error", str(exc)),),

@@ -140,7 +140,18 @@ def _ratio_text(log_ratio: float) -> str:
 
 
 def _rows_columns(log_weights, factors, axis: int) -> list[tuple[str, str]]:
-    """_decide_axis along axis with every other index at each value of _OTHERS."""
+    """_decide_axis along axis with every other index at each value of _OTHERS.
+
+    The other indices enter only through Gamma arguments that move along
+    axis; where none of those has a slope on another axis, one decision
+    stands for all.
+    """
+    others_move = any(
+        slopes[axis] != 0.0 and any(s != 0.0 for j, s in enumerate(slopes) if j != axis)
+        for _, slopes in factors
+    )
+    if not others_move:
+        return [_decide_axis(log_weights, factors, axis, {})] * len(_OTHERS)
     return [
         _decide_axis(log_weights, factors, axis, {j: v for j in range(len(log_weights)) if j != axis})
         for v in _OTHERS

@@ -17,6 +17,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,24 +90,18 @@ class TermGenerator:
         the window in `itertools.product` order first would.
         """
         start = (0,) * len(self.axes) if start is None else tuple(start)
-        grids = self.compiled.window(shape, start)
-        dead = np.zeros(grids[0].shape, dtype=bool)
-        z_exps, args = [], []
-        for ct, log_z in zip(self.compiled.towers, self.log_z):
-            e = ct.z_exp.on_grid(grids)
-            if log_z == float("-inf"):
-                dead = dead | (e > 0.0)
-            z_exps.append(e)
-            # a term already zero never reaches this tower's Gamma
-            args.append(np.where(dead, 1.0, ct.gamma_arg.on_grid(grids)))
-        # towers on the last axis: C order is point by point, tower by tower
-        log_gammas = log_gamma_grid(np.stack(args, axis=-1))
-        out = np.zeros(grids[0].shape)
-        for i, (ct, log_z) in enumerate(zip(self.compiled.towers, self.log_z)):
+        shape = tuple(shape)
+        zero = tuple(log_z == float("-inf") for log_z in self.log_z)
+        # the norm check sums one class at several |z|: its small windows,
+        # the first one of every sum among them, repeat from one z to the next
+        parts = _window_parts if math.prod(shape) <= _MEMO_POINTS else _window_parts.__wrapped__
+        dead, towers = parts(self.compiled, shape, start, zero)
+        out = np.zeros(shape)
+        for (z_exp, w_term, gamma_term), log_z in zip(towers, self.log_z):
             if log_z != float("-inf"):
-                out = out + 2.0 * z_exps[i] * log_z
-            out = out - ct.w_exp.on_grid(grids) * ct.log_w
-            out = out - (log_gammas[..., i] - ct.log_gamma_norm)
+                out = out + 2.0 * z_exp * log_z
+            out = out - w_term
+            out = out - gamma_term
         return np.where(dead, -np.inf, out)
 
     def log_weight(self, axis_pos: int) -> float:
@@ -128,6 +123,40 @@ class TermGenerator:
     def gamma_factors(self) -> list[tuple[float, tuple[float, ...]]]:
         """(constant, per-axis slopes) of every Gamma argument in the term."""
         return [(ct.gamma_arg.const, ct.gamma_arg.slopes) for ct in self.compiled.towers]
+
+
+# the most window points whose parts `_window_parts` keeps: the first
+# window of a 2d sum, 17 per axis
+_MEMO_POINTS = 17**2
+
+
+@lru_cache(maxsize=8)
+def _window_parts(compiled: CompiledClass, shape, start, zero):
+    """The parts of `TermGenerator.log_term_grid` that do not depend on |z|.
+
+    zero flags the towers whose variable is 0.  Returns the mask of the
+    terms that vanish and, per tower, its z exponent, its log frequency
+    term and its log Gamma term, as read-only arrays on the window.
+    """
+    grids = compiled.window(shape, start)
+    dead = np.zeros(shape, dtype=bool)
+    z_exps, args = [], []
+    for ct, is_zero in zip(compiled.towers, zero):
+        e = ct.z_exp.on_grid(grids)
+        if is_zero:
+            dead = dead | (e > 0.0)
+        z_exps.append(e)
+        # a term already zero never reaches this tower's Gamma
+        args.append(np.where(dead, 1.0, ct.gamma_arg.on_grid(grids)))
+    # towers on the last axis: C order is point by point, tower by tower
+    log_gammas = log_gamma_grid(np.stack(args, axis=-1))
+    towers = tuple(
+        (z_exps[i], ct.w_exp.on_grid(grids) * ct.log_w, log_gammas[..., i] - ct.log_gamma_norm)
+        for i, ct in enumerate(compiled.towers)
+    )
+    for a in (dead, *itertools.chain(*towers)):
+        a.setflags(write=False)
+    return dead, towers
 
 
 def term_generator(
@@ -192,7 +221,8 @@ def _certified_sum(log_window, ndim: int):
     every frontier ratio is below 1 and the geometric tail past the frontier
     is at most 1e-12 of the sum; the tail assumes terms log-concave along
     each axis, as they are when every Gamma slope is >= 0.  Returns
-    (log sum, last index per axis, relative tail).
+    (log sum, last index per axis, relative tail, the summed window of
+    t, which starts at the origin and holds indices 0..16 at least).
     """
     last = [16] * ndim
     logs = log_window((17,) * ndim, (0,) * ndim)
@@ -201,7 +231,7 @@ def _certified_sum(log_window, ndim: int):
         if not log_partial < float("inf"):
             raise TailBudgetError(f"window sum is {log_partial}: no tail certificate")
         if log_partial == float("-inf"):
-            return log_partial, tuple(last), 0.0
+            return log_partial, tuple(last), 0.0, logs
         masses = [logsumexp(np.take(logs, -1, axis=k)) for k in range(ndim)]
         ratios = [
             _frontier_ratio(np.take(logs, -1, axis=k), np.take(logs, -2, axis=k))
@@ -216,7 +246,7 @@ def _certified_sum(log_window, ndim: int):
                 pieces.append(logs[-1, -1] + gains[0] + gains[1])
             rel = math.exp(logsumexp(pieces) - log_partial)
             if rel <= 1e-12:
-                return log_partial, tuple(last), rel
+                return log_partial, tuple(last), rel, logs
         if logs.size == 17**ndim:
             # log-concave terms that already fall on the first frontier fall
             # past the budget too; only the others need a probe
@@ -241,6 +271,11 @@ def norm_series(gen: TermGenerator) -> NormResult:
     An axis along which no Gamma argument moves is a geometric series in
     its weight, so a weight >= 1 there diverges.
     """
+    return _summed_series(gen)[0]
+
+
+def _summed_series(gen: TermGenerator) -> tuple[NormResult, np.ndarray]:
+    """`norm_series` and the window of log terms it summed."""
     ndim = len(gen.axes)
     if ndim not in (1, 2):
         raise SpecError("norm_series supports one or two summed indices")
@@ -249,8 +284,8 @@ def norm_series(gen: TermGenerator) -> NormResult:
             raise DivergenceError(
                 f"no Gamma growth along n{gen.axes[k]} and its weight is >= 1: divergent series"
             )
-    log_norm, last, rel = _certified_sum(gen.log_term_grid, ndim)
-    return NormResult(log_norm, last, rel, "series")
+    log_norm, last, rel, logs = _certified_sum(gen.log_term_grid, ndim)
+    return NormResult(log_norm, last, rel, "series"), logs
 
 
 def _axis_factor_analysis(gen: TermGenerator):
@@ -321,7 +356,7 @@ def norm_closed_form(gen: TermGenerator) -> NormResult | None:
                 n = np.arange(start[0], start[0] + shape[0], dtype=float)
                 return n * lw - (log_gamma_grid(const + slope * n) - log_g0)
 
-            log_s, (cut,), rel = _certified_sum(log_window, 1)
+            log_s, (cut,), rel, _ = _certified_sum(log_window, 1)
             log_norm += log_s
             tail = max(tail, rel)
             method = "factorized"
@@ -364,18 +399,27 @@ def state(
     if isinstance(nmax, int):
         nmax = (nmax,) * len(spec.summed)
     gen = term_generator(spec, config, z, fixed, overrides)
-    norm = norm_series(gen)
+    norm, summed = _summed_series(gen)
     if not math.isfinite(norm.log_norm):
         raise SpecError(
             f"{spec.id}: state vanishes identically (fixed-index powers of a zero variable)"
         )
-    log_terms = gen.log_term_grid(tuple(m + 1 for m in nmax))
+    shape = tuple(m + 1 for m in nmax)
+    if all(m <= k for m, k in zip(shape, summed.shape)):
+        # the sum already evaluated these terms
+        log_terms = summed[tuple(slice(m) for m in shape)]
+    else:
+        log_terms = gen.log_term_grid(shape)
+    grids = gen.compiled.window(shape, (0,) * len(shape))
+    phases = np.zeros(shape)
+    for ct, arg in zip(gen.compiled.towers, gen.z_args):
+        phases = phases + ct.z_exp.on_grid(grids) * arg
     coeffs = {}
-    for n in itertools.product(*[range(m + 1) for m in nmax]):
-        lt = float(log_terms[n])
+    # C order is itertools.product order
+    points = itertools.product(*[range(m) for m in shape])
+    for n, lt, phase in zip(points, log_terms.ravel().tolist(), phases.ravel().tolist()):
         if lt == float("-inf"):
             coeffs[n] = 0.0
             continue
-        coeffs[n] = cmath.exp(0.5 * (lt - norm.log_norm) + 1j * gen.phase(n))
+        coeffs[n] = cmath.exp(0.5 * (lt - norm.log_norm) + 1j * phase)
     return TruncatedState(spec, z, fixed, tuple(nmax), coeffs, norm.log_norm, norm.tail_bound)
-

@@ -12,14 +12,16 @@ from {1} and the frequency ratios, plus shift constants, which is
 exactly the algebra LinForm encodes.  Everything downstream (norm
 series, moment targets, selection rules, deformation limits) is derived
 from this one representation.  `ClassSpec.compile` evaluates each form
-once, at given frequencies and fixed indices, as a constant plus one
-slope per summed index; numbers at lattice points come from there.
+once per process, at given frequencies and fixed indices, as a constant
+plus one slope per summed index; numbers at lattice points come from
+there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -151,7 +153,8 @@ class AffineForm:
         return self.const + sum(s * v for s, v in zip(self.slopes, n))
 
     def on_grid(self, grids) -> np.ndarray:
-        """The form on index grids, associated as in `at`, so the two agree bit for bit."""
+        """The form on index grids that broadcast together, associated as
+        in `at`, so the two agree bit for bit."""
         acc = np.zeros(np.shape(grids[0]))
         for s, g in zip(self.slopes, grids):
             acc = acc + s * g
@@ -187,16 +190,19 @@ class CompiledClass:
             raise SpecError("summed indices must be non-negative")
 
     def window(self, shape, start) -> list[np.ndarray]:
-        """Index grids of the window [start_i, start_i + shape_i) per summed axis.
+        """Index vectors of the window [start_i, start_i + shape_i) per summed axis.
 
-        Points run in C order, which is `itertools.product` order.
+        Vector i lies along axis i, so the vectors broadcast to the window,
+        whose points run in C order, which is `itertools.product` order.
         """
         self.check(start)
         if len(shape) != len(start):
             raise SpecError(f"window shape {tuple(shape)} does not match start {tuple(start)}")
-        return np.meshgrid(
-            *[np.arange(k, k + s, dtype=float) for k, s in zip(start, shape)], indexing="ij"
-        )
+        ndim = len(shape)
+        return [
+            np.arange(k, k + s, dtype=float).reshape([-1 if j == i else 1 for j in range(ndim)])
+            for i, (k, s) in enumerate(zip(start, shape))
+        ]
 
     def log_target_grid(self, grids) -> np.ndarray:
         """log of the product of the tower factorials R_t(n), the moment
@@ -286,44 +292,14 @@ class ClassSpec:
         overrides: RatioOverrides | None = None,
     ) -> CompiledClass:
         """Reduce every form once: its value at the summed origin and its
-        coefficient of each summed index."""
-        if config.dimension < self.dimension:
-            raise SpecError(f"{self.id}: needs {self.dimension} frequencies")
-        nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
+        coefficient of each summed index.
 
-        def reduce(form: LinForm) -> AffineForm:
-            # a slope is the axis's own terms evaluated at n_axis = 1
-            return AffineForm(
-                form.value(nv0, config, overrides),
-                tuple(
-                    LinForm(tuple(t for t in form.terms if t[1] == axis)).value(
-                        {axis: 1}, config, overrides
-                    )
-                    for axis in self.summed
-                ),
-            )
-
-        towers = []
-        for tw in self.towers:
-            gamma = reduce(tw.gamma)
-            gamma_arg = AffineForm(
-                gamma.const + nv0[tw.tower],
-                tuple(
-                    s + (1.0 if axis == tw.tower else 0.0)
-                    for s, axis in zip(gamma.slopes, self.summed)
-                ),
-            )
-            towers.append(
-                CompiledTower(
-                    tower=tw.tower,
-                    log_w=math.log(config.omega(tw.tower)),
-                    z_exp=reduce(tw.z_exp),
-                    w_exp=reduce(tw.w_exp),
-                    gamma_arg=gamma_arg,
-                    log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
-                )
-            )
-        return CompiledClass(self.id, self.summed, tuple(towers))
+        Memoized by value: the spec, the frequencies, the fixed indices and
+        the override items, so the caller's overrides dict is read once and
+        never kept.
+        """
+        items = tuple(sorted((overrides or {}).items()))
+        return _compile(self, config, tuple(int(v) for v in fixed), items)
 
     # -- structural transforms -----------------------------------------
 
@@ -365,3 +341,50 @@ class ClassSpec:
             quadruple=self.quadruple,
             case=self.case,
         )
+
+
+# a report reuses a key within one class's checks or soon after, so 64
+# entries hold every reuse of the default report and bound the memory
+@lru_cache(maxsize=64)
+def _compile(
+    spec: ClassSpec, config: FrequencyConfig, fixed: tuple[int, ...], override_items
+) -> CompiledClass:
+    """`ClassSpec.compile`, computed from its key alone."""
+    if config.dimension < spec.dimension:
+        raise SpecError(f"{spec.id}: needs {spec.dimension} frequencies")
+    overrides = dict(override_items) or None
+    nv0 = spec.quantum_numbers((0,) * len(spec.summed), fixed)
+
+    def reduce(form: LinForm) -> AffineForm:
+        # a slope is the axis's own terms evaluated at n_axis = 1
+        return AffineForm(
+            form.value(nv0, config, overrides),
+            tuple(
+                LinForm(tuple(t for t in form.terms if t[1] == axis)).value(
+                    {axis: 1}, config, overrides
+                )
+                for axis in spec.summed
+            ),
+        )
+
+    towers = []
+    for tw in spec.towers:
+        gamma = reduce(tw.gamma)
+        gamma_arg = AffineForm(
+            gamma.const + nv0[tw.tower],
+            tuple(
+                s + (1.0 if axis == tw.tower else 0.0)
+                for s, axis in zip(gamma.slopes, spec.summed)
+            ),
+        )
+        towers.append(
+            CompiledTower(
+                tower=tw.tower,
+                log_w=math.log(config.omega(tw.tower)),
+                z_exp=reduce(tw.z_exp),
+                w_exp=reduce(tw.w_exp),
+                gamma_arg=gamma_arg,
+                log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
+            )
+        )
+    return CompiledClass(spec.id, spec.summed, tuple(towers))

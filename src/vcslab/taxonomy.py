@@ -122,6 +122,7 @@ def _distance_from_one(log_v: complex) -> float:
         return math.inf
 
 
+@lru_cache(maxsize=64)
 def verify_factor(
     relation: FactorRelation,
     config: FrequencyConfig,
@@ -130,6 +131,8 @@ def verify_factor(
     """Check b-coefficients = factor * a-coefficients, independent of the sum index.
 
     The variables sit at z_t = 0.9 + 0.2 t + 0.1i; the tolerance is 1e-10.
+    Memoized, because a report checks each relation from both of its
+    classes; callers only read the report.
     """
     spec_a = get(relation.sub_a)
     spec_b = get(relation.sub_b)
@@ -273,7 +276,9 @@ def canonical_signature(spec: ClassSpec) -> tuple:
     return (tuple(sig), spec.summed, spec.fixed)
 
 
+@lru_cache(maxsize=None)
 def _descendant_lookup():
+    """Canonical signature -> (registered id, found via the tower swap); built once."""
     table = {}
     for s in registry():
         table.setdefault(canonical_signature(s), (s.id, False))
@@ -333,6 +338,15 @@ EDGE_TOL = 1e-4
 EDGE_WINDOW = 5
 
 
+# classes run in id order, so the edges that share a descendant come close
+# together: 32 entries keep every share of the default report
+@lru_cache(maxsize=32)
+def _descendant_state(desc: ClassSpec, config: FrequencyConfig, z, fixed, nmax):
+    """A descendant's state, memoized: callers only read it, so every edge
+    that reaches the same descendant at the same parameters shares one."""
+    return state(desc, config, z, fixed, nmax)
+
+
 def verify_edge_continuity(
     edge: DeformationEdge,
     config: FrequencyConfig,
@@ -343,6 +357,7 @@ def verify_edge_continuity(
         raise SpecError("continuity applies to defined edges")
     anc = get(edge.ancestor)
     desc = get(edge.descendant)
+    fixed = tuple(int(v) for v in fixed)
     z = tuple(0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids)
     nmax = (EDGE_WINDOW,) * len(anc.summed)
     st_a = state(anc, config, z, fixed, nmax, overrides={edge.parameter: EDGE_KAPPA})
@@ -354,11 +369,11 @@ def verify_edge_continuity(
         cfg_d = FrequencyConfig(tuple(perm_omegas), tuple(perm_shifts))
         zmap = {t: v for t, v in zip(anc.tower_ids, z)}
         z_d = tuple(zmap[_SWAP.get(t, t)] for t in desc.tower_ids)
-        st_d = state(desc, cfg_d, z_d, fixed, nmax)
+        st_d = _descendant_state(desc, cfg_d, z_d, fixed, nmax)
         index_map = lambda n: tuple(reversed(n)) if len(n) == 2 else n
     else:
         z_d = tuple(z[anc.tower_ids.index(t)] for t in desc.tower_ids)
-        st_d = state(desc, config, z_d, fixed, nmax)
+        st_d = _descendant_state(desc, config, z_d, fixed, nmax)
         index_map = lambda n: n
     residuals = []
     for n, c in st_a.coeffs.items():

@@ -210,7 +210,7 @@ class TestCriterion7Determinism:
         args = [
             sys.executable, "-m", "vcslab.cli", "report",
             "--omega", "1,2,3", "--nmax", "5",
-            "--checks", "norm,moment,resolution,convergence,factor",
+            "--checks", "norm,moment,resolution,convergence,factor,limits",
         ]
         payloads = []
         for run in ("1", "2"):

@@ -360,13 +360,27 @@ class TestVerify:
         # factor ratios that overflow or underflow, with an underflowed mean
         ["2d.1dof.gamma1.A", "--omega", "7.3,1e300,1e100", "--fixed", "n1=20",
          "--checks", "factor"],
+        # moment exponents <= -1 built from the ratio 7.3e300
+        *[[cid, "--omega", "7.3,1e-300", "--checks", "moment,resolution"]
+          for cid in ("2d.2dof.plain-plain.C", "2d.2dof.plain-plain.D",
+                      "2d.2dof.gamma1-plain.C", "2d.2dof.gamma1-plain.D")],
     ])
     def test_values_past_the_float_range_end_in_json(self, argv, tmp_path):
-        # each ended in an OverflowError or ZeroDivisionError traceback
+        # each ended in an OverflowError, ZeroDivisionError or ValueError traceback
         out = tmp_path / "r.json"
         assert main(["verify", *argv, "--out", str(out)]) in (0, 1)
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
-        assert doc["summary"]["checks"] == 1
+        assert doc["summary"]["checks"] == len(argv[argv.index("--checks") + 1].split(","))
+
+    def test_divergent_moment_exponent_is_an_evaluation_error(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["verify", "2d.2dof.gamma1-plain.D", "--omega", "7.3,1e-300",
+                "--checks", "moment,resolution", "--out", str(out)]
+        assert main(argv) == 1
+        for rep in json.loads(out.read_text())["results"]:
+            assert rep["verdict"] == "fail"
+            assert rep["residuals"] == {"evaluation-error": 1.0}
+            assert "log_gamma requires x > 0" in rep["metadata"]["error"]
 
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])

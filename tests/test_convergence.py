@@ -3,11 +3,14 @@ import math
 
 import pytest
 
+from vcslab import convergence
 from vcslab.convergence import (
+    _OTHERS,
     Verdict,
     _log_weights,
     _majorant_grid,
     _ratio_decision,
+    _rows_columns,
     class_verdict,
     comparison_check,
     gamma_ratio_surface,
@@ -51,6 +54,37 @@ class TestRowColumn:
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.5})
         verdicts = row_column_check(gen)
         assert verdicts[1].convergent and verdicts[2].convergent
+
+
+class TestRowsColumnsShortcut:
+    def test_one_decision_stands_for_the_three_scans(self, monkeypatch):
+        calls = []
+        decide = convergence._decide_axis
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(convergence, "_decide_axis", counted)
+        shortcuts = scans = 0
+        for spec in registry():
+            cfg = CFG3 if spec.dimension == 3 else CFG2
+            fixed = (1,) * len(spec.fixed)
+            # the natural ratios, then the first ratio the class uses pinned
+            pins = [None] + [{pair: 1e-3} for pair in sorted(spec.ratios_used())[:1]]
+            for overrides in pins:
+                gen = term_generator(spec, cfg, probe_z(spec, cfg), fixed, overrides)
+                log_weights, factors = _log_weights(gen), gen.gamma_factors()
+                for k in range(len(log_weights)):
+                    want = [
+                        decide(log_weights, factors, k, {j: v for j in range(len(log_weights)) if j != k})
+                        for v in _OTHERS
+                    ]
+                    calls.clear()
+                    assert _rows_columns(log_weights, factors, k) == want, (spec.id, overrides, k)
+                    shortcuts += len(calls) == 1
+                    scans += len(calls) == len(_OTHERS)
+        assert shortcuts > 0 and scans > 0
 
 
 class TestComparison:

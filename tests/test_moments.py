@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vcslab import moments
-from vcslab.cli import RunConfig, run_verification
+from vcslab.cli import ALL_CHECKS, RunConfig, run_verification
 from vcslab.frequencies import FrequencyConfig
 from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import (
@@ -30,7 +30,8 @@ from vcslab.registry import get, registry
 from vcslab.report import dumps_deterministic
 from vcslab.resolution import aliasing_solutions, selection_rule
 from vcslab.special import log_gamma
-from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError
+from vcslab.taxonomy import _descendant_state
+from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError, _compile
 
 mpmath.mp.dps = 30
 
@@ -176,16 +177,20 @@ class TestVerifyMoments:
         counts = []
         for n_range in (5, 20):
             calls.clear()
+            _compile.cache_clear()  # each measured call compiles afresh
             assert verify_moments(spec, CFG3, (1,), n_range=n_range).passed
             counts.append(calls["value"])
         assert counts[0] == counts[1] > 0
 
     def test_cold_and_warm_runs_give_the_same_bytes(self):
+        # the warm run reads compiled classes and descendant states from the memos
         cfg = RunConfig(
             classes=["2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma13-gamma32"],
             nmax=6,
-            checks=["moment", "resolution"],
         )
+        assert cfg.checks == list(ALL_CHECKS)
+        _compile.cache_clear()
+        _descendant_state.cache_clear()
         cold = dumps_deterministic(run_verification(cfg))
         warm = dumps_deterministic(run_verification(cfg))
         assert warm == cold

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -9,9 +10,11 @@ from vcslab.logspace import logsumexp
 from vcslab.norms import (
     MAX_TERMS,
     DivergenceError,
+    TermGenerator,
     TailBudgetError,
     _certified_sum,
     _frontier_ratio,
+    _window_parts,
     norm_closed_form,
     norm_series,
     state,
@@ -99,6 +102,21 @@ class TestTermGrid:
             for n in window_points(start, shape):
                 idx = tuple(v - k for v, k in zip(n, start))
                 assert grid[idx] == gen.log_term(n), (spec.id, n)
+
+    def test_windows_shared_between_variables_match_scalar(self):
+        # one class at several z, zero variables among them, reuses the
+        # z-independent parts of its small windows; a large one is not kept
+        compiled = get("3d.2dof.gamma13-gamma23").compile(CFG3, (1,))
+        _window_parts.cache_clear()
+        for z in [(0.3, 0.5), (1.0, 1.7), (0.0, 1.2), (2.2, 0.0), (4.0, 3.0)]:
+            gen = TermGenerator.of(compiled, z)
+            for start, shape in (((0, 0), (17, 17)), ((17, 0), (16, 17)), ((0, 0), (40, 30))):
+                grid = gen.log_term_grid(shape, start)
+                for n in window_points(start, shape):
+                    idx = tuple(v - k for v, k in zip(n, start))
+                    assert grid[idx] == gen.log_term(n), (z, n)
+        info = _window_parts.cache_info()
+        assert (info.hits, info.misses) == (4, 6)
 
     def test_zero_variable_window_matches_scalar(self):
         gen = term_generator(get("2d.2dof.gamma1-plain.A"), CFG2, (0.0, 1.3), (0,))
@@ -308,6 +326,38 @@ class TestState:
             got = math.atan2(st.coefficient((n1,)).imag, st.coefficient((n1,)).real)
             diff = (got - expect + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) < 1e-10
+
+    @pytest.mark.parametrize(
+        "cid,z,fixed,nmax",
+        [
+            # complex variables, so every phase is non-zero
+            ("2d.2dof.gamma1-gamma2.A", (1.1 * cmath.exp(0.31j), 0.7 * cmath.exp(-1.1j)), (2,), (5,)),
+            ("3d.2dof.gamma1-gamma2", (0.9 * cmath.exp(0.4j), 1.2 * cmath.exp(2.0j)), (1,), (5, 5)),
+            # windows past the one the norm sum evaluated
+            ("2d.1dof.gamma1.B", (1.3 * cmath.exp(-0.7j),), (1,), (60,)),
+            ("3d.2dof.gamma1-gamma2", (0.9 * cmath.exp(0.4j), 1.2 * cmath.exp(2.0j)), (1,), (40, 3)),
+            # a zero variable: terms that vanish
+            ("2d.2dof.gamma1-plain.A", (0.0, 0.8j), (0,), (6,)),
+            ("3d.2dof.plain-gamma23", (1.2j, 0.0), (0,), (4, 4)),
+        ],
+    )
+    def test_coefficients_are_the_scalar_formula_bit_for_bit(self, cid, z, fixed, nmax):
+        spec = get(cid)
+        cfg = CFG3 if spec.dimension == 3 else CFG2
+        st = state(spec, cfg, z, fixed, nmax)
+        gen = term_generator(spec, cfg, z, fixed)
+        if max(nmax) > 16:
+            assert any(m > last for m, last in zip(nmax, norm_series(gen).truncation))
+        for n in itertools.product(*[range(m + 1) for m in nmax]):
+            lt = gen.log_term(n)
+            if lt == float("-inf"):
+                want = 0.0
+            else:
+                want = cmath.exp(0.5 * (lt - st.log_norm) + 1j * gen.phase(n))
+            got = st.coefficient(n)
+            assert type(got) is type(want), n
+            assert complex(got).real.hex() == complex(want).real.hex(), n
+            assert complex(got).imag.hex() == complex(want).imag.hex(), n
 
     def test_state_rejects_non_normalizable_point(self):
         with pytest.raises(DivergenceError):
