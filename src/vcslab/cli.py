@@ -14,7 +14,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .convergence import class_verdict, gamma_ratio_surface, required_positive_ratios
+from .convergence import (
+    Verdict,
+    class_verdict,
+    gamma_ratio_surface,
+    required_positive_conditions,
+    required_positive_ratios,
+)
 from .frequencies import FrequencyConfig
 from .moments import verify_moments
 from .norms import DivergenceError, TailBudgetError, TermGenerator, norm_closed_form, norm_series
@@ -206,6 +212,32 @@ def _check_limits(spec, fc, cfg):
     return make_report(spec.id, "limits", residuals, cfg.tol["limits"])
 
 
+def _check_convergence(spec, fc, fixed, overrides, undefined_point):
+    try:
+        v = class_verdict(spec, fc, fixed, overrides=overrides)
+    except ZeroDivisionError:
+        if not undefined_point:
+            raise
+        # a term needs the reciprocal of a zero ratio: undefined as predicted
+        v = Verdict("divergent", undefined_point)
+    if not undefined_point:
+        return make_report(
+            spec.id, "convergence",
+            ((v.status, 0.0 if v.convergent else 1.0),),
+            0.5,
+            metadata=(("witness", v.witness), ("conditions", list(v.conditions))),
+        )
+    # the point is predicted non-normalizable: divergence is the expected
+    # outcome; anything else is a regression
+    return make_report(
+        spec.id, "convergence",
+        (("divergence-confirmed", 0.0 if v.divergent else 1.0),),
+        0.5,
+        metadata=(("witness", v.witness), ("expected", "undefined")),
+        undefined=v.divergent,
+    )
+
+
 def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     spec = get(class_id)
     fc = _config_for(spec, cfg)
@@ -214,34 +246,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     out = []
     undefined_point = _expected_undefined(spec, cfg)
     for check in cfg.checks:
-        if check == "convergence":
-            if undefined_point:
-                # the point is predicted non-normalizable: divergence is
-                # the expected outcome; anything else is a regression
-                try:
-                    v = class_verdict(spec, fc, fixed, overrides=overrides)
-                    divergent, witness = v.divergent, v.witness
-                except ZeroDivisionError:
-                    # a term needs the reciprocal of a zero ratio: undefined as predicted
-                    divergent, witness = True, undefined_point
-                rep = make_report(
-                    spec.id, "convergence",
-                    (("divergence-confirmed", 0.0 if divergent else 1.0),),
-                    0.5,
-                    metadata=(("witness", witness), ("expected", "undefined")),
-                    undefined=divergent,
-                )
-            else:
-                v = class_verdict(spec, fc, fixed, overrides=overrides)
-                rep = make_report(
-                    spec.id, "convergence",
-                    ((v.status, 0.0 if v.convergent else 1.0),),
-                    0.5,
-                    metadata=(("witness", v.witness), ("conditions", list(v.conditions))),
-                )
-            out.append(rep.as_dict())
-            continue
-        if undefined_point:
+        if undefined_point and check != "convergence":
             rep = make_report(
                 spec.id, check, ((f"predicted-undefined", 0.0),), 1.0, undefined=True,
                 metadata=(("reason", undefined_point),),
@@ -249,7 +254,9 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
             out.append(rep.as_dict())
             continue
         try:
-            if check == "norm":
+            if check == "convergence":
+                rep = _check_convergence(spec, fc, fixed, overrides, undefined_point)
+            elif check == "norm":
                 rep = _check_norm(spec, fc, cfg)
             elif check == "moment":
                 rep = verify_moments(spec, fc, fixed, n_range=cfg.nmax, tol=cfg.tol["moment"])
@@ -439,11 +446,7 @@ def cmd_list(args) -> int:
                 "dimension": s.dimension,
                 "dof": s.dof,
                 "case": s.case,
-                "conditions": [
-                    " or ".join(f"kappa{i}{j} > 0" for i, j in grp)
-                    for grp in required_positive_ratios(s)
-                    if grp
-                ],
+                "conditions": list(required_positive_conditions(s)),
             }
             for s in specs
         ]
@@ -451,11 +454,7 @@ def cmd_list(args) -> int:
     else:
         lines = []
         for s in specs:
-            conds = [
-                " or ".join(f"kappa{i}{j}>0" for i, j in grp)
-                for grp in required_positive_ratios(s)
-                if grp
-            ]
+            conds = required_positive_conditions(s)
             cond = f"  [{'; '.join(conds)}]" if conds else ""
             lines.append(f"{s.id:36s} {s.label}{cond}")
         _write_out("\n".join(lines) + "\n", args.out)
@@ -479,11 +478,7 @@ def cmd_describe(args) -> int:
             {"tower": tw.tower, "form": tw.form, "normalized": tw.normalized}
             for tw in s.towers
         ],
-        "conditions": [
-            " or ".join(f"kappa{i}{j} > 0" for i, j in grp)
-            for grp in required_positive_ratios(s)
-            if grp
-        ],
+        "conditions": list(required_positive_conditions(s)),
     }
     _write_out(dumps_deterministic(info), args.out)
     return 0

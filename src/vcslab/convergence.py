@@ -159,7 +159,13 @@ def _rows_columns(log_weights, factors, axis: int) -> list[tuple[str, str]]:
 
 
 def _log_weights(gen: TermGenerator) -> list[float]:
-    return [gen.log_weight(k) for k in range(len(gen.axes))]
+    """Every axis's log weight; one that is inf - inf, from |z|^2 and omega
+    past the float range, decides nothing and raises ValueError."""
+    out = [gen.log_weight(k) for k in range(len(gen.axes))]
+    for k, lw in enumerate(out):
+        if math.isnan(lw):
+            raise ValueError(f"axis {k}: the log weight is inf - inf, past the float range")
+    return out
 
 
 def row_column_check(gen: TermGenerator) -> dict[int, Verdict]:
@@ -204,18 +210,15 @@ def _majorant_grid(gen: TermGenerator, terms, shape, start):
     Gamma(g + n) >= n! it dominates gen termwise.  terms are gen's own
     log terms on the window.
     """
-    towers = gen.compiled.towers
     grids = gen.compiled.window(shape, start)
     live = terms != float("-inf")
-    args = [ct.gamma_arg.on_grid(grids) for ct in towers]
-    args += [g + 1.0 for g in grids]
     # a vanished term takes no further factor
-    log_gammas = log_gamma_grid(np.stack([np.where(live, a, 1.0) for a in args], axis=-1))
+    log_r = gen.compiled.log_factorial_grid(grids, ~live[..., None])
     lt = terms
-    for i, ct in enumerate(towers):
-        lt = lt + (log_gammas[..., i] - ct.log_gamma_norm)
-    for j in range(len(towers), len(args)):
-        lt = lt - log_gammas[..., j]
+    for i in range(len(gen.compiled.towers)):
+        lt = lt + log_r[..., i]
+    for g in grids:
+        lt = lt - log_gamma_grid(g + 1.0)
     return np.where(live, lt, -np.inf)
 
 
@@ -284,6 +287,15 @@ def required_positive_ratios(spec: ClassSpec) -> tuple[tuple[tuple[int, int], ..
     return tuple(groups)
 
 
+def required_positive_conditions(spec: ClassSpec) -> tuple[str, ...]:
+    """The non-empty `required_positive_ratios` groups as text: "kappa12 > 0 or ..."."""
+    return tuple(
+        " or ".join(f"kappa{i}{j} > 0" for i, j in grp)
+        for grp in required_positive_ratios(spec)
+        if grp
+    )
+
+
 def class_verdict(
     spec: ClassSpec,
     config: FrequencyConfig,
@@ -299,11 +311,7 @@ def class_verdict(
     """
     z = tuple(math.sqrt(config.omega(t)) for t in spec.tower_ids)
     gen = term_generator(spec, config, z, fixed, overrides)
-    conditions = tuple(
-        " or ".join(f"kappa{i}{j} > 0" for (i, j) in grp)
-        for grp in required_positive_ratios(spec)
-        if grp
-    )
+    conditions = required_positive_conditions(spec)
 
     rc = row_column_check(gen)
     for axis, v in rc.items():

@@ -18,6 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -140,18 +142,17 @@ def _window_parts(compiled: CompiledClass, shape, start, zero):
     """
     grids = compiled.window(shape, start)
     dead = np.zeros(shape, dtype=bool)
-    z_exps, args = [], []
+    z_exps, masks = [], []
     for ct, is_zero in zip(compiled.towers, zero):
         e = ct.z_exp.on_grid(grids)
         if is_zero:
             dead = dead | (e > 0.0)
         z_exps.append(e)
         # a term already zero never reaches this tower's Gamma
-        args.append(np.where(dead, 1.0, ct.gamma_arg.on_grid(grids)))
-    # towers on the last axis: C order is point by point, tower by tower
-    log_gammas = log_gamma_grid(np.stack(args, axis=-1))
+        masks.append(dead)
+    log_r = compiled.log_factorial_grid(grids, np.stack(masks, axis=-1))
     towers = tuple(
-        (z_exps[i], ct.w_exp.on_grid(grids) * ct.log_w, log_gammas[..., i] - ct.log_gamma_norm)
+        (z_exps[i], ct.w_exp.on_grid(grids) * ct.log_w, log_r[..., i])
         for i, ct in enumerate(compiled.towers)
     )
     for a in (dead, *itertools.chain(*towers)):
@@ -345,7 +346,7 @@ def norm_closed_form(gen: TermGenerator) -> NormResult | None:
         if own and slope == 1.0:
             # sum_n x^n Gamma(b)/Gamma(b+n) = 1F1(1;b;x); the n = 0 term
             # is already inside the origin term
-            log_norm += x if const == 1.0 else hyp1f1_one_closed(const, x)
+            log_norm += hyp1f1_one_closed(const, x)
             trunc.append(0)
         else:
             # Gamma argument climbs with ratio slope: certified 1d sum of
@@ -368,13 +369,9 @@ def norm_closed_form(gen: TermGenerator) -> NormResult | None:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Normalized coefficient table on a truncation window."""
+    """Normalized coefficient table on a truncation window, read-only."""
 
-    spec: ClassSpec
-    z: tuple[complex, ...]
-    fixed: tuple[int, ...]
-    nmax: tuple[int, ...]
-    coeffs: dict
+    coeffs: Mapping[tuple[int, ...], complex]
     log_norm: float
     tail_bound: float
 
@@ -394,8 +391,6 @@ def state(
     overrides: RatioOverrides | None = None,
 ) -> TruncatedState:
     """Normalized truncated state; raises DivergenceError off the solvable domain."""
-    z = tuple(complex(v) for v in z)
-    fixed = tuple(int(v) for v in fixed)
     if isinstance(nmax, int):
         nmax = (nmax,) * len(spec.summed)
     gen = term_generator(spec, config, z, fixed, overrides)
@@ -422,4 +417,4 @@ def state(
             coeffs[n] = 0.0
             continue
         coeffs[n] = cmath.exp(0.5 * (lt - norm.log_norm) + 1j * phase)
-    return TruncatedState(spec, z, fixed, tuple(nmax), coeffs, norm.log_norm, norm.tail_bound)
+    return TruncatedState(MappingProxyType(coeffs), norm.log_norm, norm.tail_bound)

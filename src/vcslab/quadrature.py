@@ -37,13 +37,14 @@ class QuadratureDisagreement(ArithmeticError):
     pass
 
 
-def log_moment_closed(q, log_scale: float = 0.0):
-    """log I(q, S) = log Gamma(q+1) + (q+1) log S, elementwise over q.
+def log_moment_closed(q):
+    """log I(q, 1) = log Gamma(q+1), elementwise over q; the caller adds
+    (q+1) log S.
 
     A divergent exponent (q <= -1) raises log_gamma_grid's ValueError at
     its first element in C order.
     """
-    return log_gamma_grid(np.asarray(q + 1.0)) + (q + 1.0) * log_scale
+    return log_gamma_grid(np.asarray(q + 1.0))
 
 
 def _components(density) -> list[list[int]]:

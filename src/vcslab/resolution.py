@@ -26,6 +26,12 @@ from .report import VerificationReport
 from .structure import ClassSpec
 
 
+# c.delta counts as zero within this fraction of its scale
+_ANNIHILATION_TOL = 1e-12
+# the largest denominator a coefficient ratio is read as rational with
+_MAX_DENOMINATOR = 10**6
+
+
 @dataclass(frozen=True)
 class SelectionRule:
     """Linear constraints on summed-index differences from phase integration.
@@ -38,11 +44,11 @@ class SelectionRule:
     spec_id: str
     axes: tuple[int, ...]
     constraints: tuple[tuple[float, ...], ...]
-    equivalent_pairs: tuple[tuple[int, int], ...] = ()
 
-    def satisfied(self, delta, tol: float = 1e-12) -> bool | np.ndarray:
+    def satisfied(self, delta) -> bool | np.ndarray:
         """Whether every constraint annihilates delta, a difference vector or
-        a stack of them (one per row); a bool, or a bool array for a stack.
+        a stack of them (one per row), to _ANNIHILATION_TOL relative; a
+        bool, or a bool array for a stack.
 
         Each c.delta is summed in index order, as a scalar loop would.
         """
@@ -53,8 +59,16 @@ class SelectionRule:
             dot = np.zeros(d.shape[:-1])
             for c, column in zip(row, np.moveaxis(d, -1, 0)):
                 dot = dot + c * column
-            ok &= np.abs(dot) <= tol * scale * max(map(abs, row))
+            ok &= np.abs(dot) <= _ANNIHILATION_TOL * scale * max(map(abs, row))
         return bool(ok) if d.ndim == 1 else ok
+
+
+def _proportional(a, b) -> bool:
+    """Whether rows a and b vanish at the same places and share one ratio b/a, to 1e-12."""
+    ratios = [y / x for x, y in zip(a, b) if x != 0.0]
+    return all((x == 0.0) == (y == 0.0) for x, y in zip(a, b)) and not any(
+        abs(r - ratios[0]) > 1e-12 * abs(ratios[0]) for r in ratios
+    )
 
 
 def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
@@ -64,38 +78,17 @@ def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
     rows = [
         ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
     ]
-    # deduplicate proportional rows but remember the equivalences
     unique: list[tuple[float, ...]] = []
-    pairs = []
     for row in rows:
-        dup = None
-        for i, kept in enumerate(unique):
-            ratio = None
-            ok = True
-            for a, b in zip(kept, row):
-                if (a == 0.0) != (b == 0.0):
-                    ok = False
-                    break
-                if a != 0.0:
-                    r = b / a
-                    if ratio is None:
-                        ratio = r
-                    elif abs(r - ratio) > 1e-12 * abs(ratio):
-                        ok = False
-                        break
-            if ok:
-                dup = i
-                break
-        if dup is None:
+        # proportional rows are one constraint
+        if not any(_proportional(kept, row) for kept in unique):
             unique.append(row)
-        else:
-            pairs.append((dup, len(unique) + len(pairs)))
-    return SelectionRule(spec.id, spec.summed, tuple(unique), tuple(pairs))
+    return SelectionRule(spec.id, spec.summed, tuple(unique))
 
 
-def _looks_rational(x: float, max_den: int = 10**6) -> Fraction | None:
+def _looks_rational(x: float) -> Fraction | None:
     """Continued-fraction detection of a small-denominator rational."""
-    fr = Fraction(x).limit_denominator(max_den)
+    fr = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
     if abs(float(fr) - x) <= 1e-12 * max(1.0, abs(x)):
         return fr
     return None
@@ -135,6 +128,9 @@ def resolution_residual(
         ("G[" + ",".join(map(str, m)) + "]", rel_diff_from_logs(i, t))
         for m, i, t in zip(basis, diagonal, targets)
     ]
+    # the verdict judges the certified (diagonal) part; the aliased entries
+    # appended below are reported but carry no pass/fail semantics
+    verdict = "pass" if all(v <= tol for _, v in residuals) else "fail"
     # off-diagonal entries: certified zero unless the rule aliases
     window = max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
@@ -177,8 +173,4 @@ def resolution_residual(
         ("aliasing_pairs", len(flagged)),
         ("omegas", list(config.omegas)),
     )
-    # aliased entries are reported but carry no pass/fail semantics; the
-    # verdict judges the certified (diagonal) part
-    judged = [r for r in residuals if "|" not in r[0]] if flagged else residuals
-    verdict = "pass" if all(v <= tol for _, v in judged) else "fail"
     return VerificationReport(spec.id, "resolution", tuple(residuals), verdict, tol, metadata)

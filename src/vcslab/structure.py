@@ -204,19 +204,28 @@ class CompiledClass:
             for i, (k, s) in enumerate(zip(start, shape))
         ]
 
-    def log_target_grid(self, grids) -> np.ndarray:
-        """log of the product of the tower factorials R_t(n), the moment
-        target, on index grids (one array per summed axis).
+    def log_factorial_grid(self, grids, dead=False) -> np.ndarray:
+        """log R_t(n) = log Gamma(gamma_t(n) + n_t) - log Gamma(gamma_t)
+        of every tower on index grids (one array per summed axis), tower t
+        along the last axis.
 
-        Towers are summed in order, as a scalar loop over them would, and
-        the first argument that is not > 0, point by point and tower by
-        tower, raises log_gamma's ValueError.
+        dead, broadcast to that shape, marks the entries of terms already
+        zero: they take argument 1.  The first other argument that is not
+        > 0, point by point and tower by tower, raises log_gamma's
+        ValueError.
         """
         args = np.stack([ct.gamma_arg.on_grid(grids) for ct in self.towers], axis=-1)
-        log_gammas = log_gamma_grid(args)
+        norms = np.array([ct.log_gamma_norm for ct in self.towers])
+        return log_gamma_grid(np.where(dead, 1.0, args)) - norms
+
+    def log_target_grid(self, grids) -> np.ndarray:
+        """log of the product of the tower factorials R_t(n), the moment
+        target, on index grids, towers summed in order as a scalar loop
+        over them would."""
+        log_r = self.log_factorial_grid(grids)
         out = np.zeros(np.shape(grids[0]))
-        for i, ct in enumerate(self.towers):
-            out = out + (log_gammas[..., i] - ct.log_gamma_norm)
+        for i in range(len(self.towers)):
+            out = out + log_r[..., i]
         return out
 
     def log_target(self, n) -> float:
@@ -325,9 +334,9 @@ class ClassSpec:
             case=self.case,
         )
 
-    def relabeled(self, perm: Mapping[int, int], new_id: str | None = None) -> "ClassSpec":
+    def relabeled(self, perm: Mapping[int, int]) -> "ClassSpec":
         return ClassSpec(
-            id=new_id or (self.id + ".swapped"),
+            id=self.id + ".swapped",
             label=self.label,
             dimension=self.dimension,
             summed=tuple(sorted(perm.get(t, t) for t in self.summed)),

@@ -59,6 +59,12 @@ class TestList:
         by_id = {r["id"]: r for r in rows}
         assert any("kappa32 > 0" in c for c in by_id["3d.2dof.gamma13-gamma32"]["conditions"])
 
+    def test_text_listing_spells_conditions_as_json_does(self, tmp_path):
+        out = tmp_path / "ids.txt"
+        assert main(["list", "--dim", "3", "--case", "13", "--out", str(out)]) == 0
+        (line,) = [r for r in out.read_text().splitlines() if r.startswith("3d.2dof.gamma13-gamma32 ")]
+        assert line.endswith("[kappa32 > 0]")
+
 
 class TestDescribe:
     def test_round_trip(self, tmp_path):
@@ -360,6 +366,8 @@ class TestVerify:
         # factor ratios that overflow or underflow, with an underflowed mean
         ["2d.1dof.gamma1.A", "--omega", "7.3,1e300,1e100", "--fixed", "n1=20",
          "--checks", "factor"],
+        # |z1|^2 = omega1 = 1e300: an axis weight of -inf + inf
+        ["2d.2dof.plain-plain.D", "--omega", "1e300,1e-8", "--checks", "convergence"],
         # moment exponents <= -1 built from the ratio 7.3e300
         *[[cid, "--omega", "7.3,1e-300", "--checks", "moment,resolution"]
           for cid in ("2d.2dof.plain-plain.C", "2d.2dof.plain-plain.D",
@@ -371,6 +379,20 @@ class TestVerify:
         assert main(["verify", *argv, "--out", str(out)]) in (0, 1)
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert doc["summary"]["checks"] == len(argv[argv.index("--checks") + 1].split(","))
+
+    @pytest.mark.parametrize("argv", [
+        ["2d.2dof.plain-plain.D", "--omega", "1e300,1e-8"],
+        ["3d.2dof.plain-gamma3", "--omega", "1e300,1,1e-8"],
+    ])
+    def test_nan_axis_weight_is_an_evaluation_error(self, argv):
+        # the verdict read "inconclusive" with "frontier ratio nan" as its witness
+        proc = run_cli(["verify", *argv, "--checks", "convergence"])
+        assert proc.returncode == 1
+        assert proc.stderr == "" and "nan" not in proc.stdout
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["verdict"] == "fail"
+        assert rep["residuals"] == {"evaluation-error": 1.0}
+        assert rep["metadata"]["error"].startswith("axis 0: the log weight is inf - inf")
 
     def test_divergent_moment_exponent_is_an_evaluation_error(self, tmp_path):
         out = tmp_path / "r.json"
@@ -482,3 +504,6 @@ class TestReport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        # no numpy warning, and no residual or witness that is nan
+        assert proc.stderr == ""
+        assert "nan" not in (tmp_path / "r.json").read_text()

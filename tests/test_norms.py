@@ -22,6 +22,7 @@ from vcslab.norms import (
 )
 from vcslab.registry import get, registry
 from vcslab.special import hyp1f1_one_closed, log_gamma
+from vcslab.structure import AffineForm, CompiledClass, CompiledTower
 
 
 CFG2 = FrequencyConfig((1.0, 2.0))
@@ -144,6 +145,25 @@ class TestTermGrid:
         with pytest.raises(ValueError) as got:
             gen.log_term_grid(shape, start)
         assert str(got.value) == expected
+
+
+    def test_zero_variable_on_a_later_tower_masks_no_earlier_argument(self):
+        # at n = 1 tower 1's Gamma argument is 0, and z2 = 0 makes the term
+        # vanish from tower 2 on: the scalar scan meets tower 1 first and raises
+        def tower(t, z_exp, gamma_arg):
+            flat = AffineForm(0.0, (0.0,))
+            return CompiledTower(t, 0.0, AffineForm(*z_exp), flat, AffineForm(*gamma_arg), 0.0)
+
+        compiled = CompiledClass("masking", (1,), (
+            tower(1, (1.0, (1.0,)), (1.0, (-1.0,))),
+            tower(2, (0.0, (1.0,)), (1.0, (1.0,))),
+        ))
+        gen = TermGenerator.of(compiled, (1.0, 0.0))
+        with pytest.raises(ValueError) as scalar:
+            gen.log_term((1,))
+        with pytest.raises(ValueError) as grid:
+            gen.log_term_grid((3,))
+        assert str(grid.value) == str(scalar.value) == "log_gamma requires x > 0, got 0.0"
 
 
 class TestNormSeries:

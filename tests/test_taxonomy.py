@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,8 @@ from vcslab.frequencies import FrequencyConfig
 from vcslab.registry import get, registry
 from vcslab.structure import SpecError
 from vcslab.taxonomy import (
+    EDGE_WINDOW,
+    _descendant_state,
     canonical_signature,
     class_counts,
     declared_factor_relations,
@@ -230,6 +233,25 @@ class TestDeformationGraph:
         with pytest.raises(dataclasses.FrozenInstanceError):
             graph[0].status = "forbidden"
         assert [dataclasses.astuple(e) for e in deformation_graph(2, 2)] == before
+
+
+    def test_shared_descendant_state_cannot_be_changed_by_a_caller(self):
+        edge = next(
+            e for e in deformation_graph(3, 2)
+            if e.status == "defined" and not e.via_symmetry
+        )
+        before = verify_edge_continuity(edge, CFG3, (1,)).as_dict()
+        # the descendant's state as verify_edge_continuity asks for it
+        anc, desc = get(edge.ancestor), get(edge.descendant)
+        z = {t: 0.8 * math.sqrt(CFG3.omega(t)) for t in anc.tower_ids}
+        hits = _descendant_state.cache_info().hits
+        shared = _descendant_state(
+            desc, CFG3, tuple(z[t] for t in desc.tower_ids), (1,), (EDGE_WINDOW,) * len(anc.summed)
+        )
+        assert _descendant_state.cache_info().hits == hits + 1
+        with pytest.raises(TypeError):
+            shared.coeffs[next(iter(shared.coeffs))] = 0.0
+        assert verify_edge_continuity(edge, CFG3, (1,)).as_dict() == before
 
 
 class TestClassCounts:
