@@ -248,7 +248,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     for check in cfg.checks:
         if undefined_point and check != "convergence":
             rep = make_report(
-                spec.id, check, ((f"predicted-undefined", 0.0),), 1.0, undefined=True,
+                spec.id, check, (("predicted-undefined", 0.0),), 1.0, undefined=True,
                 metadata=(("reason", undefined_point),),
             )
             out.append(rep.as_dict())

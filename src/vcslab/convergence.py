@@ -213,10 +213,9 @@ def _majorant_grid(gen: TermGenerator, terms, shape, start):
     grids = gen.compiled.window(shape, start)
     live = terms != float("-inf")
     # a vanished term takes no further factor
-    log_r = gen.compiled.log_factorial_grid(grids, ~live[..., None])
     lt = terms
-    for i in range(len(gen.compiled.towers)):
-        lt = lt + log_r[..., i]
+    for log_r in gen.compiled.log_factorial_grid(grids, ~live[..., None]):
+        lt = lt + log_r
     for g in grids:
         lt = lt - log_gamma_grid(g + 1.0)
     return np.where(live, lt, -np.inf)

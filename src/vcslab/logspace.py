@@ -16,33 +16,20 @@ import numpy as np
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over every element of a real float array.
 
-    The same float as scipy.special.logsumexp(a) with axis=None and no
-    weights, bit for bit: the same numpy reductions on arrays of the same
-    shapes, kept in 1-element arrays, without scipy's per-call dispatch.
-    The maximum is taken out of the sum (every element equal to it counts
-    once in m), and a non-finite result takes the direct
-    log(sum(exp(a))) route, as scipy's does.
+    The maximum m is taken out of the sum, m + log(sum(exp(a - m))), so
+    no term overflows and the largest is 1.  An empty or all -inf array
+    gives -inf, an array holding +inf gives +inf and one holding nan gives
+    nan.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
     if a.size == 0:
         return float("-inf")
-    axes = tuple(range(a.ndim))
-    a_max = a.max(axis=axes, keepdims=True)
-    if math.isfinite(a_max.item()):
-        at_max = a == a_max
-        rest = np.array(a, copy=True)
-        rest[at_max] = -np.inf
-        m = at_max.sum(axis=axes, keepdims=True, dtype=float)
-        s = np.exp(rest - a_max).sum(axis=axes, keepdims=True)
-        if s.item() != 0.0:
-            s = s / m
-        out = (np.log1p(s) + np.log(m) + a_max).item()
-        if math.isfinite(out):
-            return out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.log(np.exp(a).sum(axis=axes, keepdims=True)).item()
+    m = float(a.max())
+    if not math.isfinite(m):
+        return m
+    # a - m may pass the float range only towards -inf, where exp is 0
+    with np.errstate(over="ignore"):
+        return m + math.log(np.exp(a - m).sum())
 
 
 def rel_diff_from_logs(log_a: float, log_b: float) -> float:

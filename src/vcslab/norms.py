@@ -150,10 +150,10 @@ def _window_parts(compiled: CompiledClass, shape, start, zero):
         z_exps.append(e)
         # a term already zero never reaches this tower's Gamma
         masks.append(dead)
-    log_r = compiled.log_factorial_grid(grids, np.stack(masks, axis=-1))
+    log_rs = compiled.log_factorial_grid(grids, np.stack(masks, axis=-1))
     towers = tuple(
-        (z_exps[i], ct.w_exp.on_grid(grids) * ct.log_w, log_r[..., i])
-        for i, ct in enumerate(compiled.towers)
+        (e, ct.w_exp.on_grid(grids) * ct.log_w, log_r)
+        for e, ct, log_r in zip(z_exps, compiled.towers, log_rs)
     )
     for a in (dead, *itertools.chain(*towers)):
         a.setflags(write=False)

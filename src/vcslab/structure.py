@@ -204,28 +204,26 @@ class CompiledClass:
             for i, (k, s) in enumerate(zip(start, shape))
         ]
 
-    def log_factorial_grid(self, grids, dead=False) -> np.ndarray:
+    def log_factorial_grid(self, grids, dead=False) -> tuple[np.ndarray, ...]:
         """log R_t(n) = log Gamma(gamma_t(n) + n_t) - log Gamma(gamma_t)
-        of every tower on index grids (one array per summed axis), tower t
-        along the last axis.
+        on index grids (one array per summed axis), one array per tower.
 
-        dead, broadcast to that shape, marks the entries of terms already
-        zero: they take argument 1.  The first other argument that is not
-        > 0, point by point and tower by tower, raises log_gamma's
+        dead, broadcast to (points, tower), marks the entries of terms
+        already zero: they take argument 1.  The first other argument that
+        is not > 0, point by point and tower by tower, raises log_gamma's
         ValueError.
         """
         args = np.stack([ct.gamma_arg.on_grid(grids) for ct in self.towers], axis=-1)
         norms = np.array([ct.log_gamma_norm for ct in self.towers])
-        return log_gamma_grid(np.where(dead, 1.0, args)) - norms
+        return tuple(np.moveaxis(log_gamma_grid(np.where(dead, 1.0, args)) - norms, -1, 0))
 
     def log_target_grid(self, grids) -> np.ndarray:
         """log of the product of the tower factorials R_t(n), the moment
         target, on index grids, towers summed in order as a scalar loop
         over them would."""
-        log_r = self.log_factorial_grid(grids)
         out = np.zeros(np.shape(grids[0]))
-        for i in range(len(self.towers)):
-            out = out + log_r[..., i]
+        for log_r in self.log_factorial_grid(grids):
+            out = out + log_r
         return out
 
     def log_target(self, n) -> float:
