@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import rel_diff_from_logs
-from .quadrature import combine_routes, log_moment_closed, log_moment_direct
+from .quadrature import _integration_order, combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
 from .special import log_gamma
@@ -282,16 +283,6 @@ def solve_generalized(
 # -- moment integration ------------------------------------------------
 
 
-def _integration_order(density: MeasureDensity) -> list[ExpTerm]:
-    coupled = [t for t in density.exp_terms if t.couplings]
-    plainer = [t for t in density.exp_terms if not t.couplings]
-    for t in coupled:
-        for j, _ in t.couplings:
-            if j in [c.var for c in coupled]:
-                raise SpecError("cyclic variable couplings are out of scope")
-    return coupled + plainer
-
-
 def _log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np.ndarray:
     """log of the radial moment integral at each summed multi-index in points.
 
@@ -363,16 +354,31 @@ def moment_integral(
     return float(_log_moments(compiled, density, [n])[0])
 
 
-def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=32)
+def _lattice(n_axes: int, n_max: int) -> tuple:
+    """(points, grid, ends, labels): `probe_lattice`'s points, and what a
+    moment check derives from them once: the points as a read-only float
+    array (point, axis), its first and last rows, where the direct route
+    runs, and the residual labels "3,7"."""
     if n_axes == 1:
-        return [(n,) for n in range(n_max + 1)]
-    pts = set()
-    for n in range(n_max + 1):
-        pts.update({(n, 0), (0, n), (n, n)})
-    for p in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 5), (5, 2), (3, 7), (7, 3)]:
-        if max(p) <= n_max:
-            pts.add(p)
-    return sorted(pts)
+        points = [(n,) for n in range(n_max + 1)]
+    else:
+        pts = set()
+        for n in range(n_max + 1):
+            pts.update({(n, 0), (0, n), (n, n)})
+        for p in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 5), (5, 2), (3, 7), (7, 3)]:
+            if max(p) <= n_max:
+                pts.add(p)
+        points = sorted(pts)
+    grid = np.array(points, dtype=float).reshape(-1, n_axes)
+    ends = grid[[0, -1]]
+    grid.setflags(write=False)
+    ends.setflags(write=False)
+    return tuple(points), grid, ends, tuple(",".join(map(str, n)) for n in points)
+
+
+def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
+    return list(_lattice(n_axes, n_max)[0])
 
 
 def verify_moments(
@@ -392,16 +398,14 @@ def verify_moments(
     fixed = tuple(int(v) for v in fixed)
     density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed)
-    points = probe_lattice(len(spec.summed), n_range)
-    integrals = _log_moments(compiled, density, points).tolist()
-    ends = [points[0], points[-1]]
+    _, grid, ends, labels = _lattice(len(spec.summed), n_range)
+    integrals = _log_moments(compiled, density, grid).tolist()
     direct = _direct_log_moments(compiled, density, ends).tolist()
     for i, log_direct in zip((0, -1), direct):
         combine_routes(integrals[i], log_direct, context=f"({density.spec_id})")
-    targets = compiled.log_target_grid(_columns(points)).tolist()
+    targets = compiled.log_target_grid(list(grid.T)).tolist()
     residuals = [
-        (",".join(map(str, n)), rel_diff_from_logs(i, t))
-        for n, i, t in zip(points, integrals, targets)
+        (label, rel_diff_from_logs(i, t)) for label, i, t in zip(labels, integrals, targets)
     ]
     return make_report(
         spec.id,

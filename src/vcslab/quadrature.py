@@ -21,6 +21,7 @@ from functools import cache
 import numpy as np
 
 from .special import log_gamma_grid
+from .structure import SpecError
 
 # The routes may differ by this much (relative) before a check aborts.
 HARD_TOL = 1e-7
@@ -47,6 +48,22 @@ def log_moment_closed(q):
     return log_gamma_grid(np.asarray(q + 1.0))
 
 
+def _integration_order(density) -> list:
+    """The density's exp terms, coupled ones first.
+
+    A coupled term may couple only to variables whose own terms are
+    uncoupled, so the coupling matrix A is triangular up to a permutation
+    of the variables; any other coupling raises SpecError.
+    """
+    coupled = [t for t in density.exp_terms if t.couplings]
+    plainer = [t for t in density.exp_terms if not t.couplings]
+    for t in coupled:
+        for j, _ in t.couplings:
+            if j in [c.var for c in coupled]:
+                raise SpecError("cyclic variable couplings are out of scope")
+    return coupled + plainer
+
+
 def _components(density) -> list[list[int]]:
     """The density's variables, grouped by the couplings of its exp terms."""
     group = {v: {v} for v in density.variables}
@@ -63,12 +80,33 @@ def _components(density) -> list[list[int]]:
     return out
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @cache
 def _tensor_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, log weights) of the dim-fold tensor product of the 1d rule."""
     nodes = np.meshgrid(*[_NODES] * dim, indexing="ij")
     log_weights = sum(np.meshgrid(*[_LOG_WEIGHTS] * dim, indexing="ij"))
-    return np.stack([n.ravel() for n in nodes]), log_weights.ravel()
+    return _read_only(np.stack([n.ravel() for n in nodes])), _read_only(log_weights.ravel())
+
+
+@cache
+def _node_layout(comps: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """(steps, log weights, block starts) of the direct route's nodes for
+    components over the given columns.  Node 0 is the peak; after it comes
+    one block per component, the tensor rule over its terms.  steps is
+    (term, node) and zero outside each block's own terms."""
+    n_cols = sum(map(len, comps))
+    rules = [_tensor_rule(len(comp)) for comp in comps]
+    starts = np.cumsum([1] + [w.size for _, w in rules])
+    steps = np.zeros((n_cols, starts[-1]))
+    for comp, (nodes, _), lo, hi in zip(comps, rules, starts, starts[1:]):
+        steps[list(comp), lo:hi] = nodes
+    log_weights = np.concatenate([w for _, w in rules])
+    return _read_only(steps), _read_only(log_weights), _read_only(starts)
 
 
 def log_moment_direct(density, exponents) -> np.ndarray:
@@ -89,11 +127,14 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     peak's width.  Then log I = h(v*) + sum over components of
     log int exp(h - h(v*)).  The integrand's values come from
     `density.log_grid` only; A and c serve only to place the nodes.
+    Couplings that `_integration_order` rejects raise its SpecError, so
+    A is triangular up to a permutation and |det A| = prod |a_kk|.
     """
     variables = list(density.variables)
     col = {v: i for i, v in enumerate(variables)}
     if sorted(t.var for t in density.exp_terms) != sorted(variables):
         raise ValueError(f"{density.spec_id}: one exponential factor per variable is required")
+    _integration_order(density)
     a = np.zeros((len(variables), len(variables)))
     log_scale = np.zeros(len(variables))
     for t in density.exp_terms:
@@ -103,28 +144,29 @@ def log_moment_direct(density, exponents) -> np.ndarray:
         log_scale[col[t.var]] = t.log_scale
     a_inv = np.linalg.inv(a)
     size = len(next(iter(exponents.values())))
-    e = np.stack([np.broadcast_to(exponents.get(v, 0.0), (size,)) for v in variables], axis=-1)
+    e = np.zeros((size, len(variables)))
+    for i, var in enumerate(variables):
+        if var in exponents:
+            e[:, i] = exponents[var]
     big_e = (e + [density.power(v) + 1.0 for v in variables]) @ a_inv  # rows solve A^T E = c
     divergent = ~(big_e > 0.0).all(axis=-1)
-    big_e = np.where(divergent[:, None], 1.0, big_e)
+    big_e[divergent] = 1.0
     peak = (np.log(big_e) + log_scale) @ a_inv.T
     m = a_inv / np.sqrt(big_e)[:, None, :]  # (point, variable, term)
 
     # nodes: the peak, then a block per component in which only the
-    # component's variables move; arrays are (variable, point, node)
-    comps = _components(density)
-    rules = [_tensor_rule(len(comp)) for comp in comps]
-    starts = np.cumsum([1] + [w.size for _, w in rules])
-    v = np.repeat(peak.T[:, :, None], starts[-1], axis=2)
-    for comp, (nodes, _), lo, hi in zip(comps, rules, starts, starts[1:]):
-        idx = [col[var] for var in comp]
-        v[idx, :, lo:hi] += (m[:, idx][:, :, idx] @ nodes).transpose(1, 0, 2)
+    # component's variables move (M is zero between components); arrays
+    # are (variable, point, node)
+    comps = tuple(tuple(col[var] for var in comp) for comp in _components(density))
+    steps, log_weights, starts = _node_layout(comps)
+    v = peak.T[:, :, None] + (m @ steps).transpose(1, 0, 2)
     h = density.log_grid(dict(zip(variables, v)))
     h = h + ((e.T + 1.0)[:, :, None] * v).sum(axis=0)
-    weighted = np.exp(h[:, 1:] - h[:, :1] + np.concatenate([w for _, w in rules]))
+    weighted = np.exp(h[:, 1:] - h[:, :1] + log_weights)
     total = h[:, 0] + np.log(np.add.reduceat(weighted, starts[:-1] - 1, axis=1)).sum(axis=1)
     # the Jacobian of every component's map at once: |det M|
-    total = total - math.log(abs(np.linalg.det(a))) - 0.5 * np.log(big_e).sum(axis=-1)
+    log_det = sum(math.log(abs(a[k, k])) for k in range(len(variables)))
+    total = total - log_det - 0.5 * np.log(big_e).sum(axis=-1)
     return np.where(divergent, np.inf, total)
 
 
@@ -141,7 +183,7 @@ def combine_routes(log_a: float, log_b: float, context: str = "") -> tuple[float
 
 # bench/spans.py traces these names (log_moment_piece as moments'
 # attribute); nothing in vcslab calls them.  The benchmark update of
-# ROADMAP item 4 removes the aliases.
+# ROADMAP item 7 removes the aliases.
 log_moment_gauss = log_moment_closed
 log_moment_piece = log_moment_closed
 log_moment_adaptive = log_moment_direct

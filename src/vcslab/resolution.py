@@ -16,14 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import rel_diff_from_logs
-from .moments import _columns, _log_moments, density_for
+from .moments import _log_moments, density_for
 from .report import VerificationReport
-from .structure import ClassSpec
+from .structure import ClassSpec, CompiledClass
 
 
 # c.delta counts as zero within this fraction of its scale
@@ -74,7 +75,11 @@ def _proportional(a, b) -> bool:
 def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
     """Constraints read off the variable-phase exponents, one per tower."""
     # the z slopes do not depend on the fixed indices, so zeros serve
-    compiled = spec.compile(config, (0,) * len(spec.fixed))
+    return _rule_of(spec, spec.compile(config, (0,) * len(spec.fixed)))
+
+
+def _rule_of(spec: ClassSpec, compiled: CompiledClass) -> SelectionRule:
+    """`selection_rule` from the class compiled at any fixed indices."""
     rows = [
         ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
     ]
@@ -106,6 +111,20 @@ def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]
     return [tuple(row) for row in deltas[hits].tolist()]
 
 
+@lru_cache(maxsize=32)
+def _gram_basis(nmax: tuple[int, ...]) -> tuple:
+    """(points, indices, grid, labels) of the truncated basis 0 <= m_i <=
+    nmax_i, built once per nmax: the points in `itertools.product` order,
+    as read-only int and float arrays (point, axis), and the diagonal
+    residual labels "G[3,7]"."""
+    points = tuple(itertools.product(*[range(m + 1) for m in nmax]))
+    indices = np.array(points, dtype=int).reshape(-1, len(nmax))
+    grid = indices.astype(float)
+    indices.setflags(write=False)
+    grid.setflags(write=False)
+    return points, indices, grid, tuple("G[" + ",".join(map(str, m)) + "]" for m in points)
+
+
 def resolution_residual(
     spec: ClassSpec,
     config: FrequencyConfig,
@@ -115,18 +134,16 @@ def resolution_residual(
 ) -> VerificationReport:
     """max |G - I| over the truncated basis at the given fixed indices."""
     fixed = tuple(int(v) for v in fixed)
-    if isinstance(nmax, int):
-        nmax = (nmax,) * len(spec.summed)
-    rule = selection_rule(spec, config)
+    nmax = (nmax,) * len(spec.summed) if isinstance(nmax, int) else tuple(nmax)
     density = density_for(spec, config, fixed)
     compiled = spec.compile(config, fixed)
-    basis = list(itertools.product(*[range(m + 1) for m in nmax]))
+    rule = _rule_of(spec, compiled)
+    basis, basis_arr, grid, labels = _gram_basis(nmax)
     # diagonal entries: moment integral over target
-    diagonal = _log_moments(compiled, density, basis).tolist()
-    targets = compiled.log_target_grid(_columns(basis)).tolist()
+    diagonal = _log_moments(compiled, density, grid).tolist()
+    targets = compiled.log_target_grid(list(grid.T)).tolist()
     residuals = [
-        ("G[" + ",".join(map(str, m)) + "]", rel_diff_from_logs(i, t))
-        for m, i, t in zip(basis, diagonal, targets)
+        (label, rel_diff_from_logs(i, t)) for label, i, t in zip(labels, diagonal, targets)
     ]
     # the verdict judges the certified (diagonal) part; the aliased entries
     # appended below are reported but carry no pass/fail semantics
@@ -134,7 +151,6 @@ def resolution_residual(
     # off-diagonal entries: certified zero unless the rule aliases
     window = max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
-    basis_arr = np.array(basis)
     flagged = []
     for delta in aliases:
         # lexicographic order is translation invariant: every pair of a
@@ -155,7 +171,10 @@ def resolution_residual(
         for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
             m, mp = basis[i], basis[j]
             log_t = 0.5 * (targets[i] + targets[j])
-            entry = math.exp(log_i - log_t)
+            try:
+                entry = math.exp(log_i - log_t)
+            except OverflowError:  # an entry past the float range
+                entry = math.inf
             flagged.append((m, mp, entry))
             residuals.append((f"G[{m}|{mp}]", entry))
     rationality = []

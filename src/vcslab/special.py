@@ -125,7 +125,7 @@ def _log_q_prefactor(a: float, x: float) -> float:
 
 
 def hyp1f1_one_closed(b: float, x: float) -> float:
-    """log 1F1(1;b;x), where 1F1(1;b;x) = sum_k x^k / (b)_k for b >= 1, x >= 0.
+    """log 1F1(1;b;x), where 1F1(1;b;x) = sum_k x^k / (b)_k for b >= 1, finite x >= 0.
 
     Below x = b the terms fall monotonically from the first, so they are
     summed directly.  From x = b on the sum is taken from
@@ -134,8 +134,8 @@ def hyp1f1_one_closed(b: float, x: float) -> float:
     """
     if b < 1.0:
         raise ValueError("hyp1f1_one_closed requires b >= 1")
-    if not x >= 0.0:
-        raise ValueError("hyp1f1_one_closed requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"hyp1f1_one_closed requires a finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     if b == 1.0:

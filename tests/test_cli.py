@@ -404,6 +404,24 @@ class TestVerify:
             assert rep["residuals"] == {"evaluation-error": 1.0}
             assert "log_gamma requires x > 0" in rep["metadata"]["error"]
 
+    def test_gram_entry_past_the_float_range_is_inf(self):
+        # math.exp of an aliased entry's log raised an OverflowError traceback
+        proc = run_cli(["verify", "3d.2dof.gamma1-gamma3", "--omega", "7.3,1e100,7.3",
+                        "--checks", "resolution"])
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["max_residual"] == "inf" and rep["residuals"]["G[(0, 1)|(1, 1)]"] == "inf"
+
+    def test_infinite_hyp1f1_argument_is_an_evaluation_error(self):
+        # an axis weight of inf reached the 1F1 closed form, whose
+        # continued fraction escaped as a bare ArithmeticError traceback
+        proc = run_cli(["verify", "3d.2dof.gamma13-gamma23", "--omega", "1e100,1e-8,1e100",
+                        "--kappa", "31=1e8", "--z-grid", "1e300", "--checks", "norm"])
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+        (rep,) = json.loads(proc.stdout)["results"]
+        assert rep["residuals"] == {"evaluation-error": 1.0}
+        assert rep["metadata"]["error"] == "hyp1f1_one_closed requires a finite x >= 0, got inf"
+
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])
         assert proc.returncode == 2

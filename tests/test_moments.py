@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vcslab import moments
+from vcslab import moments, quadrature
 from vcslab.cli import ALL_CHECKS, RunConfig, run_verification
 from vcslab.frequencies import FrequencyConfig
 from vcslab.logspace import rel_diff_from_logs
@@ -341,6 +341,24 @@ class TestArrayMomentPath:
             targets = [_reference_log_target(compiled, n) for n in points]
             assert _bits(compiled.log_target_grid(_columns(points))) == _bits(targets), spec.id
 
+    @pytest.mark.parametrize("n_range", [0, 1, 10, 20])
+    def test_verify_moments_matches_point_by_point_scan(self, n_range):
+        omegas = (1.37, 2.91, 0.73)
+        for spec in registry():
+            cfg = FrequencyConfig(omegas[: spec.dimension])
+            fixed = (1,) * len(spec.fixed)
+            compiled = spec.compile(cfg, fixed)
+            density = density_for(spec, cfg, fixed)
+            want = [
+                (",".join(map(str, n)), rel_diff_from_logs(
+                    _reference_log_moment(compiled, density, n), _reference_log_target(compiled, n)
+                ))
+                for n in probe_lattice(len(spec.summed), n_range)
+            ]
+            got = verify_moments(spec, cfg, fixed, n_range=n_range).residuals
+            assert [k for k, _ in got] == [k for k, _ in want], spec.id
+            assert _bits([v for _, v in got]) == _bits([v for _, v in want]), spec.id
+
     def test_gram_basis_and_aliased_midpoints_match_scan(self):
         spec = get("3d.2dof.gamma1-gamma2")
         cfg = FrequencyConfig((2.0, 1.0, 3.0))  # kappa12 = 1/2 aliases
@@ -405,6 +423,16 @@ class TestDirectRoute:
         with pytest.raises(QuadratureDisagreement, match=r"\(2d\.2dof\.gamma1-gamma2\.D\)"):
             verify_moments(spec, CFG2, (2,))
 
+    def test_cyclic_couplings_are_rejected_by_the_route_itself(self):
+        # |det A| is taken as the product of A's diagonal, which holds only
+        # for an A that is triangular up to a permutation
+        cyclic = MeasureDensity("cyclic", (1, 2), 0.0, (), (
+            ExpTerm(1, 0.0, couplings=((2, 0.5),)),
+            ExpTerm(2, 0.0, couplings=((1, 0.5),)),
+        ))
+        with pytest.raises(SpecError, match="cyclic"):
+            log_moment_direct(cyclic, {1: np.array([0.0])})
+
     def test_perturbed_coupled_density_fails_with_agreeing_routes(self):
         # both routes integrate a tampered density correctly, so its check
         # fails on residuals, not on a disagreement
@@ -451,3 +479,25 @@ class TestLattice:
         pts = probe_lattice(2, 20)
         assert (20, 20) in pts and (20, 0) in pts and (0, 20) in pts
         assert all(max(p) <= 20 for p in pts)
+
+    def test_cached_lattice_is_read_only_and_probe_lattice_a_copy(self):
+        points, grid, ends, labels = moments._lattice(2, 20)
+        for array in (grid, ends):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        pts = probe_lattice(2, 20)
+        pts[0] = (5, 5)
+        pts.append((99, 99))
+        assert probe_lattice(2, 20) == list(points)
+        assert grid.tolist() == [[float(v) for v in p] for p in points]
+        assert ends.tolist() == [grid[0].tolist(), grid[-1].tolist()]
+        assert labels[-1] == "20,20"
+
+    @pytest.mark.parametrize("n_axes", [1, 2])
+    def test_route_ends_at_n_range_0_are_one_point(self, n_axes):
+        assert moments._lattice(n_axes, 0)[2].tolist() == [[0.0] * n_axes] * 2
+
+    def test_cached_node_layout_is_read_only(self):
+        for array in quadrature._node_layout(((0,), (1, 2))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 1

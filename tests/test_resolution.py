@@ -8,10 +8,12 @@ from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import density_for, verify_moments
 from vcslab.registry import get
 from vcslab.resolution import (
+    _gram_basis,
     aliasing_solutions,
     resolution_residual,
     selection_rule,
 )
+from vcslab.structure import _compile
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
@@ -157,3 +159,25 @@ class TestTwoDimensionalDoublyDeformedRule:
         rule = selection_rule(get("2d.2dof.gamma1-gamma2.A"), CFG2)
         assert len(rule.constraints) == 1
         assert rule.satisfied((0,)) and not rule.satisfied((2,))
+
+
+class TestGramBasis:
+    def test_cached_basis_is_read_only(self):
+        points, indices, grid, labels = _gram_basis((3, 2))
+        assert points == tuple(itertools.product(range(4), range(3)))
+        assert indices.tolist() == [list(m) for m in points] == grid.tolist()
+        assert labels[5] == "G[1,2]"
+        for array in (indices, grid):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    def test_one_resolution_call_compiles_once(self):
+        # the selection rule's z slopes come from the compile at the fixed indices
+        spec = get("3d.2dof.gamma1-gamma2")
+        cfg = FrequencyConfig((2.0, 1.0, 3.0))  # kappa12 = 1/2 aliases
+        _compile.cache_clear()
+        rep = resolution_residual(spec, cfg, (1,), (4, 4))
+        assert _compile.cache_info().misses == 1
+        rule = selection_rule(spec, cfg)
+        assert dict(rep.metadata)["selection_constraints"] == [list(r) for r in rule.constraints]
+

@@ -272,6 +272,14 @@ class TestHyp1F1One:
         with pytest.raises(ValueError):
             hyp1f1_one_closed(2.0, -0.1)
 
+    @pytest.mark.parametrize("b", [1.0, 1.0 + 1e-8, 2.0])
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_x_is_a_domain_error(self, b, x):
+        # at b near 1 and x = inf the continued fraction of Q never
+        # converged and raised a bare ArithmeticError
+        with pytest.raises(ValueError, match="finite x >= 0"):
+            hyp1f1_one_closed(b, x)
+
 
 class TestStirlingRatio:
     def test_exact_log_gamma_oracle(self):
