@@ -9,6 +9,7 @@ after another in id order, and JSON is emitted with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .convergence import (
     required_positive_ratios,
 )
 from .frequencies import FrequencyConfig
-from .moments import verify_moments
+from .moments import density_for, verify_moments
 from .norms import DivergenceError, TailBudgetError, TermGenerator, norm_closed_form, norm_series
 from .quadrature import QuadratureDisagreement
 from .registry import get, registry, select
@@ -162,18 +163,11 @@ def _expected_undefined(spec, cfg: RunConfig) -> str | None:
     return None
 
 
-def _z_points(spec, fc: FrequencyConfig, cfg: RunConfig):
-    for scale in cfg.z_grid:
-        yield scale, tuple(math.sqrt(scale * fc.omega(t)) for t in spec.tower_ids)
-
-
-def _check_norm(spec, fc, cfg):
+def _check_norm(spec, compiled, fc, cfg):
     residuals = []
     method = "series-only"
-    # the compiled class does not depend on z
-    compiled = spec.compile(fc, _fixed_for(spec, cfg), cfg.kappa_overrides or None)
-    for scale, z in _z_points(spec, fc, cfg):
-        gen = TermGenerator.of(compiled, z)
+    for scale in cfg.z_grid:
+        gen = TermGenerator.of(compiled, [math.sqrt(scale * fc.omega(t)) for t in spec.tower_ids])
         closed = norm_closed_form(gen)
         series = norm_series(gen)
         if closed is None:
@@ -212,15 +206,9 @@ def _check_limits(spec, fc, cfg):
     return make_report(spec.id, "limits", residuals, cfg.tol["limits"])
 
 
-def _check_convergence(spec, fc, fixed, overrides, undefined_point):
-    try:
-        v = class_verdict(spec, fc, fixed, overrides=overrides)
-    except ZeroDivisionError:
-        if not undefined_point:
-            raise
-        # a term needs the reciprocal of a zero ratio: undefined as predicted
-        v = Verdict("divergent", undefined_point)
+def _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point):
     if not undefined_point:
+        v = class_verdict(spec, fc, fixed, overrides=overrides, compiled=compiled)
         return make_report(
             spec.id, "convergence",
             ((v.status, 0.0 if v.convergent else 1.0),),
@@ -229,6 +217,11 @@ def _check_convergence(spec, fc, fixed, overrides, undefined_point):
         )
     # the point is predicted non-normalizable: divergence is the expected
     # outcome; anything else is a regression
+    try:
+        v = class_verdict(spec, fc, fixed, overrides=overrides)
+    except ZeroDivisionError:
+        # a term needs the reciprocal of a zero ratio: undefined as predicted
+        v = Verdict("divergent", undefined_point)
     return make_report(
         spec.id, "convergence",
         (("divergence-confirmed", 0.0 if v.divergent else 1.0),),
@@ -245,6 +238,12 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     overrides = cfg.kappa_overrides or None
     out = []
     undefined_point = _expected_undefined(spec, cfg)
+    # one compile serves norm, moment, resolution and convergence; at a
+    # predicted-undefined point it would divide by zero
+    compiled = None if undefined_point else spec.compile(fc, fixed, overrides)
+    # the moment and resolution checks share one density, built on first use
+    density = functools.cache(lambda: density_for(spec, fc, fixed, overrides))
+    ratios = _kappa_text(cfg.kappa_overrides)
     for check in cfg.checks:
         if undefined_point and check != "convergence":
             rep = make_report(
@@ -255,14 +254,18 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
             continue
         try:
             if check == "convergence":
-                rep = _check_convergence(spec, fc, fixed, overrides, undefined_point)
+                rep = _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point)
             elif check == "norm":
-                rep = _check_norm(spec, fc, cfg)
+                rep = _check_norm(spec, compiled, fc, cfg)
             elif check == "moment":
-                rep = verify_moments(spec, fc, fixed, n_range=cfg.nmax, tol=cfg.tol["moment"])
+                rep = verify_moments(
+                    spec, fc, fixed, n_range=cfg.nmax, tol=cfg.tol["moment"],
+                    density=density(), compiled=compiled,
+                )
             elif check == "resolution":
                 rep = resolution_residual(
-                    spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"]
+                    spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"],
+                    density=density(), compiled=compiled,
                 )
             elif check == "factor":
                 rep = _check_factor(spec, fc, cfg)
@@ -280,8 +283,17 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 spec.id, check, (("evaluation-error", 1.0),), 0.5,
                 metadata=(("error", str(exc)),),
             )
-        out.append(rep.as_dict())
+        doc = rep.as_dict()
+        if ratios:
+            # factor and limits compile other classes, at the natural ratios
+            doc["metadata"]["ratios"] = "natural" if check in ("factor", "limits") else ratios
+        out.append(doc)
     return out
+
+
+def _kappa_text(overrides) -> dict[str, float]:
+    """The ratio overrides as JSON: {"ij": value}, keys in order."""
+    return {f"{i}{j}": v for (i, j), v in sorted(overrides.items())}
 
 
 def _selected_ids(cfg: RunConfig) -> list[str]:
@@ -315,7 +327,7 @@ def run_verification(cfg: RunConfig) -> dict:
             "nmax": cfg.nmax,
             "tol": dict(sorted(cfg.tol.items())),
             "checks": list(cfg.checks),
-            "kappa": {f"{i}{j}": v for (i, j), v in sorted(cfg.kappa_overrides.items())},
+            "kappa": _kappa_text(cfg.kappa_overrides),
         },
         "results": flat,
         "summary": summary,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequencies import FrequencyConfig, RatioOverrides
-from .norms import TermGenerator, term_generator
+from .norms import TermGenerator
 from .special import log_gamma, log_gamma_grid
-from .structure import ClassSpec
+from .structure import ClassSpec, CompiledClass
 
 # a ratio counts as decisively off 1 only beyond this margin
 RATIO_MARGIN = 0.05
@@ -300,16 +300,19 @@ def class_verdict(
     config: FrequencyConfig,
     fixed,
     overrides: RatioOverrides | None = None,
+    compiled: CompiledClass | None = None,
 ) -> Verdict:
     """Combined verdict at |z_t|^2 = omega_t, in three stages.
 
     A row or column whose ratio test diverges decides divergence first;
     then a convergent comparison with the double-exponential majorant
     decides convergence; then the full ratio test decides either way.
-    Inconclusive when none of the three decides.
+    Inconclusive when none of the three decides.  compiled defaults to
+    the class compiled at config, fixed and overrides.
     """
+    compiled = spec.compile(config, fixed, overrides) if compiled is None else compiled
     z = tuple(math.sqrt(config.omega(t)) for t in spec.tower_ids)
-    gen = term_generator(spec, config, z, fixed, overrides)
+    gen = TermGenerator.of(compiled, z)
     conditions = required_positive_conditions(spec)
 
     rc = row_column_check(gen)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frequencies import FrequencyConfig
+from .frequencies import FrequencyConfig, resolve_ratio
 from .logspace import rel_diff_from_logs
 from .quadrature import _integration_order, combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
@@ -118,12 +118,11 @@ def _require_unshifted(spec: ClassSpec, config: FrequencyConfig):
         )
 
 
-def _one_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed) -> MeasureDensity:
+def _one_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed, overrides) -> MeasureDensity:
     s = spec.summed[0]
     f = spec.fixed[0]
     nf = fixed[0]
     w = config.omega(s)
-    k = config.ratio(s, f)
     b, bp, _, _ = spec.quadruple
     gamma_family = not spec.towers[0].normalized
     if spec.subclass == "A" and not gamma_family:
@@ -133,6 +132,8 @@ def _one_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed) -> Measure
         c, p, t = _smart_factor(s, w)
         return MeasureDensity(spec.id, (s,), c, p, (t,))
     _require_unshifted(spec, config)
+    # kappa only now: a class that does not use it may have its reciprocal pinned to 0
+    k = resolve_ratio(config, (s, f), overrides)
     if gamma_family:
         # variants of the deformed tower: rho(r, n_f) = [r^2]^((1-b) k n_f) w^(-(1-bp) k n_f) f(r, w)
         power = (1.0 - b) * k * nf
@@ -146,14 +147,14 @@ def _one_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed) -> Measure
     )
 
 
-def _two_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed) -> MeasureDensity:
+def _two_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed, overrides) -> MeasureDensity:
     n2 = fixed[0]
     w1, w2 = config.omega(1), config.omega(2)
-    k2 = config.ratio(2, 1)  # omega_1 / omega_2
     letter = spec.subclass
     if letter == "A":
         return _product_density(spec, config)
     _require_unshifted(spec, config)
+    k2 = resolve_ratio(config, (2, 1), overrides)  # omega_1 / omega_2 unless overridden
     lw1, lw2 = math.log(w1), math.log(w2)
     log_const = -lw2  # the second-variable factor f(r2, w2) in every entry
     powers: list[tuple[int, float]] = []
@@ -192,16 +193,16 @@ def _two_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed) -> Measure
     return MeasureDensity(spec.id, (1, 2), log_const, tuple(powers), terms)
 
 
-def density_for(spec: ClassSpec, config: FrequencyConfig, fixed) -> MeasureDensity:
-    """Cataloged density of a registered class at the given fixed indices."""
+def density_for(spec: ClassSpec, config: FrequencyConfig, fixed, overrides=None) -> MeasureDensity:
+    """Cataloged density of a registered class at the given fixed indices and ratio overrides."""
     fixed = tuple(int(v) for v in fixed)
     if len(fixed) != len(spec.fixed):
         raise SpecError(f"{spec.id}: expected {len(spec.fixed)} fixed indices")
     if spec.dimension == 3:
         return _product_density(spec, config)
     if spec.dof == 1:
-        return _one_dof_density(spec, config, fixed)
-    return _two_dof_density(spec, config, fixed)
+        return _one_dof_density(spec, config, fixed, overrides)
+    return _two_dof_density(spec, config, fixed, overrides)
 
 
 # -- generalized recipe ------------------------------------------------
@@ -337,7 +338,7 @@ def moment_target(spec: ClassSpec, config: FrequencyConfig, fixed, n) -> float:
     """log of the product of the factorial targets R_t(n)."""
     compiled = spec.compile(config, fixed)
     compiled.check(n)
-    return compiled.log_target(n)
+    return float(compiled.log_target_grid([np.array([float(v)]) for v in n])[0])
 
 
 def moment_integral(
@@ -388,16 +389,18 @@ def verify_moments(
     n_range: int = 20,
     tol: float = 1e-8,
     density: MeasureDensity | None = None,
+    compiled: CompiledClass | None = None,
 ) -> VerificationReport:
     """Relative residuals |integral/target - 1| over the probe lattice.
 
     The integrals are the closed form.  At the lattice's first and last
     points (n = 0 and the largest exponents) the direct route integrates
     the density itself, and the two routes must agree to HARD_TOL.
+    density and compiled default to the class's at the natural ratios.
     """
     fixed = tuple(int(v) for v in fixed)
     density = density_for(spec, config, fixed) if density is None else density
-    compiled = spec.compile(config, fixed)
+    compiled = spec.compile(config, fixed) if compiled is None else compiled
     _, grid, ends, labels = _lattice(len(spec.summed), n_range)
     integrals = _log_moments(compiled, density, grid).tolist()
     direct = _direct_log_moments(compiled, density, ends).tolist()

@@ -17,7 +17,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -26,7 +25,7 @@ import numpy as np
 from .frequencies import FrequencyConfig, RatioOverrides
 from .logspace import logsumexp
 from .special import hyp1f1_one_closed, log_gamma, log_gamma_grid
-from .structure import ClassSpec, CompiledClass, SpecError
+from .structure import FIRST_WINDOW, ClassSpec, CompiledClass, SpecError
 
 # closed forms the source text prints with internal inconsistencies; the
 # computed form below is the one the direct series certifies
@@ -91,13 +90,15 @@ class TermGenerator:
         Agrees with `log_term` bit for bit, and raises where a scan of
         the window in `itertools.product` order first would.
         """
-        start = (0,) * len(self.axes) if start is None else tuple(start)
+        origin = (0,) * len(self.axes)
+        start = origin if start is None else tuple(start)
         shape = tuple(shape)
         zero = tuple(log_z == float("-inf") for log_z in self.log_z)
-        # the norm check sums one class at several |z|: its small windows,
-        # the first one of every sum among them, repeat from one z to the next
-        parts = _window_parts if math.prod(shape) <= _MEMO_POINTS else _window_parts.__wrapped__
-        dead, towers = parts(self.compiled, shape, start, zero)
+        if shape == (FIRST_WINDOW,) * len(origin) and start == origin and not any(zero):
+            # every sum starts here: the generators of one compiled class share it
+            dead, towers = self.compiled.first_window_parts
+        else:
+            dead, towers = self.compiled.window_parts(shape, start, zero)
         out = np.zeros(shape)
         for (z_exp, w_term, gamma_term), log_z in zip(towers, self.log_z):
             if log_z != float("-inf"):
@@ -125,39 +126,6 @@ class TermGenerator:
     def gamma_factors(self) -> list[tuple[float, tuple[float, ...]]]:
         """(constant, per-axis slopes) of every Gamma argument in the term."""
         return [(ct.gamma_arg.const, ct.gamma_arg.slopes) for ct in self.compiled.towers]
-
-
-# the most window points whose parts `_window_parts` keeps: the first
-# window of a 2d sum, 17 per axis
-_MEMO_POINTS = 17**2
-
-
-@lru_cache(maxsize=8)
-def _window_parts(compiled: CompiledClass, shape, start, zero):
-    """The parts of `TermGenerator.log_term_grid` that do not depend on |z|.
-
-    zero flags the towers whose variable is 0.  Returns the mask of the
-    terms that vanish and, per tower, its z exponent, its log frequency
-    term and its log Gamma term, as read-only arrays on the window.
-    """
-    grids = compiled.window(shape, start)
-    dead = np.zeros(shape, dtype=bool)
-    z_exps, masks = [], []
-    for ct, is_zero in zip(compiled.towers, zero):
-        e = ct.z_exp.on_grid(grids)
-        if is_zero:
-            dead = dead | (e > 0.0)
-        z_exps.append(e)
-        # a term already zero never reaches this tower's Gamma
-        masks.append(dead)
-    log_rs = compiled.log_factorial_grid(grids, np.stack(masks, axis=-1))
-    towers = tuple(
-        (e, ct.w_exp.on_grid(grids) * ct.log_w, log_r)
-        for e, ct, log_r in zip(z_exps, compiled.towers, log_rs)
-    )
-    for a in (dead, *itertools.chain(*towers)):
-        a.setflags(write=False)
-    return dead, towers
 
 
 def term_generator(
@@ -200,7 +168,7 @@ def _check_budget_reachable(log_window, ndim: int, axis: int) -> None:
     vanished there, or are nan, decide nothing.
     """
     probe = log_window(
-        tuple(2 if k == axis else 17 for k in range(ndim)),
+        tuple(2 if k == axis else FIRST_WINDOW for k in range(ndim)),
         tuple(MAX_TERMS if k == axis else 0 for k in range(ndim)),
     )
     t0, t1 = np.moveaxis(probe, axis, 0)
@@ -215,18 +183,19 @@ def _certified_sum(log_window, ndim: int):
     """log of the sum of exp(t_n) over n >= 0 in ndim axes, with a geometric tail certificate.
 
     log_window(shape, start) returns t on the window [start_i, start_i +
-    shape_i) per axis.  The window starts at 17 terms per axis and doubles
-    along the axis whose frontier slice holds more mass, evaluating only the
-    new strip; before it first grows, `_check_budget_reachable` probes past
-    the budget along each axis whose terms still rise.  It is certified once
-    every frontier ratio is below 1 and the geometric tail past the frontier
-    is at most 1e-12 of the sum; the tail assumes terms log-concave along
-    each axis, as they are when every Gamma slope is >= 0.  Returns
-    (log sum, last index per axis, relative tail, the summed window of
-    t, which starts at the origin and holds indices 0..16 at least).
+    shape_i) per axis.  The window starts at FIRST_WINDOW (17) terms per
+    axis and doubles along the axis whose frontier slice holds more mass,
+    evaluating only the new strip; before it first grows,
+    `_check_budget_reachable` probes past the budget along each axis whose
+    terms still rise.  It is certified once every frontier ratio is below 1
+    and the geometric tail past the frontier is at most 1e-12 of the sum;
+    the tail assumes terms log-concave along each axis, as they are when
+    every Gamma slope is >= 0.  Returns (log sum, last index per axis,
+    relative tail, the summed window of t, which starts at the origin and
+    holds indices 0..16 at least).
     """
-    last = [16] * ndim
-    logs = log_window((17,) * ndim, (0,) * ndim)
+    last = [FIRST_WINDOW - 1] * ndim
+    logs = log_window((FIRST_WINDOW,) * ndim, (0,) * ndim)
     while True:
         log_partial = logsumexp(logs)
         if not log_partial < float("inf"):
@@ -248,7 +217,7 @@ def _certified_sum(log_window, ndim: int):
             rel = math.exp(logsumexp(pieces) - log_partial)
             if rel <= 1e-12:
                 return log_partial, tuple(last), rel, logs
-        if logs.size == 17**ndim:
+        if logs.size == FIRST_WINDOW**ndim:
             # log-concave terms that already fall on the first frontier fall
             # past the budget too; only the others need a probe
             for k in range(ndim):

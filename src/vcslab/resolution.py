@@ -22,7 +22,7 @@ import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import rel_diff_from_logs
-from .moments import _log_moments, density_for
+from .moments import MeasureDensity, _log_moments, density_for
 from .report import VerificationReport
 from .structure import ClassSpec, CompiledClass
 
@@ -72,14 +72,13 @@ def _proportional(a, b) -> bool:
     )
 
 
-def selection_rule(spec: ClassSpec, config: FrequencyConfig) -> SelectionRule:
-    """Constraints read off the variable-phase exponents, one per tower."""
-    # the z slopes do not depend on the fixed indices, so zeros serve
-    return _rule_of(spec, spec.compile(config, (0,) * len(spec.fixed)))
+def selection_rule(spec: ClassSpec, config: FrequencyConfig, compiled=None) -> SelectionRule:
+    """Constraints read off the variable-phase exponents, one per tower.
 
-
-def _rule_of(spec: ClassSpec, compiled: CompiledClass) -> SelectionRule:
-    """`selection_rule` from the class compiled at any fixed indices."""
+    The z slopes do not depend on the fixed indices, so compiled may be the
+    class at any of them; it defaults to the class at zeros.
+    """
+    compiled = spec.compile(config, (0,) * len(spec.fixed)) if compiled is None else compiled
     rows = [
         ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
     ]
@@ -131,13 +130,16 @@ def resolution_residual(
     fixed,
     nmax,
     tol: float = 1e-6,
+    density: MeasureDensity | None = None,
+    compiled: CompiledClass | None = None,
 ) -> VerificationReport:
-    """max |G - I| over the truncated basis at the given fixed indices."""
+    """max |G - I| over the truncated basis at the given fixed indices;
+    density and compiled default to the class's at the natural ratios."""
     fixed = tuple(int(v) for v in fixed)
     nmax = (nmax,) * len(spec.summed) if isinstance(nmax, int) else tuple(nmax)
-    density = density_for(spec, config, fixed)
-    compiled = spec.compile(config, fixed)
-    rule = _rule_of(spec, compiled)
+    density = density_for(spec, config, fixed) if density is None else density
+    compiled = spec.compile(config, fixed) if compiled is None else compiled
+    rule = selection_rule(spec, config, compiled)
     basis, basis_arr, grid, labels = _gram_basis(nmax)
     # diagonal entries: moment integral over target
     diagonal = _log_moments(compiled, density, grid).tolist()

@@ -12,16 +12,18 @@ from {1} and the frequency ratios, plus shift constants, which is
 exactly the algebra LinForm encodes.  Everything downstream (norm
 series, moment targets, selection rules, deformation limits) is derived
 from this one representation.  `ClassSpec.compile` evaluates each form
-once per process, at given frequencies and fixed indices, as a constant
+at given frequencies, fixed indices and ratio overrides, as a constant
 plus one slope per summed index; numbers at lattice points come from
-there.
+there.  A caller that runs several checks on one class at one parameter
+point compiles it once and hands the `CompiledClass` to each of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +34,9 @@ from .special import log_gamma, log_gamma_grid
 # One additive term: coefficient (a frequency ratio, or 1 when None)
 # times a quantum number (n_of) or a shift constant (shift_of) or 1.
 Term = tuple[tuple[int, int] | None, int | None, int | None]
+
+# indices per summed axis of the first window a norm sum evaluates
+FIRST_WINDOW = 17
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,38 @@ class CompiledClass:
         norms = np.array([ct.log_gamma_norm for ct in self.towers])
         return tuple(np.moveaxis(log_gamma_grid(np.where(dead, 1.0, args)) - norms, -1, 0))
 
+    def window_parts(self, shape, start, zero) -> tuple:
+        """The parts of the norm-series log terms on a window that do not depend on |z|.
+
+        zero flags the towers whose variable is 0.  Returns the mask of the
+        terms that vanish and, per tower, its z exponent, its log frequency
+        term and its log Gamma term, as read-only arrays on the window.
+        """
+        grids = self.window(shape, start)
+        dead = np.zeros(shape, dtype=bool)
+        z_exps, masks = [], []
+        for ct, is_zero in zip(self.towers, zero):
+            e = ct.z_exp.on_grid(grids)
+            if is_zero:
+                dead = dead | (e > 0.0)
+            z_exps.append(e)
+            # a term already zero never reaches this tower's Gamma
+            masks.append(dead)
+        log_rs = self.log_factorial_grid(grids, np.stack(masks, axis=-1))
+        towers = tuple(
+            (e, ct.w_exp.on_grid(grids) * ct.log_w, log_r)
+            for e, ct, log_r in zip(z_exps, self.towers, log_rs)
+        )
+        for a in (dead, *itertools.chain(*towers)):
+            a.setflags(write=False)
+        return dead, towers
+
+    @cached_property
+    def first_window_parts(self) -> tuple:
+        """`window_parts` of the first window of every norm sum, with no variable zero."""
+        ndim = len(self.summed)
+        return self.window_parts((FIRST_WINDOW,) * ndim, (0,) * ndim, (False,) * len(self.towers))
+
     def log_target_grid(self, grids) -> np.ndarray:
         """log of the product of the tower factorials R_t(n), the moment
         target, on index grids, towers summed in order as a scalar loop
@@ -225,10 +262,6 @@ class CompiledClass:
         for log_r in self.log_factorial_grid(grids):
             out = out + log_r
         return out
-
-    def log_target(self, n) -> float:
-        """`log_target_grid` at the one point n."""
-        return float(self.log_target_grid([np.array([float(v)]) for v in n])[0])
 
 
 @dataclass(frozen=True)
@@ -299,14 +332,34 @@ class ClassSpec:
         overrides: RatioOverrides | None = None,
     ) -> CompiledClass:
         """Reduce every form once: its value at the summed origin and its
-        coefficient of each summed index.
+        coefficient of each summed index."""
+        if config.dimension < self.dimension:
+            raise SpecError(f"{self.id}: needs {self.dimension} frequencies")
+        nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
 
-        Memoized by value: the spec, the frequencies, the fixed indices and
-        the override items, so the caller's overrides dict is read once and
-        never kept.
-        """
-        items = tuple(sorted((overrides or {}).items()))
-        return _compile(self, config, tuple(int(v) for v in fixed), items)
+        def reduce(form: LinForm) -> AffineForm:
+            const = form.value(nv0, config, overrides)
+            # a slope is the axis's own terms evaluated at n_axis = 1
+            own = {a: LinForm(tuple(t for t in form.terms if t[1] == a)) for a in self.summed}
+            return AffineForm(const, tuple(f.value({a: 1}, config, overrides) for a, f in own.items()))
+
+        towers = []
+        for tw in self.towers:
+            gamma = reduce(tw.gamma)
+            # the Gamma argument gamma_t + n_t steps by one more along n_t
+            steps = tuple(s + (1.0 if a == tw.tower else 0.0) for s, a in zip(gamma.slopes, self.summed))
+            gamma_arg = AffineForm(gamma.const + nv0[tw.tower], steps)
+            towers.append(
+                CompiledTower(
+                    tower=tw.tower,
+                    log_w=math.log(config.omega(tw.tower)),
+                    z_exp=reduce(tw.z_exp),
+                    w_exp=reduce(tw.w_exp),
+                    gamma_arg=gamma_arg,
+                    log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
+                )
+            )
+        return CompiledClass(self.id, self.summed, tuple(towers))
 
     # -- structural transforms -----------------------------------------
 
@@ -349,49 +402,3 @@ class ClassSpec:
             case=self.case,
         )
 
-
-# a report reuses a key within one class's checks or soon after, so 64
-# entries hold every reuse of the default report and bound the memory
-@lru_cache(maxsize=64)
-def _compile(
-    spec: ClassSpec, config: FrequencyConfig, fixed: tuple[int, ...], override_items
-) -> CompiledClass:
-    """`ClassSpec.compile`, computed from its key alone."""
-    if config.dimension < spec.dimension:
-        raise SpecError(f"{spec.id}: needs {spec.dimension} frequencies")
-    overrides = dict(override_items) or None
-    nv0 = spec.quantum_numbers((0,) * len(spec.summed), fixed)
-
-    def reduce(form: LinForm) -> AffineForm:
-        # a slope is the axis's own terms evaluated at n_axis = 1
-        return AffineForm(
-            form.value(nv0, config, overrides),
-            tuple(
-                LinForm(tuple(t for t in form.terms if t[1] == axis)).value(
-                    {axis: 1}, config, overrides
-                )
-                for axis in spec.summed
-            ),
-        )
-
-    towers = []
-    for tw in spec.towers:
-        gamma = reduce(tw.gamma)
-        gamma_arg = AffineForm(
-            gamma.const + nv0[tw.tower],
-            tuple(
-                s + (1.0 if axis == tw.tower else 0.0)
-                for s, axis in zip(gamma.slopes, spec.summed)
-            ),
-        )
-        towers.append(
-            CompiledTower(
-                tower=tw.tower,
-                log_w=math.log(config.omega(tw.tower)),
-                z_exp=reduce(tw.z_exp),
-                w_exp=reduce(tw.w_exp),
-                gamma_arg=gamma_arg,
-                log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
-            )
-        )
-    return CompiledClass(spec.id, spec.summed, tuple(towers))

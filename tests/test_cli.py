@@ -6,7 +6,7 @@ import pytest
 
 from child_env import src_env
 from vcslab import moments
-from vcslab.cli import main
+from vcslab.cli import ALL_CHECKS, RunConfig, main, run_class_checks
 from vcslab.structure import ClassSpec
 
 RUN = [sys.executable, "-m", "vcslab.cli"]
@@ -189,6 +189,51 @@ class TestVerify:
         out = tmp_path / "r.json"
         assert main(["verify", "3d.2dof.gamma13-gamma3", "--checks", "norm", "--out", str(out)]) == 0
         assert calls == ["3d.2dof.gamma13-gamma3"]
+
+    @pytest.mark.parametrize("overrides", [{}, {(1, 2): 0.3}])
+    def test_one_call_compiles_its_class_once(self, overrides, monkeypatch):
+        # norm, moment, resolution and convergence share the compile at the
+        # run's point; limits compiles the class again at each edge's kappa
+        cid = "2d.2dof.gamma1-gamma2.B"
+        calls = []
+        compile_ = ClassSpec.compile
+
+        def counting(spec, config, fixed, overrides=None):
+            calls.append((spec.id, tuple(fixed), dict(overrides or {})))
+            return compile_(spec, config, fixed, overrides)
+
+        monkeypatch.setattr(ClassSpec, "compile", counting)
+        reports = run_class_checks(cid, RunConfig(nmax=4, kappa_overrides=dict(overrides)))
+        assert [r["check"] for r in reports] == list(ALL_CHECKS)
+        assert {r["verdict"] for r in reports} == {"pass"}
+        assert calls.count((cid, (1,), overrides)) == 1
+
+    def test_kappa_reaches_moment_and_resolution(self, tmp_path):
+        def run(*extra):
+            out = tmp_path / "r.json"
+            argv = ["verify", "2d.1dof.gamma1.B", "--omega", "1.3,2.9", "--fixed", "n2=3"]
+            assert main([*argv, "--out", str(out), *extra]) == 0
+            return {r["check"]: r for r in json.loads(out.read_text())["results"]}
+
+        natural, probed = run(), run("--kappa", "12=0.3")
+        for check in ("moment", "resolution"):
+            assert probed[check]["residuals"] != natural[check]["residuals"]
+        # the report names the ratios each check ran at, only when overridden
+        assert not any("ratios" in r["metadata"] for r in natural.values())
+        at = {"12": 0.3}
+        assert {c: r["metadata"]["ratios"] for c, r in probed.items()} == {
+            "norm": at, "moment": at, "resolution": at, "convergence": at,
+            "factor": "natural", "limits": "natural",
+        }
+
+    @pytest.mark.parametrize("kappa, passed, undefined", [("12=0", 144, 192), ("21=0", 168, 168)])
+    def test_zero_ratio_that_a_density_does_not_use_passes(self, kappa, passed, undefined, tmp_path):
+        # a density that does not use kappa never reads it, so the classes
+        # that do not use the pinned ratio's reciprocal stay defined
+        out = tmp_path / "r.json"
+        assert main(["verify", "all", "--kappa", kappa, "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert (summary["failed"], summary["passed"], summary["undefined"]) == (0, passed, undefined)
 
     def test_large_ratio_moments_pass_under_a_2gb_limit(self):
         # moment exponents reach 1e6 here; the adaptive Simpson route that

@@ -31,7 +31,7 @@ from vcslab.report import dumps_deterministic
 from vcslab.resolution import aliasing_solutions, selection_rule
 from vcslab.special import log_gamma
 from vcslab.taxonomy import _descendant_state
-from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError, _compile
+from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError
 
 mpmath.mp.dps = 30
 
@@ -177,23 +177,39 @@ class TestVerifyMoments:
         counts = []
         for n_range in (5, 20):
             calls.clear()
-            _compile.cache_clear()  # each measured call compiles afresh
             assert verify_moments(spec, CFG3, (1,), n_range=n_range).passed
             counts.append(calls["value"])
         assert counts[0] == counts[1] > 0
 
     def test_cold_and_warm_runs_give_the_same_bytes(self):
-        # the warm run reads compiled classes and descendant states from the memos
+        # the warm run reads descendant states and factor reports from the memos
         cfg = RunConfig(
             classes=["2d.2dof.gamma1-gamma2.A", "3d.2dof.gamma13-gamma32"],
             nmax=6,
         )
         assert cfg.checks == list(ALL_CHECKS)
-        _compile.cache_clear()
         _descendant_state.cache_clear()
         cold = dumps_deterministic(run_verification(cfg))
         warm = dumps_deterministic(run_verification(cfg))
         assert warm == cold
+
+    def test_density_reads_kappa_through_the_overrides(self):
+        # kappa12 = 2 at these frequencies; the check runs at kappa12 = 0.3
+        spec = get("2d.1dof.gamma1.B")
+        overrides = {(1, 2): 0.3}
+        compiled = spec.compile(CFG2, (2,), overrides)
+        density = density_for(spec, CFG2, (2,), overrides)
+        assert verify_moments(spec, CFG2, (2,), density=density, compiled=compiled).passed
+        natural = density_for(spec, CFG2, (2,))
+        assert natural != density
+        assert not verify_moments(spec, CFG2, (2,), density=natural, compiled=compiled).passed
+
+    @pytest.mark.parametrize("cid", ["2d.1dof.plain1.A", "2d.1dof.gamma1.A", "2d.2dof.plain-plain.A"])
+    def test_density_that_needs_no_kappa_never_reads_it(self, cid):
+        # kappa12 is undefined with its reciprocal pinned to zero, and these
+        # densities do not use it
+        spec = get(cid)
+        assert density_for(spec, CFG2, (1,), {(2, 1): 0.0}) == density_for(spec, CFG2, (1,))
 
     def test_plain_class_full_range(self):
         rep = verify_moments(get("2d.1dof.plain1.A"), CFG2, (0,), n_range=20)

@@ -14,7 +14,6 @@ from vcslab.norms import (
     TailBudgetError,
     _certified_sum,
     _frontier_ratio,
-    _window_parts,
     norm_closed_form,
     norm_series,
     state,
@@ -104,11 +103,21 @@ class TestTermGrid:
                 idx = tuple(v - k for v, k in zip(n, start))
                 assert grid[idx] == gen.log_term(n), (spec.id, n)
 
-    def test_windows_shared_between_variables_match_scalar(self):
-        # one class at several z, zero variables among them, reuses the
-        # z-independent parts of its small windows; a large one is not kept
-        compiled = get("3d.2dof.gamma13-gamma23").compile(CFG3, (1,))
-        _window_parts.cache_clear()
+    def test_windows_shared_between_variables_match_scalar(self, monkeypatch):
+        # the generators of one compiled class share the z-independent parts
+        # of the first window of a sum; a zero variable masks terms of its
+        # own, and every other window is evaluated afresh
+        spec = get("3d.2dof.gamma13-gamma23")
+        compiled = spec.compile(CFG3, (1,))
+        origin_evals = []
+        log_factorial_grid = CompiledClass.log_factorial_grid
+
+        def counting(self, grids, dead=False):
+            if [g.ravel()[[0, -1]].tolist() for g in grids] == [[0.0, 16.0]] * len(grids):
+                origin_evals.append(self)
+            return log_factorial_grid(self, grids, dead)
+
+        monkeypatch.setattr(CompiledClass, "log_factorial_grid", counting)
         for z in [(0.3, 0.5), (1.0, 1.7), (0.0, 1.2), (2.2, 0.0), (4.0, 3.0)]:
             gen = TermGenerator.of(compiled, z)
             for start, shape in (((0, 0), (17, 17)), ((17, 0), (16, 17)), ((0, 0), (40, 30))):
@@ -116,8 +125,13 @@ class TestTermGrid:
                 for n in window_points(start, shape):
                     idx = tuple(v - k for v, k in zip(n, start))
                     assert grid[idx] == gen.log_term(n), (z, n)
-        info = _window_parts.cache_info()
-        assert (info.hits, info.misses) == (4, 6)
+        # once for the three z without a zero variable, once for each of the two with one
+        assert len(origin_evals) == 3 and all(c is compiled for c in origin_evals)
+        # an equal class compiled again shares nothing with this one
+        twin = spec.compile(CFG3, (1,))
+        assert twin == compiled
+        TermGenerator.of(twin, (0.3, 0.5)).log_term_grid((17, 17))
+        assert len(origin_evals) == 4 and origin_evals[-1] is twin
 
     def test_zero_variable_window_matches_scalar(self):
         gen = term_generator(get("2d.2dof.gamma1-plain.A"), CFG2, (0.0, 1.3), (0,))

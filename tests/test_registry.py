@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -7,7 +6,7 @@ from vcslab.frequencies import FrequencyConfig, resolve_ratio
 from vcslab.norms import term_generator
 from vcslab.registry import get, ids, registry, select
 from vcslab.special import log_gamma
-from vcslab.structure import ClassSpec, SpecError, TowerTerm, _compile, lf, t_n, t_one, t_ratio_n
+from vcslab.structure import ClassSpec, SpecError, TowerTerm, lf, t_n, t_one, t_ratio_n
 
 
 def gamma_offset(spec, cfg, summed_vals, fixed_vals, pos):
@@ -196,6 +195,11 @@ class TestCoefficientStructure:
             term_generator(base, cfg, (1.2, 0.5), (7,)).log_term((4,)), abs=1e-12
         )
 
+    def test_fixed_indices_compile_as_ints(self):
+        spec = get("2d.2dof.gamma1-plain.A")
+        cfg = FrequencyConfig((1.0, 2.0))
+        assert spec.compile(cfg, [3]) == spec.compile(cfg, (3.0,)) == spec.compile(cfg, (3,))
+
     def test_relabel_swaps_towers(self):
         spec = get("2d.1dof.gamma1.A")
         dual = get("2d.1dof.gamma2.A")
@@ -205,54 +209,3 @@ class TestCoefficientStructure:
             term_generator(dual, cfg, (0.8,), (1,)).log_term((2,)), abs=1e-12
         )
 
-
-def _fresh_compile(spec, cfg, fixed, overrides=None):
-    """The compiled class computed without the memo."""
-    return _compile.__wrapped__(spec, cfg, tuple(fixed), tuple(sorted((overrides or {}).items())))
-
-
-class TestCompileMemo:
-    def test_keys_that_differ_never_share_an_entry(self):
-        spec = get("3d.2dof.gamma1-gamma2")
-        cfg = FrequencyConfig((1.0, 2.0, 3.0))
-        pair = sorted(spec.ratios_used())[0]
-        same_id_fewer_terms = dataclasses.replace(spec.drop_ratio(pair), id=spec.id)
-        keys = [
-            (spec, cfg, (1,), None),
-            # overrides
-            (spec, cfg, (1,), {pair: 0.5}),
-            (spec, cfg, (1,), {pair: 0.25}),
-            (spec, cfg, (1,), {(pair[1], pair[0]): 0.75}),
-            # fixed indices
-            (spec, cfg, (2,), None),
-            # configuration: frequencies, then shifts
-            (spec, FrequencyConfig((1.0, 2.0, 3.5)), (1,), None),
-            (spec, FrequencyConfig((1.0, 2.0, 3.0), (0.25, 0.0, 0.0)), (1,), None),
-            # spec: a structural limit, a relabeling, and the limit under the old id
-            (spec.drop_ratio(pair), cfg, (1,), None),
-            (spec.relabeled({1: 2, 2: 1}), cfg, (1,), None),
-            (same_id_fewer_terms, cfg, (1,), None),
-        ]
-        _compile.cache_clear()
-        got = [s.compile(c, f, o) for s, c, f, o in keys]
-        assert _compile.cache_info().misses == len(keys)
-        # warm: every key finds its own entry
-        assert [s.compile(c, f, o) for s, c, f, o in keys] == got
-        assert _compile.cache_info().hits == len(keys)
-        assert got == [_fresh_compile(*k) for k in keys]
-        assert len(set(got)) == len(keys)
-
-    def test_caller_overrides_are_not_kept(self):
-        spec = get("3d.2dof.gamma1-gamma2")
-        cfg = FrequencyConfig((1.0, 2.0, 3.0))
-        pair = sorted(spec.ratios_used())[0]
-        overrides = {pair: 0.5}
-        first = spec.compile(cfg, (1,), overrides)
-        overrides[pair] = 0.25
-        assert spec.compile(cfg, (1,), {pair: 0.5}) == first == _fresh_compile(spec, cfg, (1,), {pair: 0.5})
-        assert spec.compile(cfg, (1,), overrides) == _fresh_compile(spec, cfg, (1,), {pair: 0.25}) != first
-
-    def test_fixed_indices_key_as_ints(self):
-        spec = get("2d.2dof.gamma1-plain.A")
-        cfg = FrequencyConfig((1.0, 2.0))
-        assert spec.compile(cfg, [3]) is spec.compile(cfg, (3.0,)) is spec.compile(cfg, (3,))

@@ -13,7 +13,7 @@ from vcslab.resolution import (
     resolution_residual,
     selection_rule,
 )
-from vcslab.structure import _compile
+from vcslab.structure import ClassSpec
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
@@ -171,13 +171,23 @@ class TestGramBasis:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
 
-    def test_one_resolution_call_compiles_once(self):
+    def test_one_resolution_call_compiles_once(self, monkeypatch):
         # the selection rule's z slopes come from the compile at the fixed indices
         spec = get("3d.2dof.gamma1-gamma2")
         cfg = FrequencyConfig((2.0, 1.0, 3.0))  # kappa12 = 1/2 aliases
-        _compile.cache_clear()
+        calls = []
+        compile_ = ClassSpec.compile
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.id)
+            return compile_(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClassSpec, "compile", counting)
         rep = resolution_residual(spec, cfg, (1,), (4, 4))
-        assert _compile.cache_info().misses == 1
+        assert calls == [spec.id]
+        # a compiled class handed in is the one the check reads
+        assert resolution_residual(spec, cfg, (1,), (4, 4), compiled=compile_(spec, cfg, (1,))) == rep
+        assert calls == [spec.id]
         rule = selection_rule(spec, cfg)
         assert dict(rep.metadata)["selection_constraints"] == [list(r) for r in rule.constraints]
 
