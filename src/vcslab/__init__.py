@@ -7,6 +7,17 @@ the moment identities behind the partial resolution of identity, the
 convergence domains, and the classification structure.
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread per extra CPU when numpy loads,
+# and each one spins for tens of milliseconds of CPU before it sleeps.
+# vcslab's matrices are at most 3x3, so the workers never pay for that.
+# Once numpy is loaded its pool exists and the variable would only leak
+# into child processes; a value the user set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .convergence import (
     Verdict,
     class_verdict,

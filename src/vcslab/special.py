@@ -74,6 +74,8 @@ def _upper_gamma_q(a: float, x: float) -> float:
     Q = e^-x x^a / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))),
     or from a = _NORMAL_FROM on its normal limit erfc((x - a)/sqrt(2a))/2.
     """
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise ValueError(f"Q({a}, {x}) requires finite a and x")
     if a >= _NORMAL_FROM:
         return 0.5 * math.erfc((x - a) / math.sqrt(2.0 * a))
     b = x + 1.0 - a

@@ -168,6 +168,13 @@ class TestRegularizedGammaP:
         monkeypatch.setattr(special, "_NORMAL_FROM", math.inf)
         assert abs(_upper_gamma_q(a, x) - limit) <= 0.14 / math.sqrt(a)
 
+    @pytest.mark.parametrize("a, x", [(1e-8, math.inf), (5.0, math.nan)])
+    def test_non_finite_argument_is_a_domain_error(self, a, x):
+        # the fraction never converges on these: a ValueError, not an
+        # ArithmeticError after every step
+        with pytest.raises(ValueError, match="requires finite a and x"):
+            _upper_gamma_q(a, x)
+
 
 class TestPochhammer:
     """Rising factorials are log_gamma differences: the form of every generalized factorial."""

@@ -1,0 +1,67 @@
+"""vcslab pins numpy's OpenBLAS pool to one thread when it loads numpy first."""
+
+import hashlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+from child_env import src_env
+
+# sha256 of the default `vcslab report`
+DEFAULT_REPORT_SHA256 = "60f76e888f4c2d1758623ae06e0cf1f42e274bc7fde260e35999749770ad3987"
+
+PROBE = (
+    "import json, os, sys\n"
+    "{imports}\n"
+    "task = '/proc/self/task'\n"
+    "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+)
+
+
+def blas_env(openblas_threads=None):
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def probe(imports, openblas_threads=None):
+    """(OPENBLAS_NUM_THREADS, thread count or None) in a child after `imports`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(imports=imports)],
+        capture_output=True, text=True, env=blas_env(openblas_threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+class TestOpenBlasPin:
+    def test_import_vcslab_pins_one_thread(self):
+        value, threads = probe("import vcslab")
+        assert value == "1"
+        assert threads in (None, 1)
+
+    def test_a_preset_value_wins(self):
+        value, _ = probe("import vcslab", openblas_threads="2")
+        assert value == "2"
+
+    def test_numpy_loaded_first_leaves_the_variable_unset(self):
+        # the pool already exists, so setting the variable would change
+        # nothing here and only leak into child processes
+        value, _ = probe("import numpy\nimport vcslab")
+        assert value is None
+
+
+@pytest.mark.parametrize("openblas_threads", ["2", None])
+def test_blas_threads_move_no_number(tmp_path, openblas_threads):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vcslab.cli", "report", "--out", str(out)],
+        capture_output=True, text=True, env=blas_env(openblas_threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
