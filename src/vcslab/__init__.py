@@ -31,7 +31,6 @@ from .moments import (
     density_for,
     moment_integral,
     moment_target,
-    solve_generalized,
     verify_moments,
 )
 from .norms import (

@@ -242,7 +242,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     # predicted-undefined point it would divide by zero
     compiled = None if undefined_point else spec.compile(fc, fixed, overrides)
     # the moment and resolution checks share one density, built on first use
-    density = functools.cache(lambda: density_for(spec, fc, fixed, overrides))
+    density = functools.cache(lambda: density_for(spec, fc, compiled))
     ratios = _kappa_text(cfg.kappa_overrides)
     for check in cfg.checks:
         if undefined_point and check != "convergence":

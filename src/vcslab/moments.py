@@ -6,13 +6,10 @@ to the diagonal moment conditions
     int chi(u) prod_t u_t^(e_t(n)) / omega_t^(w_t(n)) du  =  prod_t R_t(n),
 
 with e/w the variable/frequency exponents and R the factorial targets.
-`density_for` returns the cataloged density of a registered class;
-`solve_generalized` constructs the same densities from the generic
-recipe (ratio staging, optional index recombination, triangular change
-of variables, Jacobian absorption) for arbitrary exponent tuples; and
-`verify_moments` certifies the identity with two independent routes:
-the closed form of the reduced integral, and a direct numerical integral
-of the density itself.
+`density_for` reads a class's density off its compiled forms, by one
+recipe for every class, and `verify_moments` certifies the identity with
+two independent routes: the closed form of the reduced integral, and a
+direct numerical integral of the density itself.
 """
 
 from __future__ import annotations
@@ -23,22 +20,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frequencies import FrequencyConfig, resolve_ratio
+from .frequencies import FrequencyConfig
 from .logspace import rel_diff_from_logs
 from .quadrature import _integration_order, combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
-from .special import log_gamma
+from .special import log_gamma  # noqa: F401  (bench/spans.py counts calls through it)
 from .structure import ClassSpec, CompiledClass, SpecError
 
 
 @dataclass(frozen=True)
 class ExpTerm:
-    """One exponential factor exp(-(u_var^self_exp * prod u_j^B_j)/S)."""
+    """One exponential factor exp(-(u_var * prod u_j^B_j)/S)."""
 
     var: int
     log_scale: float
-    self_exp: float = 1.0
     couplings: tuple[tuple[int, float], ...] = ()
 
 
@@ -57,16 +53,20 @@ class MeasureDensity:
         return sum(p for v, p in self.powers if v == var)
 
     def log_grid(self, v: dict[int, np.ndarray]) -> np.ndarray:
-        """log chi at u = e^v, v mapping each variable to log u; broadcasts."""
+        """log chi at u = e^v, v mapping each variable to log u; broadcasts.
+
+        A factor whose exponent overflows is 0 in floats, so log chi is -inf.
+        """
         out = self.log_const
         for var, p in self.powers:
             if p != 0.0:
                 out = out + p * v[var]
         for term in self.exp_terms:
-            arg = term.self_exp * v[term.var] - term.log_scale
+            arg = v[term.var] - term.log_scale
             for j, b in term.couplings:
                 arg = arg + b * v[j]
-            out = out - np.exp(arg)
+            with np.errstate(over="ignore"):
+                out = out - np.exp(arg)
         return out
 
     def log_value(self, u: dict[int, float]) -> float:
@@ -83,202 +83,48 @@ class MeasureDensity:
         return replace(self, exp_terms=terms, note=self.note + f" perturbed(var={var})")
 
 
-def _shifted_plain_factor(var: int, omega: float, alpha: float):
-    """Density factor of a plain tower: u^alpha e^(-u/w) / (Gamma(1+alpha) w^(1+alpha))."""
-    log_const = -(1.0 + alpha) * math.log(omega) - log_gamma(1.0 + alpha)
-    powers = ((var, alpha),) if alpha else ()
-    return log_const, powers, ExpTerm(var, math.log(omega))
+def density_for(spec: ClassSpec, config: FrequencyConfig, compiled: CompiledClass) -> MeasureDensity:
+    """The density whose moments are the compiled class's factorial targets.
 
-
-def _smart_factor(var: int, omega: float):
-    """Density factor of a matched-exponent Gamma tower: f(r, w)."""
-    return -math.log(omega), (), ExpTerm(var, math.log(omega))
-
-
-def _product_density(spec: ClassSpec, config: FrequencyConfig) -> MeasureDensity:
-    log_const = 0.0
-    powers: list[tuple[int, float]] = []
-    terms: list[ExpTerm] = []
-    for tw in spec.towers:
-        w = config.omega(tw.tower)
-        if tw.normalized:
-            c, p, t = _shifted_plain_factor(tw.tower, w, config.shift(tw.tower))
-        else:
-            c, p, t = _smart_factor(tw.tower, w)
-        log_const += c
-        powers.extend(p)
-        terms.append(t)
-    return MeasureDensity(spec.id, spec.tower_ids, log_const, tuple(powers), tuple(terms))
-
-
-def _require_unshifted(spec: ClassSpec, config: FrequencyConfig):
-    if any(config.shift(t) != 0.0 for t in spec.tower_ids):
-        raise SpecError(
-            f"{spec.id}: exponent-variant sub-classes are cataloged at zero spectrum shift"
-        )
-
-
-def _one_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed, overrides) -> MeasureDensity:
-    s = spec.summed[0]
-    f = spec.fixed[0]
-    nf = fixed[0]
-    w = config.omega(s)
-    b, bp, _, _ = spec.quadruple
-    gamma_family = not spec.towers[0].normalized
-    if spec.subclass == "A" and not gamma_family:
-        c, p, t = _shifted_plain_factor(s, w, config.shift(s))
-        return MeasureDensity(spec.id, (s,), c, p, (t,))
-    if gamma_family and (b, bp) == (1, 1):
-        c, p, t = _smart_factor(s, w)
-        return MeasureDensity(spec.id, (s,), c, p, (t,))
-    _require_unshifted(spec, config)
-    # kappa only now: a class that does not use it may have its reciprocal pinned to 0
-    k = resolve_ratio(config, (s, f), overrides)
-    if gamma_family:
-        # variants of the deformed tower: rho(r, n_f) = [r^2]^((1-b) k n_f) w^(-(1-bp) k n_f) f(r, w)
-        power = (1.0 - b) * k * nf
-        log_const = -(1.0 - bp) * k * nf * math.log(w) - math.log(w)
-    else:
-        # variants of the plain tower: rho(r, n_f) = r^(-2 b k n_f) w^(bp k n_f) f(r, w)
-        power = -b * k * nf
-        log_const = bp * k * nf * math.log(w) - math.log(w)
-    return MeasureDensity(
-        spec.id, (s,), log_const, ((s, power),) if power else (), (ExpTerm(s, math.log(w)),)
-    )
-
-
-def _two_dof_density(spec: ClassSpec, config: FrequencyConfig, fixed, overrides) -> MeasureDensity:
-    n2 = fixed[0]
-    w1, w2 = config.omega(1), config.omega(2)
-    letter = spec.subclass
-    if letter == "A":
-        return _product_density(spec, config)
-    _require_unshifted(spec, config)
-    k2 = resolve_ratio(config, (2, 1), overrides)  # omega_1 / omega_2 unless overridden
-    lw1, lw2 = math.log(w1), math.log(w2)
-    log_const = -lw2  # the second-variable factor f(r2, w2) in every entry
-    powers: list[tuple[int, float]] = []
-    # per-table entries: (log S1, second-variable power, couplings, extra const)
-    if spec.family == "plain-plain":
-        entry = {
-            "B": (lw1 + k2 * lw2, 0.0, (), 0.0),
-            "C": (lw1, k2, ((2, k2),), 0.0),
-            "D": (lw1 + k2 * lw2, k2, ((2, k2),), 0.0),
-        }[letter]
-    elif spec.family == "gamma1-plain":
-        entry = {
-            "B": (lw1 + k2 * lw2, 0.0, (), -n2 * lw2),
-            "C": (lw1, k2 + n2, ((2, k2),), 0.0),
-            "D": (lw1 + k2 * lw2, k2 + n2, ((2, k2),), -n2 * lw2),
-        }[letter]
-    elif spec.family == "plain-gamma2":
-        entry = {
-            "B": (lw1, -k2, ((2, -k2),), 0.0),
-            "C": (lw1 - k2 * lw2, 0.0, (), 0.0),
-            "D": (lw1 - k2 * lw2, -k2, ((2, -k2),), 0.0),
-        }[letter]
-    elif spec.family == "gamma1-gamma2":
-        entry = {
-            "B": (lw1, -(k2 + n2), ((2, -k2),), 0.0),
-            "C": (lw1 - k2 * lw2, 0.0, (), n2 * lw2),
-            "D": (lw1 - k2 * lw2, -(k2 + n2), ((2, -k2),), n2 * lw2),
-        }[letter]
-    else:
-        raise SpecError(f"{spec.id}: not a cataloged two-variable family")
-    log_s1, p2, couplings, extra_const = entry
-    log_const += extra_const - log_s1
-    if p2:
-        powers.append((2, p2))
-    terms = (ExpTerm(1, log_s1, couplings=tuple(couplings)), ExpTerm(2, lw2))
-    return MeasureDensity(spec.id, (1, 2), log_const, tuple(powers), terms)
-
-
-def density_for(spec: ClassSpec, config: FrequencyConfig, fixed, overrides=None) -> MeasureDensity:
-    """Cataloged density of a registered class at the given fixed indices and ratio overrides."""
-    fixed = tuple(int(v) for v in fixed)
-    if len(fixed) != len(spec.fixed):
-        raise SpecError(f"{spec.id}: expected {len(spec.fixed)} fixed indices")
-    if spec.dimension == 3:
-        return _product_density(spec, config)
-    if spec.dof == 1:
-        return _one_dof_density(spec, config, fixed, overrides)
-    return _two_dof_density(spec, config, fixed, overrides)
-
-
-# -- generalized recipe ------------------------------------------------
-
-TARGET_FORMS = ("PlainPlain", "GammaPlain", "PlainGamma", "GammaGamma")
-
-
-def solve_generalized(
-    target_form: str,
-    tuple8,
-    config: FrequencyConfig,
-    fixed_value: int,
-) -> MeasureDensity:
-    """Density from the generic recipe for the two-variable problems.
-
-    tuple8 = (a1, b1, a1p, b1p, a2, b2, a2p, b2p): variable exponents
-    a_i n_i + b_i k_i n_other and frequency exponents with primes.  The
-    construction: stage every variable as a ratio u/omega, recombine or
-    simplify the cross factors as the target form dictates, make the
-    triangular change of variables (invertible whenever a_i != 0), and
-    absorb the Jacobians into the per-variable factors.
+    Each tower t contributes the factor u_t^(z gap) exp(-u_t/omega_t),
+    and omega_t^(w gap) / exp(log_gamma_norm) to the constant.  That
+    solves the tower's moment problem wherever its z and omega exponents
+    step along every summed axis as its Gamma argument does.  Where a
+    tower's slope on axis i differs, the summed tower of axis i takes the
+    difference over its own Gamma slope there: a z mismatch couples that
+    tower's exp factor to u_t, and an omega mismatch multiplies its S by
+    omega_t to that power.  Each, times the host's Gamma argument at the
+    origin, moves u_t's power or the constant.
     """
-    if target_form not in TARGET_FORMS:
-        raise SpecError(f"unknown target form {target_form!r}")
-    a1, b1, a1p, b1p, a2, b2, a2p, b2p = (float(v) for v in tuple8)
-    if a1 == 0.0 or a1p == 0.0 or a2 == 0.0 or a2p == 0.0:
-        raise SpecError("zero leading exponents make the change of variables singular")
-    n2 = int(fixed_value)
-    w1, w2 = config.omega(1), config.omega(2)
-    k1, k2 = config.ratio(1, 2), config.ratio(2, 1)
-    lw1, lw2 = math.log(w1), math.log(w2)
-    r1_gamma = target_form in ("GammaPlain", "GammaGamma")
-    r2_gamma = target_form in ("PlainGamma", "GammaGamma")
-
-    # second-variable factor: a2 u2^(a2-1) e^(-u2^a2 / w2^a2p) / w2^a2p
-    log_const = math.log(a2) - a2p * lw2
-    powers: list[tuple[int, float]] = [(2, a2 - 1.0)]
-    term2 = ExpTerm(2, a2p * lw2, self_exp=a2)
-
-    # first-variable factor per target form
-    if not r2_gamma:
-        # recombine u2^(b2 k2 n1) into the first variable
-        cross = b2 * k2
-        log_s1 = a1p * lw1 + b2p * k2 * lw2
-        if r1_gamma:
-            # keep the u1 fixed-index dependence matched to the Gamma
-            # argument; the bracket collects the leftover factors
-            p1_extra = (a1 - b1) * k1 * n2
-            powers.append((2, b2 * n2))
-            log_const += (b1p - a1p) * k1 * n2 * lw1 - b2p * n2 * lw2
-        else:
-            # simplify u1^(b1 k1 n2) against the density
-            p1_extra = -b1 * k1 * n2
-            log_const += b1p * k1 * n2 * lw1
-    else:
-        # the Gamma target in the second tower forbids recombining u2
-        cross = (b2 - a2) * k2
-        log_s1 = a1p * lw1 + (b2p - a2p) * k2 * lw2
-        if r1_gamma:
-            p1_extra = (a1 - b1) * k1 * n2
-            log_const += (b1p - a1p) * k1 * n2 * lw1
-            # k2*k1 = 1 exactly: the reciprocal-ratio bracket exponents
-            # collapse to bare multiples of the fixed index
-            powers.append((2, (b2 - a2) * n2))
-            log_const += (a2p - b2p) * n2 * lw2
-        else:
-            p1_extra = -b1 * k1 * n2
-            log_const += b1p * k1 * n2 * lw1
-    log_const += math.log(a1) - log_s1
-    powers.append((1, a1 - 1.0 + p1_extra))
-    powers.append((2, cross))
-    term1 = ExpTerm(1, log_s1, self_exp=a1, couplings=((2, cross),) if cross else ())
-    powers = [(v, p) for v, p in powers if p != 0.0]
-    return MeasureDensity(
-        f"generalized.{target_form}", (1, 2), log_const, tuple(powers), (term1, term2)
+    if spec.dimension == 2 and spec.subclass != "A" and any(map(config.shift, spec.tower_ids)):
+        raise SpecError(f"{spec.id}: exponent-variant sub-classes are cataloged at zero spectrum shift")
+    by_tower = {ct.tower: ct for ct in compiled.towers}
+    log_const = 0.0
+    powers = []
+    couplings = {t: [] for t in by_tower}
+    rescale = dict.fromkeys(by_tower, 0.0)  # log S_t - log omega_t
+    for ct in compiled.towers:
+        power = ct.z_gap
+        log_const += ct.w_gap * ct.log_w - ct.log_gamma_norm
+        slopes = zip(compiled.summed, ct.z_exp.slopes, ct.w_exp.slopes, ct.gamma_arg.slopes)
+        for i, (axis, z, w, g) in enumerate(slopes):
+            if z == g and w == g:
+                continue
+            host = by_tower[axis]
+            coupling = (z - g) / host.gamma_arg.slopes[i]
+            scale = (w - g) * ct.log_w / host.gamma_arg.slopes[i]
+            if coupling:
+                couplings[axis].append((ct.tower, coupling))
+            rescale[axis] += scale
+            power += coupling * host.gamma_arg.const
+            log_const -= scale * host.gamma_arg.const
+        if power:
+            powers.append((ct.tower, power))
+    terms = tuple(
+        ExpTerm(ct.tower, ct.log_w + rescale[ct.tower], tuple(couplings[ct.tower]))
+        for ct in compiled.towers
     )
+    return MeasureDensity(spec.id, spec.tower_ids, log_const, tuple(powers), terms)
 
 
 # -- moment integration ------------------------------------------------
@@ -301,12 +147,11 @@ def _log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np
     order = _integration_order(density)
     xs, log_pieces = [], []
     for term in order:
-        a = term.self_exp
-        s = (q[term.var] + 1.0) / a
+        s = q[term.var] + 1.0
         for j, bexp in term.couplings:
             q[j] = q[j] - bexp * s
         xs.append(s - 1.0)
-        log_pieces.append(s * term.log_scale - math.log(a))
+        log_pieces.append(s * term.log_scale)
     # (point, term) in C order is the order a scalar scan meets the pieces
     pieces = log_moment_closed(np.stack(xs, axis=-1))
     out = np.full(size, density.log_const)
@@ -349,9 +194,9 @@ def moment_integral(
     density: MeasureDensity | None = None,
 ) -> float:
     """log of the radial moment integral at summed multi-index n."""
-    density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed)
     compiled.check(n)
+    density = density_for(spec, config, compiled) if density is None else density
     return float(_log_moments(compiled, density, [n])[0])
 
 
@@ -399,8 +244,8 @@ def verify_moments(
     density and compiled default to the class's at the natural ratios.
     """
     fixed = tuple(int(v) for v in fixed)
-    density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed) if compiled is None else compiled
+    density = density_for(spec, config, compiled) if density is None else density
     _, grid, ends, labels = _lattice(len(spec.summed), n_range)
     integrals = _log_moments(compiled, density, grid).tolist()
     direct = _direct_log_moments(compiled, density, ends).tolist()
@@ -434,8 +279,8 @@ def nonuniqueness_partner(spec: ClassSpec, config: FrequencyConfig, fixed) -> Me
     reproduces it while differing from f(r2, w2) pointwise.
     """
     if spec.id != "2d.2dof.gamma1-plain.B":
-        raise SpecError("the cataloged non-uniqueness exhibit lives on 2d.2dof.gamma1-plain.B")
-    base = density_for(spec, config, fixed)
+        raise SpecError("the non-uniqueness exhibit lives on 2d.2dof.gamma1-plain.B")
+    base = density_for(spec, config, spec.compile(config, fixed))
     n2 = fixed[0]
     w2 = config.omega(2)
     return MeasureDensity(

@@ -128,17 +128,16 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     log int exp(h - h(v*)).  The integrand's values come from
     `density.log_grid` only; A and c serve only to place the nodes.
     Couplings that `_integration_order` rejects raise its SpecError, so
-    A is triangular up to a permutation and |det A| = prod |a_kk|.
+    A is triangular up to a permutation, with a unit diagonal: |det A| = 1.
     """
     variables = list(density.variables)
     col = {v: i for i, v in enumerate(variables)}
     if sorted(t.var for t in density.exp_terms) != sorted(variables):
         raise ValueError(f"{density.spec_id}: one exponential factor per variable is required")
     _integration_order(density)
-    a = np.zeros((len(variables), len(variables)))
+    a = np.eye(len(variables))
     log_scale = np.zeros(len(variables))
     for t in density.exp_terms:
-        a[col[t.var], col[t.var]] += t.self_exp
         for j, b in t.couplings:
             a[col[t.var], col[j]] += b
         log_scale[col[t.var]] = t.log_scale
@@ -165,8 +164,7 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     weighted = np.exp(h[:, 1:] - h[:, :1] + log_weights)
     total = h[:, 0] + np.log(np.add.reduceat(weighted, starts[:-1] - 1, axis=1)).sum(axis=1)
     # the Jacobian of every component's map at once: |det M|
-    log_det = sum(math.log(abs(a[k, k])) for k in range(len(variables)))
-    total = total - log_det - 0.5 * np.log(big_e).sum(axis=-1)
+    total = total - 0.5 * np.log(big_e).sum(axis=-1)
     return np.where(divergent, np.inf, total)
 
 

@@ -7,7 +7,7 @@ case-(12) and twelve case-(13) two-variable classes, plus the fully
 deformed and fully plain three-variable endpoints.  Sub-classes are
 generated from their defining exponent quadruples, not from the printed
 per-class tables, so each entry is exactly the state whose moment
-problem its cataloged density solves.
+problem the density read off its compiled forms solves.
 """
 
 from __future__ import annotations

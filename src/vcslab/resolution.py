@@ -137,8 +137,8 @@ def resolution_residual(
     density and compiled default to the class's at the natural ratios."""
     fixed = tuple(int(v) for v in fixed)
     nmax = (nmax,) * len(spec.summed) if isinstance(nmax, int) else tuple(nmax)
-    density = density_for(spec, config, fixed) if density is None else density
     compiled = spec.compile(config, fixed) if compiled is None else compiled
+    density = density_for(spec, config, compiled) if density is None else density
     rule = selection_rule(spec, config, compiled)
     basis, basis_arr, grid, labels = _gram_basis(nmax)
     # diagonal entries: moment integral over target

@@ -174,6 +174,8 @@ class CompiledTower:
     w_exp: AffineForm
     gamma_arg: AffineForm       # Gamma argument gamma_t + n_t
     log_gamma_norm: float       # log Gamma(gamma_t) for normalized towers, else 0
+    z_gap: float                # gamma_t + n_t - 1 - z_t at the summed origin
+    w_gap: float                # w_t - gamma_t - n_t at the summed origin
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,8 @@ class ClassSpec:
         overrides: RatioOverrides | None = None,
     ) -> CompiledClass:
         """Reduce every form once: its value at the summed origin and its
-        coefficient of each summed index."""
+        coefficient of each summed index.  Each tower also gets the two
+        gaps its density is read from, at the summed origin."""
         if config.dimension < self.dimension:
             raise SpecError(f"{self.id}: needs {self.dimension} frequencies")
         nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
@@ -343,9 +346,24 @@ class ClassSpec:
             own = {a: LinForm(tuple(t for t in form.terms if t[1] == a)) for a in self.summed}
             return AffineForm(const, tuple(f.value({a: 1}, config, overrides) for a, f in own.items()))
 
+        def value(terms: list[Term]) -> float:
+            return LinForm(tuple(terms)).value(nv0, config, overrides) if terms else 0.0
+
+        def gap(plus: tuple[Term, ...], minus: tuple[Term, ...]) -> float:
+            """sum(plus) - sum(minus) at the origin, the terms both sides
+            share cancelled first, so that a gap that vanishes is exactly 0."""
+            kept, rest = [], list(minus)
+            for t in plus:
+                if t in rest:
+                    rest.remove(t)
+                else:
+                    kept.append(t)
+            return value(kept) - value(rest)
+
         towers = []
         for tw in self.towers:
             gamma = reduce(tw.gamma)
+            arg_terms = (*tw.gamma.terms, t_n(tw.tower))  # gamma_t + n_t
             # the Gamma argument gamma_t + n_t steps by one more along n_t
             steps = tuple(s + (1.0 if a == tw.tower else 0.0) for s, a in zip(gamma.slopes, self.summed))
             gamma_arg = AffineForm(gamma.const + nv0[tw.tower], steps)
@@ -357,6 +375,8 @@ class ClassSpec:
                     w_exp=reduce(tw.w_exp),
                     gamma_arg=gamma_arg,
                     log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
+                    z_gap=gap(arg_terms, (t_one(), *tw.z_exp.terms)),
+                    w_gap=gap(tw.w_exp.terms, arg_terms),
                 )
             )
         return CompiledClass(self.id, self.summed, tuple(towers))

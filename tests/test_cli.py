@@ -379,6 +379,18 @@ class TestVerify:
             " at zero spectrum shift\n"
         )
 
+    def test_overflowing_density_factor_prints_no_warning(self):
+        # the density's exp factor overflows on the direct route's nodes; it
+        # once printed numpy's "overflow encountered in exp" to stderr
+        proc = run_cli(["verify", "2d.2dof.plain-gamma2.B", "--omega", "1e29,1,6.83", "--checks", "moment"])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        (result,) = json.loads(proc.stdout)["results"]
+        assert result["residuals"] == {"evaluation-error": 1.0}
+        assert result["metadata"]["error"] == (
+            "quadrature routes disagree by inf (> 1e-07) (2d.2dof.plain-gamma2.B)"
+        )
+
     @pytest.mark.parametrize("argv,checks", [
         (["2d.1dof.gamma1.A", "--kappa", "12=0", "--fixed", "n2=1000"], 1),
         (["all", "--omega", "1e-3,1,1e3"], 56),

@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from vcslab import moments, quadrature
 from vcslab.cli import ALL_CHECKS, RunConfig, run_verification
-from vcslab.frequencies import FrequencyConfig
+from vcslab.frequencies import FrequencyConfig, resolve_ratio
 from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import (
     ExpTerm,
@@ -22,7 +24,6 @@ from vcslab.moments import (
     moment_target,
     nonuniqueness_partner,
     probe_lattice,
-    solve_generalized,
     verify_moments,
 )
 from vcslab.quadrature import QuadratureDisagreement, log_moment_closed, log_moment_direct
@@ -31,7 +32,7 @@ from vcslab.report import dumps_deterministic
 from vcslab.resolution import aliasing_solutions, selection_rule
 from vcslab.special import log_gamma
 from vcslab.taxonomy import _descendant_state
-from vcslab.structure import AffineForm, CompiledClass, CompiledTower, LinForm, SpecError
+from vcslab.structure import LinForm, SpecError
 
 mpmath.mp.dps = 30
 
@@ -46,11 +47,10 @@ def _reference_log_moment(compiled, density, n):
     q = {v: e.get(v, 0.0) + density.power(v) for v in density.variables}
     log_i = density.log_const
     for term in _integration_order(density):
-        a = term.self_exp
-        s = (q[term.var] + 1.0) / a
+        s = q[term.var] + 1.0
         for j, bexp in term.couplings:
             q[j] -= bexp * s
-        log_i += log_moment_closed(s - 1.0) + (s * term.log_scale - math.log(a))
+        log_i += log_moment_closed(s - 1.0) + s * term.log_scale
     for ct in compiled.towers:
         log_i -= ct.w_exp.at(n) * ct.log_w
     return float(log_i)
@@ -58,6 +58,11 @@ def _reference_log_moment(compiled, density, n):
 
 def _reference_log_target(compiled, n):
     return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in compiled.towers)
+
+
+def _density(spec, cfg, fixed, overrides=None):
+    """The density of a class compiled at these frequencies, indices and ratios."""
+    return density_for(spec, cfg, spec.compile(cfg, fixed, overrides))
 
 
 def _bits(values):
@@ -117,7 +122,7 @@ class TestQuadraturePieces:
 
 class TestDensityCatalog:
     def test_canonical_exponential_density(self):
-        d = density_for(get("2d.1dof.plain1.A"), CFG2, (0,))
+        d = _density(get("2d.1dof.plain1.A"), CFG2, (0,))
         # f(r, w1) = (1/w1) exp(-u/w1)
         assert d.log_const == pytest.approx(-math.log(1.0))
         assert d.power(1) == 0.0
@@ -126,7 +131,7 @@ class TestDensityCatalog:
 
     def test_first_class_coupled_entry(self):
         # (1,1)C: rho1 = r2^(2 k2) f(r1 r2^k2, w1)
-        d = density_for(get("2d.2dof.plain-plain.C"), CFG2, (2,))
+        d = _density(get("2d.2dof.plain-plain.C"), CFG2, (2,))
         k2 = CFG2.ratio(2, 1)
         assert d.power(2) == pytest.approx(k2)
         u = {1: 0.7, 2: 1.9}
@@ -137,6 +142,12 @@ class TestDensityCatalog:
             - u[2] / 2.0
         )
         assert d.log_value(u) == pytest.approx(expect, abs=1e-12)
+
+    def test_overflowing_factor_is_minus_inf_without_a_warning(self):
+        d = _density(get("2d.1dof.plain1.A"), CFG2, (0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.log_grid({1: np.array([0.0, 800.0])}).tolist() == [-1.0, -math.inf]
 
     def test_moment_integral_factorial_oracle(self):
         # plain class at n = 3, w = 1 -> 3! = 6
@@ -198,18 +209,26 @@ class TestVerifyMoments:
         spec = get("2d.1dof.gamma1.B")
         overrides = {(1, 2): 0.3}
         compiled = spec.compile(CFG2, (2,), overrides)
-        density = density_for(spec, CFG2, (2,), overrides)
+        density = density_for(spec, CFG2, compiled)
         assert verify_moments(spec, CFG2, (2,), density=density, compiled=compiled).passed
-        natural = density_for(spec, CFG2, (2,))
+        natural = _density(spec, CFG2, (2,))
         assert natural != density
         assert not verify_moments(spec, CFG2, (2,), density=natural, compiled=compiled).passed
 
     @pytest.mark.parametrize("cid", ["2d.1dof.plain1.A", "2d.1dof.gamma1.A", "2d.2dof.plain-plain.A"])
     def test_density_that_needs_no_kappa_never_reads_it(self, cid):
-        # kappa12 is undefined with its reciprocal pinned to zero, and these
-        # densities do not use it
+        # kappa12 is undefined with its reciprocal pinned to zero: a class
+        # whose forms do not use it gets the density of the natural ratios,
+        # and the compile of one whose forms do (the Gamma tower) raises,
+        # which the CLI predicts as an undefined point
         spec = get(cid)
-        assert density_for(spec, CFG2, (1,), {(2, 1): 0.0}) == density_for(spec, CFG2, (1,))
+        pinned = {(2, 1): 0.0}
+        if cid == "2d.1dof.gamma1.A":
+            assert (1, 2) in spec.ratios_used()
+            with pytest.raises(ZeroDivisionError):
+                spec.compile(CFG2, (1,), pinned)
+        else:
+            assert density_for(spec, CFG2, spec.compile(CFG2, (1,), pinned)) == _density(spec, CFG2, (1,))
 
     def test_plain_class_full_range(self):
         rep = verify_moments(get("2d.1dof.plain1.A"), CFG2, (0,), n_range=20)
@@ -252,7 +271,7 @@ class TestVerifyMoments:
 
     def test_tampered_density_fails(self):
         spec = get("2d.1dof.plain1.A")
-        good = density_for(spec, CFG2, (0,))
+        good = _density(spec, CFG2, (0,))
         bad = good.perturbed(1, 1.01)
         rep = verify_moments(spec, CFG2, (0,), n_range=12, density=bad)
         assert not rep.passed
@@ -281,18 +300,75 @@ class TestVerifyMoments:
             verify_moments(get("2d.2dof.plain-plain.C"), cfg, (1,))
 
 
+# Six densities written out by hand, from the per-family formulas that
+# moments.py held before its recipe, at zero shift:
+# (log constant, powers, exp terms (variable, log S, couplings)) from the
+# log frequencies l1 and l2, the ratios k12 and k21 and the fixed index n.
+HAND_TABLE = {
+    "2d.1dof.plain1.A": lambda l1, l2, k12, k21, n: (-l1, {}, [(1, l1, ())]),
+    "2d.1dof.gamma1.B": lambda l1, l2, k12, k21, n: (-l1, {1: k12 * n}, [(1, l1, ())]),
+    "2d.2dof.plain-plain.C": lambda l1, l2, k12, k21, n: (
+        -l2 - l1, {2: k21}, [(1, l1, ((2, k21),)), (2, l2, ())]
+    ),
+    "2d.2dof.gamma1-plain.D": lambda l1, l2, k12, k21, n: (
+        -l2 - n * l2 - (l1 + k21 * l2), {2: k21 + n}, [(1, l1 + k21 * l2, ((2, k21),)), (2, l2, ())]
+    ),
+    "2d.2dof.plain-gamma2.B": lambda l1, l2, k12, k21, n: (
+        -l2 - l1, {2: -k21}, [(1, l1, ((2, -k21),)), (2, l2, ())]
+    ),
+    "2d.2dof.gamma1-gamma2.D": lambda l1, l2, k12, k21, n: (
+        -l2 + n * l2 - (l1 - k21 * l2), {2: -(k21 + n)}, [(1, l1 - k21 * l2, ((2, -k21),)), (2, l2, ())]
+    ),
+}
+
+CFG_IRR = FrequencyConfig((1.37, 2.91))
+KAPPA = {(2, 1): 0.3}
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-15 * max(abs(a), abs(b))
+
+
 class TestSolveGeneralized:
+    """The recipe solves each class's generalized moment problem."""
+
+    @pytest.mark.parametrize("cid", sorted(HAND_TABLE))
+    def test_recipe_matches_hand_table(self, cid):
+        spec = get(cid)
+        l1, l2 = math.log(1.37), math.log(2.91)
+        for overrides in (None, KAPPA):
+            k12, k21 = (resolve_ratio(CFG_IRR, p, overrides) for p in ((1, 2), (2, 1)))
+            for n in (0, 2):
+                d = _density(spec, CFG_IRR, (n,), overrides)
+                log_const, powers, terms = HAND_TABLE[cid](l1, l2, k12, k21, n)
+                where = (n, overrides)
+                assert _close(d.log_const, log_const), where
+                assert all(_close(d.power(v), powers.get(v, 0.0)) for v in d.variables), where
+                assert [(t.var, [j for j, _ in t.couplings]) for t in d.exp_terms] == [
+                    (var, [j for j, _ in couplings]) for var, _, couplings in terms
+                ], where
+                for t, (_, log_s, couplings) in zip(d.exp_terms, terms):
+                    assert _close(t.log_scale, log_s), where
+                    assert all(_close(b, c) for (_, b), (_, c) in zip(t.couplings, couplings)), where
+
     def test_plainplain_unit_tuple_gives_product_density(self):
-        d = solve_generalized("PlainPlain", (1, 0, 1, 0, 1, 0, 1, 0), CFG2, 2)
-        ref = density_for(get("2d.2dof.plain-plain.A"), CFG2, (2,))
+        # b = b' = 0 on both towers is (1,1)A: the product of the two
+        # one-variable plain densities, uncoupled
+        d = _density(get("2d.2dof.plain-plain.A"), CFG2, (2,))
+        f1 = _density(get("2d.1dof.plain1.A"), CFG2, (2,))
+        f2 = _density(get("2d.1dof.plain2.A"), CFG2, (0,))
+        assert not any(t.couplings for t in d.exp_terms)
         u = {1: 0.9, 2: 1.4}
-        assert d.log_value(u) == pytest.approx(ref.log_value(u), abs=1e-12)
+        assert d.log_value(u) == pytest.approx(f1.log_value({1: 0.9}) + f2.log_value({2: 1.4}), abs=1e-12)
 
     def test_gammaplain_base_tuple_matches_catalog(self):
-        d = solve_generalized("GammaPlain", (1, 1, 1, 1, 1, 0, 1, 0), CFG2, 3)
-        ref = density_for(get("2d.2dof.gamma1-plain.A"), CFG2, (3,))
+        # (g1,1)A: the matched Gamma tower's f(r1, w1) times the plain f(r2, w2)
+        d = _density(get("2d.2dof.gamma1-plain.A"), CFG2, (3,))
+        f1 = _density(get("2d.1dof.gamma1.A"), CFG2, (3,))
+        f2 = _density(get("2d.1dof.plain2.A"), CFG2, (0,))
         for u in ({1: 0.5, 2: 0.8}, {1: 2.0, 2: 3.0}):
-            assert d.log_value(u) == pytest.approx(ref.log_value(u), abs=1e-12)
+            expect = f1.log_value({1: u[1]}) + f2.log_value({2: u[2]})
+            assert d.log_value(u) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize(
         "form,family",
@@ -304,41 +380,47 @@ class TestSolveGeneralized:
         ],
     )
     def test_every_registered_tuple_reproduces_catalog(self, form, family):
-        for spec in registry():
-            if spec.family != family or spec.dimension != 2:
-                continue
-            b1, b1p, b2, b2p = spec.quadruple
-            d = solve_generalized(form, (1, b1, 1, b1p, 1, b2, 1, b2p), CFG2, 2)
-            ref = density_for(spec, CFG2, (2,))
-            for u in ({1: 0.5, 2: 0.8}, {1: 1.7, 2: 0.3}, {1: 3.1, 2: 2.2}):
-                assert d.log_value(u) == pytest.approx(
-                    ref.log_value(u), abs=1e-11
-                ), (spec.id, d, ref)
+        # form names the factorial forms of the two towers; each sub-class,
+        # A to D, solves its moment problem on both routes at both fixed
+        # indices of the hand table, with and without the override
+        specs = [s for s in registry() if s.family == family and s.dimension == 2]
+        assert [s.subclass for s in specs] == ["A", "B", "C", "D"]
+        for spec in specs:
+            assert "".join("Plain" if tw.normalized else "Gamma" for tw in spec.towers) == form
+            for n in (0, 2):
+                for overrides in (None, KAPPA):
+                    compiled = spec.compile(CFG_IRR, (n,), overrides)
+                    rep = verify_moments(
+                        spec, CFG_IRR, (n,), n_range=12,
+                        density=density_for(spec, CFG_IRR, compiled), compiled=compiled,
+                    )
+                    assert rep.passed, (spec.id, n, overrides, rep.max_residual)
 
-    def test_zero_leading_exponent_rejected(self):
-        with pytest.raises(SpecError):
-            solve_generalized("PlainPlain", (0, 0, 1, 0, 1, 0, 1, 0), CFG2, 1)
-
-    def test_nonunit_leading_exponents_solve_their_moment_problem(self):
-        # direct verification of the generalized identity for a1 = 2:
-        # int chi u1^(2 n1) u2^(n2) / (w1^n1 w2^n2) ... = n1! n2!  (b's all zero)
-        d = solve_generalized("PlainPlain", (2, 0, 1, 0, 1, 0, 1, 0), CFG2, 1)
-        towers = tuple(
-            CompiledTower(
-                tower=t,
-                log_w=math.log(CFG2.omega(t)),
-                z_exp=AffineForm(0.0, z_slopes),
-                w_exp=AffineForm(0.0, w_slopes),
-                gamma_arg=AffineForm(1.0, w_slopes),
-                log_gamma_norm=0.0,
-            )
-            for t, z_slopes, w_slopes in [(1, (2.0, 0.0), (1.0, 0.0)), (2, (0.0, 1.0), (0.0, 1.0))]
+    @pytest.mark.parametrize("tower", [0, 1])
+    def test_moved_gamma_constant_fails_its_moment_check(self, tower):
+        # the compile of gamma_t + 1 on one tower: its Gamma constant and
+        # both gaps move by 1, and the density read from it fails the class
+        spec = get("2d.2dof.gamma1-gamma2.D")
+        compiled = spec.compile(CFG_IRR, (2,))
+        assert verify_moments(spec, CFG_IRR, (2,), compiled=compiled).passed
+        ct = compiled.towers[tower]
+        moved = replace(
+            ct, gamma_arg=replace(ct.gamma_arg, const=ct.gamma_arg.const + 1.0),
+            z_gap=ct.z_gap + 1.0, w_gap=ct.w_gap - 1.0,
         )
-        compiled = CompiledClass("generalized.PlainPlain", (1, 2), towers)
-        points = [(0, 0), (1, 2), (3, 1), (5, 4)]
-        expect = [math.lgamma(n1 + 1) + math.lgamma(n2 + 1) for n1, n2 in points]
-        for route in (_log_moments, _direct_log_moments):
-            assert route(compiled, d, points).tolist() == pytest.approx(expect, abs=1e-9)
+        towers = tuple(moved if c is ct else c for c in compiled.towers)
+        bad = density_for(spec, CFG_IRR, replace(compiled, towers=towers))
+        assert not verify_moments(spec, CFG_IRR, (2,), density=bad, compiled=compiled).passed
+
+    def test_flipped_coupling_sign_fails_its_moment_check(self):
+        spec = get("2d.2dof.plain-plain.C")
+        compiled = spec.compile(CFG_IRR, (2,))
+        good = density_for(spec, CFG_IRR, compiled)
+        first, second = good.exp_terms
+        ((j, b),) = first.couplings
+        bad = replace(good, exp_terms=(replace(first, couplings=((j, -b),)), second))
+        assert verify_moments(spec, CFG_IRR, (2,), density=good, compiled=compiled).passed
+        assert not verify_moments(spec, CFG_IRR, (2,), density=bad, compiled=compiled).passed
 
 
 class TestArrayMomentPath:
@@ -348,7 +430,7 @@ class TestArrayMomentPath:
             cfg = FrequencyConfig(omegas[: spec.dimension])
             fixed = (1,) * len(spec.fixed)
             compiled = spec.compile(cfg, fixed)
-            density = density_for(spec, cfg, fixed)
+            density = density_for(spec, cfg, compiled)
             points = probe_lattice(len(spec.summed), 10)
             want = _outcome(lambda: [
                 _reference_log_moment(compiled, density, n) for n in points
@@ -364,7 +446,7 @@ class TestArrayMomentPath:
             cfg = FrequencyConfig(omegas[: spec.dimension])
             fixed = (1,) * len(spec.fixed)
             compiled = spec.compile(cfg, fixed)
-            density = density_for(spec, cfg, fixed)
+            density = density_for(spec, cfg, compiled)
             want = [
                 (",".join(map(str, n)), rel_diff_from_logs(
                     _reference_log_moment(compiled, density, n), _reference_log_target(compiled, n)
@@ -379,7 +461,7 @@ class TestArrayMomentPath:
         spec = get("3d.2dof.gamma1-gamma2")
         cfg = FrequencyConfig((2.0, 1.0, 3.0))  # kappa12 = 1/2 aliases
         compiled = spec.compile(cfg, (1,))
-        density = density_for(spec, cfg, (1,))
+        density = density_for(spec, cfg, compiled)
         nmax = 6
         basis = list(itertools.product(range(nmax + 1), repeat=2))
         midpoints = []
@@ -396,7 +478,7 @@ class TestArrayMomentPath:
     def test_perturbed_density_matches_scan_and_still_fails(self):
         spec = get("2d.1dof.plain1.A")
         compiled = spec.compile(CFG2, (0,))
-        bad = density_for(spec, CFG2, (0,)).perturbed(1, 1.01)
+        bad = density_for(spec, CFG2, compiled).perturbed(1, 1.01)
         points = probe_lattice(1, 12)
         want = [_reference_log_moment(compiled, bad, n) for n in points]
         assert _bits(_log_moments(compiled, bad, points)) == _bits(want)
@@ -408,7 +490,7 @@ class TestArrayMomentPath:
         # (0, 0) in both, so a scan stops at (1, 1)
         spec = get("3d.2dof.gamma1-gamma2")
         compiled = spec.compile(CFG3, (1,))
-        density = density_for(spec, CFG3, (1,))
+        density = density_for(spec, CFG3, compiled)
         bad = MeasureDensity(density.spec_id, density.variables, density.log_const,
                              ((1, -6.0), (2, -4.0)), density.exp_terms)
         points = [(3, 3), (1, 1), (0, 0)]
@@ -424,7 +506,7 @@ class TestDirectRoute:
             cfg = FrequencyConfig(omegas[: spec.dimension])
             fixed = (1,) * len(spec.fixed)
             compiled = spec.compile(cfg, fixed)
-            density = density_for(spec, cfg, fixed)
+            density = density_for(spec, cfg, compiled)
             points = probe_lattice(len(spec.summed), 20)
             closed = _log_moments(compiled, density, points)
             direct = _direct_log_moments(compiled, density, points)
@@ -453,7 +535,7 @@ class TestDirectRoute:
         # both routes integrate a tampered density correctly, so its check
         # fails on residuals, not on a disagreement
         spec = get("2d.2dof.gamma1-gamma2.D")
-        bad = density_for(spec, CFG2, (1,)).perturbed(1, 1.01)
+        bad = _density(spec, CFG2, (1,)).perturbed(1, 1.01)
         rep = verify_moments(spec, CFG2, (1,), n_range=12, density=bad)
         assert not rep.passed and rep.max_residual > 0.01
 
@@ -462,7 +544,7 @@ class TestNonUniqueness:
     def test_two_densities_same_moments(self):
         spec = get("2d.2dof.gamma1-plain.B")
         fixed = (2,)
-        d1 = density_for(spec, CFG2, fixed)
+        d1 = _density(spec, CFG2, fixed)
         d2 = nonuniqueness_partner(spec, CFG2, fixed)
         rep1 = verify_moments(spec, CFG2, fixed, n_range=15, density=d1)
         rep2 = verify_moments(spec, CFG2, fixed, n_range=15, density=d2)
@@ -479,8 +561,8 @@ class TestDeformationContinuity:
         spec_g = get("2d.1dof.gamma1.B")
         spec_p = get("2d.1dof.plain1.A")
         cfg_small = FrequencyConfig((1.0, 1e-8))  # kappa12 = 1e-8
-        d_g = density_for(spec_g, cfg_small, (3,))
-        d_p = density_for(spec_p, cfg_small, (3,))
+        d_g = _density(spec_g, cfg_small, (3,))
+        d_p = _density(spec_p, cfg_small, (3,))
         sup = 0.0
         for k in range(1, 101):
             u = (k / 100.0 * 10.0) ** 2

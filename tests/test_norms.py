@@ -165,8 +165,12 @@ class TestTermGrid:
         # at n = 1 tower 1's Gamma argument is 0, and z2 = 0 makes the term
         # vanish from tower 2 on: the scalar scan meets tower 1 first and raises
         def tower(t, z_exp, gamma_arg):
+            # the omega exponent is 0; the gaps are the forms' at the origin
             flat = AffineForm(0.0, (0.0,))
-            return CompiledTower(t, 0.0, AffineForm(*z_exp), flat, AffineForm(*gamma_arg), 0.0)
+            return CompiledTower(
+                t, 0.0, AffineForm(*z_exp), flat, AffineForm(*gamma_arg), 0.0,
+                z_gap=gamma_arg[0] - 1.0 - z_exp[0], w_gap=-gamma_arg[0],
+            )
 
         compiled = CompiledClass("masking", (1,), (
             tower(1, (1.0, (1.0,)), (1.0, (-1.0,))),

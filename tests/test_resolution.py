@@ -114,7 +114,7 @@ class TestResolutionResidual:
 
     def test_wrong_density_drifts_monotonically(self):
         spec = get("2d.1dof.plain1.A")
-        bad = density_for(spec, CFG2, (0,)).perturbed(1, 1.02)
+        bad = density_for(spec, CFG2, spec.compile(CFG2, (0,))).perturbed(1, 1.02)
         from vcslab.moments import moment_integral, moment_target
 
         drift = []
