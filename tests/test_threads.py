@@ -1,4 +1,5 @@
-"""vcslab pins numpy's OpenBLAS pool to one thread when it loads numpy first."""
+"""vcslab pins numpy's OpenBLAS pool to one thread when it loads numpy first,
+and the pinned outputs keep their bytes."""
 
 import hashlib
 import json
@@ -11,6 +12,13 @@ from child_env import src_env
 
 # sha256 of the default `vcslab report`
 DEFAULT_REPORT_SHA256 = "60f76e888f4c2d1758623ae06e0cf1f42e274bc7fde260e35999749770ad3987"
+# sha256 of the catalog listings: a reordered or relabeled class changes them
+CATALOG_SHA256 = {
+    "list --format json": "b5499e76927e42fa0cac75702d72422ec2fc3762337297d654fdf6d9f4bd4a74",
+    "list": "d1ed744a8f5f25d512b7870bfe479570157fa54fda30cd48fa8fa1aadbb33e66",
+    "taxonomy --dim 3 --dof 2 --format json --level subclass":
+        "35588de71252ed041938b55227308102ac22c9fd699233e54adc197fed38567c",
+}
 
 PROBE = (
     "import json, os, sys\n"
@@ -65,3 +73,13 @@ def test_blas_threads_move_no_number(tmp_path, openblas_threads):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_SHA256))
+def test_catalog_bytes_are_pinned(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "vcslab.cli", *command.split()],
+        capture_output=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CATALOG_SHA256[command]
