@@ -525,10 +525,7 @@ def cmd_verify(args) -> int:
     # an explicit positional list overrides the config file; otherwise the
     # config's selection (default "all") stands
     cfg = _runconfig_from_args(args, classes=args.classes or None)
-    try:
-        doc = run_verification(cfg)
-    except KeyError as exc:
-        raise UsageError(f"unknown class id {exc}")
+    doc = run_verification(cfg)
     _write_out(dumps_deterministic(doc), cfg.out)
     return 0 if doc["summary"]["failed"] == 0 else 1
 
@@ -594,8 +591,8 @@ def main(argv=None) -> int:
     except (UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: unknown id {exc}", file=sys.stderr)
+    except KeyError as exc:  # registry.get's "unknown class id: ..."
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,7 +161,8 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     v = peak.T[:, :, None] + (m @ steps).transpose(1, 0, 2)
     h = density.log_grid(dict(zip(variables, v)))
     h = h + ((e.T + 1.0)[:, :, None] * v).sum(axis=0)
-    weighted = np.exp(h[:, 1:] - h[:, :1] + log_weights)
+    with np.errstate(over="ignore"):  # an overflowed weight makes the route's result inf
+        weighted = np.exp(h[:, 1:] - h[:, :1] + log_weights)
     total = h[:, 0] + np.log(np.add.reduceat(weighted, starts[:-1] - 1, axis=1)).sum(axis=1)
     # the Jacobian of every component's map at once: |det M|
     total = total - 0.5 * np.log(big_e).sum(axis=-1)

@@ -1,22 +1,31 @@
-"""The canonical catalog of solvable coherent-state classes.
+"""The canonical catalog of solvable coherent-state classes: the one
+module that knows which classes exist.
 
 2D entries: the four one-variable sub-class families (plain and
 gamma-deformed, each with its tower-swapped dual) and the four
-two-variable families, sub-classes A-D each.  3D entries: the ten
-case-(12) and twelve case-(13) two-variable classes, plus the fully
-deformed and fully plain three-variable endpoints.  Sub-classes are
-generated from their defining exponent quadruples, not from the printed
-per-class tables, so each entry is exactly the state whose moment
-problem the density read off its compiled forms solves.
+two-variable families, sub-classes A-D each.  Sub-classes are generated
+from their defining exponent quadruples, not from the printed per-class
+tables, so each entry is exactly the state whose moment problem the
+density read off its compiled forms solves.
+
+3D entries are generated from one rule.  A tower form is the tuple of
+the other towers its Gamma reads: () for a plain tower, (j,) or (j, k);
+a class's id and label are derived from its forms.  Case (12) takes the
+orbits of the 16 (rho1, rho2) form pairs under the tower swap 1<->2,
+each represented by its first pair in product order (10 classes); case
+(13) takes the (rho1, rho3) pairs in which n2 enters a factor (12).  The
+three-variable patterns are the case-(12) orbits with each of the four
+forms of tower 3 (40); the fully deformed and the fully plain pattern
+are registered.  taxonomy.class_counts reads the lengths of these lists.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .structure import (
     ClassSpec,
-    LinForm,
     TowerTerm,
     lf,
     t_n,
@@ -68,20 +77,24 @@ def gamma_tower(
     variants of the sub-class tables instead (those variants are pinned
     at zero shift).
     """
-    gterms = [t_one(), t_shift(t)]
-    smart = [t_shift(t)]
-    for j in deps:
-        gterms += [t_ratio_n(t, j, j), t_ratio_shift(t, j, j)]
-        smart += [t_ratio_n(t, j, j), t_ratio_shift(t, j, j)]
-    if z_extra is None:
-        z = lf(t_n(t), *smart)
-    else:
-        z = lf(t_n(t), *z_extra)
-    if w_extra is None:
-        w = lf(t_n(t), *smart)
-    else:
-        w = lf(t_n(t), *w_extra)
-    return TowerTerm(tower=t, z_exp=z, w_exp=w, gamma=LinForm(tuple(gterms)), normalized=False)
+    reads = [term for j in deps for term in (t_ratio_n(t, j, j), t_ratio_shift(t, j, j))]
+    matched = lf(t_n(t), t_shift(t), *reads)
+    z = matched if z_extra is None else lf(t_n(t), *z_extra)
+    w = matched if w_extra is None else lf(t_n(t), *w_extra)
+    return TowerTerm(tower=t, z_exp=z, w_exp=w, gamma=lf(t_one(), t_shift(t), *reads), normalized=False)
+
+
+def _variant_tower(s: int, f: int, deformed: bool, b: int, bp: int) -> TowerTerm:
+    """Tower s of a 2D sub-class, its z and omega exponents n_s plus
+    kappa_sf n_f where b, resp. b', is 1; (b, b') = (1, 1) on a Gamma
+    tower is the matched form."""
+    if deformed and (b, bp) == (1, 1):
+        return gamma_tower(s, (f,))
+    z_extra = (t_ratio_n(s, f, f),) if b else ()
+    w_extra = (t_ratio_n(s, f, f),) if bp else ()
+    if deformed:
+        return gamma_tower(s, (f,), z_extra, w_extra)
+    return plain_tower(s, z_extra, w_extra)
 
 
 def _one_dof_specs() -> list[ClassSpec]:
@@ -89,15 +102,6 @@ def _one_dof_specs() -> list[ClassSpec]:
     for s, f in ((1, 2), (2, 1)):
         for fam in ("plain", "gamma"):
             for letter, (b, bp) in ONE_DOF_QUADRUPLES[fam].items():
-                if fam == "gamma" and (b, bp) == (1, 1):
-                    tower = gamma_tower(s, (f,))
-                else:
-                    z_extra = (t_ratio_n(s, f, f),) if b else ()
-                    w_extra = (t_ratio_n(s, f, f),) if bp else ()
-                    if fam == "plain":
-                        tower = plain_tower(s, z_extra, w_extra)
-                    else:
-                        tower = gamma_tower(s, (f,), z_extra, w_extra)
                 name = "1" if fam == "plain" else f"g{s}"
                 specs.append(
                     ClassSpec(
@@ -106,7 +110,7 @@ def _one_dof_specs() -> list[ClassSpec]:
                         dimension=2,
                         summed=(s,),
                         fixed=(f,),
-                        towers=(tower,),
+                        towers=(_variant_tower(s, f, fam == "gamma", b, bp),),
                         family=f"{fam}{s}",
                         subclass=letter,
                         quadruple=(b, bp, 0, 0),
@@ -124,21 +128,7 @@ def _two_dof_specs() -> list[ClassSpec]:
         "gamma1-gamma2": "(g1,g2)",
     }
     for fam, quads in FAMILY_QUADRUPLES.items():
-        r1_gamma = fam.startswith("gamma1")
-        r2_gamma = fam.endswith("gamma2")
         for letter, (b1, b1p, b2, b2p) in quads.items():
-            z1_extra = (t_ratio_n(1, 2, 2),) if b1 else ()
-            w1_extra = (t_ratio_n(1, 2, 2),) if b1p else ()
-            z2_extra = (t_ratio_n(2, 1, 1),) if b2 else ()
-            w2_extra = (t_ratio_n(2, 1, 1),) if b2p else ()
-            if r1_gamma:
-                t1 = gamma_tower(1, (2,)) if (b1, b1p) == (1, 1) else gamma_tower(1, (2,), z1_extra, w1_extra)
-            else:
-                t1 = plain_tower(1, z1_extra, w1_extra)
-            if r2_gamma:
-                t2 = gamma_tower(2, (1,)) if (b2, b2p) == (1, 1) else gamma_tower(2, (1,), z2_extra, w2_extra)
-            else:
-                t2 = plain_tower(2, z2_extra, w2_extra)
             specs.append(
                 ClassSpec(
                     id=f"2d.2dof.{fam}.{letter}",
@@ -146,7 +136,10 @@ def _two_dof_specs() -> list[ClassSpec]:
                     dimension=2,
                     summed=(1,),
                     fixed=(2,),
-                    towers=(t1, t2),
+                    towers=(
+                        _variant_tower(1, 2, fam.startswith("gamma1"), b1, b1p),
+                        _variant_tower(2, 1, fam.endswith("gamma2"), b2, b2p),
+                    ),
                     family=fam,
                     subclass=letter,
                     quadruple=(b1, b1p, b2, b2p),
@@ -155,133 +148,104 @@ def _two_dof_specs() -> list[ClassSpec]:
     return specs
 
 
-# 3D factor tokens -> (builder tower index, gamma dependencies or None for plain)
-_3D_FORMS = {
-    "plain": None,
-    "gamma12": (2,),
-    "gamma13": (3,),
-    "gamma1": (2, 3),
-    "gamma21": (1,),
-    "gamma23": (3,),
-    "gamma2": (1, 3),
-    "gamma31": (1,),
-    "gamma32": (2,),
-    "gamma3": (1, 2),
-}
+# -- 3D: a tower form is the tuple of other towers its Gamma reads ------
 
-_CASE12 = [
-    ("plain", "plain"),
-    ("plain", "gamma21"),
-    ("plain", "gamma23"),
-    ("plain", "gamma2"),
-    ("gamma12", "gamma21"),
-    ("gamma12", "gamma23"),
-    ("gamma12", "gamma2"),
-    ("gamma13", "gamma23"),
-    ("gamma13", "gamma2"),
-    ("gamma1", "gamma2"),
-]
+Form = tuple[int, ...]
 
-_CASE13 = [
-    ("plain", "gamma32"),
-    ("gamma13", "gamma32"),
-    ("plain", "gamma3"),
-    ("gamma13", "gamma3"),
-    ("gamma12", "plain"),
-    ("gamma12", "gamma31"),
-    ("gamma12", "gamma32"),
-    ("gamma12", "gamma3"),
-    ("gamma1", "plain"),
-    ("gamma1", "gamma31"),
-    ("gamma1", "gamma32"),
-    ("gamma1", "gamma3"),
-]
+TOWER_SWAP = {1: 2, 2: 1}
 
 
-def _3d_tower(tower: int, token: str) -> TowerTerm:
-    deps = _3D_FORMS[token]
-    if deps is None:
-        return plain_tower(tower)
-    return gamma_tower(tower, deps)
+def _forms(t: int) -> list[Form]:
+    """Plain, Gamma reading one other tower, then Gamma reading both."""
+    j, k = (o for o in (1, 2, 3) if o != t)
+    return [(), (j,), (k,), (j, k)]
 
 
-def _token_label(token: str) -> str:
-    return "1" if token == "plain" else token.replace("gamma", "g")
+def _swapped(form: Form) -> Form:
+    return tuple(sorted(TOWER_SWAP.get(j, j) for j in form))
 
 
-def _two_dof_3d_specs() -> list[ClassSpec]:
-    specs = []
-    for tok1, tok2 in _CASE12:
-        name = f"{tok1}-{tok2}"
-        specs.append(
-            ClassSpec(
-                id=f"3d.2dof.{name}",
-                label=f"({_token_label(tok1)},{_token_label(tok2)})",
-                dimension=3,
-                summed=(1, 2),
-                fixed=(3,),
-                towers=(_3d_tower(1, tok1), _3d_tower(2, tok2)),
-                family=name,
-                case="12",
-            )
-        )
-    for tok1, tok3 in _CASE13:
-        name = f"{tok1}-{tok3 if tok3 != 'plain' else 'plain3'}"
-        specs.append(
-            ClassSpec(
-                id=f"3d.2dof.{name}",
-                label=f"({_token_label(tok1)},{_token_label(tok3)})",
-                dimension=3,
-                summed=(1, 2),
-                fixed=(3,),
-                towers=(_3d_tower(1, tok1), _3d_tower(3, tok3)),
-                family=name,
-                case="13",
-            )
-        )
-    return specs
+def _token(t: int, form: Form) -> str:
+    if not form:
+        return "plain"
+    return f"gamma{t}{form[0]}" if len(form) == 1 else f"gamma{t}"
 
 
-def _three_dof_specs() -> list[ClassSpec]:
-    maxspec = ClassSpec(
-        id="3d.3dof.max",
-        label="(g1,g2,g3)",
+def _label(t: int, form: Form) -> str:
+    return _token(t, form).replace("gamma", "g") if form else "1"
+
+
+def _case12() -> list[tuple[Form, Form]]:
+    """(rho1, rho2) up to the tower swap 1<->2: each orbit's first pair."""
+    out: list[tuple[Form, Form]] = []
+    for f1, f2 in itertools.product(_forms(1), _forms(2)):
+        if (_swapped(f2), _swapped(f1)) not in out:
+            out.append((f1, f2))
+    return out
+
+
+def _case13() -> list[tuple[Form, Form]]:
+    """(rho1, rho3) in which n2 enters a factor (n1 is always in rho1):
+    first the pairs where only rho3 carries n2, rho3 outermost."""
+    only3 = [(f1, f3) for f3 in _forms(3) if 2 in f3 for f1 in _forms(1) if 2 not in f1]
+    return only3 + [(f1, f3) for f1 in _forms(1) if 2 in f1 for f3 in _forms(3)]
+
+
+CASE12 = tuple(_case12())
+CASE13 = tuple(_case13())
+# the case-(12) orbits with each form of tower 3
+THREE_DOF_PATTERNS = tuple((f1, f2, f3) for f1, f2 in CASE12 for f3 in _forms(3))
+
+
+def _3d_spec(
+    family: str, towers: tuple[int, ...], forms: tuple[Form, ...], case: str = ""
+) -> ClassSpec:
+    return ClassSpec(
+        id=f"3d.{len(towers)}dof.{family}",
+        label="(" + ",".join(_label(t, f) for t, f in zip(towers, forms)) + ")",
         dimension=3,
         summed=(1, 2),
         fixed=(3,),
-        towers=(gamma_tower(1, (2, 3)), gamma_tower(2, (1, 3)), gamma_tower(3, (1, 2))),
-        family="max",
+        towers=tuple(gamma_tower(t, f) if f else plain_tower(t) for t, f in zip(towers, forms)),
+        family=family,
+        case=case,
     )
-    minspec = ClassSpec(
-        id="3d.3dof.min",
-        label="(1,1,1)",
-        dimension=3,
-        summed=(1, 2),
-        fixed=(3,),
-        towers=(plain_tower(1), plain_tower(2), plain_tower(3)),
-        family="min",
-    )
-    return [maxspec, minspec]
+
+
+def _3d_specs() -> list[ClassSpec]:
+    specs = [_3d_spec(f"{_token(1, f1)}-{_token(2, f2)}", (1, 2), (f1, f2), "12") for f1, f2 in CASE12]
+    specs += [
+        _3d_spec(f"{_token(1, f1)}-{_token(3, f3) if f3 else 'plain3'}", (1, 3), (f1, f3), "13")
+        for f1, f3 in CASE13
+    ]
+    # the fully deformed and the fully plain three-variable patterns
+    return specs + [
+        _3d_spec("max", (1, 2, 3), THREE_DOF_PATTERNS[-1]),
+        _3d_spec("min", (1, 2, 3), THREE_DOF_PATTERNS[0]),
+    ]
+
+
+@lru_cache(maxsize=1)
+def _by_id() -> dict[str, ClassSpec]:
+    """Every registered class by id, in catalog order."""
+    by_id: dict[str, ClassSpec] = {}
+    for s in _one_dof_specs() + _two_dof_specs() + _3d_specs():
+        if by_id.setdefault(s.id, s) is not s:
+            raise RuntimeError(f"duplicate registry id {s.id}")
+    return by_id
 
 
 @lru_cache(maxsize=1)
 def registry() -> tuple[ClassSpec, ...]:
     """All registered classes, id-unique, in stable catalog order."""
-    specs = _one_dof_specs() + _two_dof_specs() + _two_dof_3d_specs() + _three_dof_specs()
-    seen = set()
-    for s in specs:
-        if s.id in seen:
-            raise RuntimeError(f"duplicate registry id {s.id}")
-        seen.add(s.id)
-    return tuple(specs)
+    return tuple(_by_id().values())
 
 
-@lru_cache(maxsize=None)
 def get(class_id: str) -> ClassSpec:
-    for s in registry():
-        if s.id == class_id:
-            return s
-    raise KeyError(f"unknown class id: {class_id}")
+    try:
+        return _by_id()[class_id]
+    except KeyError:
+        raise KeyError(f"unknown class id: {class_id}") from None
 
 
 def ids() -> list[str]:

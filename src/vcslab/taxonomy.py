@@ -20,12 +20,20 @@ from functools import lru_cache
 from .convergence import class_verdict  # noqa: F401  (bench/spans.py patches taxonomy.class_verdict)
 from .frequencies import FrequencyConfig
 from .norms import state, term_generator
-from .registry import FAMILY_QUADRUPLES, ONE_DOF_QUADRUPLES, get, registry
+from .registry import (
+    CASE12,
+    CASE13,
+    FAMILY_QUADRUPLES,
+    ONE_DOF_QUADRUPLES,
+    THREE_DOF_PATTERNS,
+    TOWER_SWAP,
+    get,
+    registry,
+)
 from .report import VerificationReport, make_report
 from .special import log_gamma
 from .structure import ClassSpec, LinForm, SpecError
 
-_SWAP = {1: 2, 2: 1}
 # verify_factor compares the coefficients at summed indices 0 .. _N_PROBE - 1
 _N_PROBE = 8
 
@@ -284,7 +292,7 @@ def _descendant_lookup():
         table.setdefault(canonical_signature(s), (s.id, False))
     for s in registry():
         if s.dimension == 3:
-            image = s.relabeled(_SWAP)
+            image = s.relabeled(TOWER_SWAP)
             table.setdefault(canonical_signature(image), (s.id, True))
     return table
 
@@ -362,13 +370,10 @@ def verify_edge_continuity(
     nmax = (EDGE_WINDOW,) * len(anc.summed)
     st_a = state(anc, config, z, fixed, nmax, overrides={edge.parameter: EDGE_KAPPA})
     if edge.via_symmetry:
-        perm_omegas = list(config.omegas)
-        perm_shifts = list(config.shifts)
-        perm_omegas[0], perm_omegas[1] = perm_omegas[1], perm_omegas[0]
-        perm_shifts[0], perm_shifts[1] = perm_shifts[1], perm_shifts[0]
-        cfg_d = FrequencyConfig(tuple(perm_omegas), tuple(perm_shifts))
+        towers = [TOWER_SWAP.get(t, t) for t in range(1, config.dimension + 1)]
+        cfg_d = FrequencyConfig(tuple(map(config.omega, towers)), tuple(map(config.shift, towers)))
         zmap = {t: v for t, v in zip(anc.tower_ids, z)}
-        z_d = tuple(zmap[_SWAP.get(t, t)] for t in desc.tower_ids)
+        z_d = tuple(zmap[TOWER_SWAP.get(t, t)] for t in desc.tower_ids)
         st_d = _descendant_state(desc, cfg_d, z_d, fixed, nmax)
         index_map = lambda n: tuple(reversed(n)) if len(n) == 2 else n
     else:
@@ -416,53 +421,25 @@ def collapse_to_classes(edges: list[DeformationEdge]) -> list[DeformationEdge]:
 # -- class counting ----------------------------------------------------
 
 
-def _pair_orbits_case12() -> list[frozenset]:
-    """Orbits of the 16 (rho1, rho2) pairs under the tower swap."""
-    # encode rho1 by which other indexes feed its Gamma: -, {2}, {3}, {2,3}
-    forms1 = ("-", "2", "3", "23")
-    forms2 = ("-", "1", "3", "13")
-
-    def swap(pair):
-        f1, f2 = pair
-        m1 = {"-": "-", "2": "1", "3": "3", "23": "13"}
-        m2 = {"-": "-", "1": "2", "3": "3", "13": "23"}
-        return (m2[f2], m1[f1])
-
-    orbits = []
-    seen = set()
-    for pair in itertools.product(forms1, forms2):
-        if pair in seen:
-            continue
-        orb = frozenset({pair, swap(pair)})
-        for p in orb:
-            seen.add(p)
-        orbits.append(orb)
-    return orbits
-
-
 def class_counts(dimension: int, dof: int, case: str | None = None) -> int:
-    """Computed class counts (generation and quotient, not hard-coded)."""
+    """The number of classes the registry's generation rules produce.
+
+    Two variables: the (rho1, rho2) orbits under the tower swap (case 12)
+    and the (rho1, rho3) pairs that carry n2 (case 13).  Three variables:
+    the case-(12) orbits with each third-tower form, counted as distinct
+    deformation patterns.
+    """
     if dimension != 3 or dof not in (2, 3):
         raise SpecError(f"counting is defined for 3D with 2 or 3 variables, got ({dimension},{dof})")
-    n12 = len(_pair_orbits_case12())
-    if dof == 2:
-        # case (13): both summed indices must appear among the factors;
-        # rho1 always carries n1, so n2 must enter rho1 or rho3
-        n13 = 0
-        for f1 in ("-", "2", "3", "23"):
-            for f3 in ("-", "1", "2", "12"):
-                if "2" in f1 or "2" in f3:
-                    n13 += 1
-        if case == "12":
-            return n12
-        if case == "13":
-            return n13
-        if case is None:
-            return n12 + n13
-        raise SpecError(f"unknown case {case!r}")
-    # three variables: the expansion-sector orbits combine with the four
-    # third-tower forms, counted as distinct deformation patterns
-    return n12 * 4
+    counts = {
+        (2, "12"): len(CASE12),
+        (2, "13"): len(CASE13),
+        (2, None): len(CASE12) + len(CASE13),
+        (3, None): len(THREE_DOF_PATTERNS),
+    }
+    if (dof, case) not in counts:
+        raise SpecError(f"no case {case!r} for {dof} variables")
+    return counts[dof, case]
 
 
 # -- shift extension and the Landau problem -----------------------------

@@ -77,6 +77,7 @@ class TestDescribe:
     def test_unknown_id_exits_2(self):
         proc = run_cli(["describe", "4d.1dof.plain1.A"])
         assert proc.returncode == 2
+        assert proc.stderr == "error: unknown class id: 4d.1dof.plain1.A\n"
 
 
 class TestVerify:
@@ -379,17 +380,25 @@ class TestVerify:
             " at zero spectrum shift\n"
         )
 
-    def test_overflowing_density_factor_prints_no_warning(self):
-        # the density's exp factor overflows on the direct route's nodes; it
-        # once printed numpy's "overflow encountered in exp" to stderr
-        proc = run_cli(["verify", "2d.2dof.plain-gamma2.B", "--omega", "1e29,1,6.83", "--checks", "moment"])
+    @staticmethod
+    def assert_silent_inf_disagreement(cid, omega):
+        """The moment check fails on inf route disagreement, printing no warning."""
+        proc = run_cli(["verify", cid, "--omega", omega, "--checks", "moment"])
         assert proc.returncode == 1
         assert proc.stderr == ""
         (result,) = json.loads(proc.stdout)["results"]
         assert result["residuals"] == {"evaluation-error": 1.0}
-        assert result["metadata"]["error"] == (
-            "quadrature routes disagree by inf (> 1e-07) (2d.2dof.plain-gamma2.B)"
-        )
+        assert result["metadata"]["error"] == f"quadrature routes disagree by inf (> 1e-07) ({cid})"
+
+    def test_overflowing_density_factor_prints_no_warning(self):
+        # the density's exp factor overflows on the direct route's nodes; it
+        # once printed numpy's "overflow encountered in exp" to stderr
+        self.assert_silent_inf_disagreement("2d.2dof.plain-gamma2.B", "1e29,1,6.83")
+
+    def test_overflowing_node_weight_prints_no_warning(self):
+        # a node weight of the direct route overflows to inf, which is the
+        # route's result; numpy's "overflow encountered in exp" once went to stderr
+        self.assert_silent_inf_disagreement("2d.2dof.plain-gamma2.D", "7.3,1e-300")
 
     @pytest.mark.parametrize("argv,checks", [
         (["2d.1dof.gamma1.A", "--kappa", "12=0", "--fixed", "n2=1000"], 1),
@@ -482,6 +491,7 @@ class TestVerify:
     def test_unknown_class_exits_2(self):
         proc = run_cli(["verify", "nope.class"])
         assert proc.returncode == 2
+        assert proc.stderr == "error: unknown class id: nope.class\n"
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

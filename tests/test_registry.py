@@ -9,6 +9,34 @@ from vcslab.special import log_gamma
 from vcslab.structure import ClassSpec, SpecError, TowerTerm, lf, t_n, t_one, t_ratio_n
 
 
+THREE_D_CATALOG = [
+    ("3d.2dof.plain-plain", "(1,1)", "12", ("plain", "plain")),
+    ("3d.2dof.plain-gamma21", "(1,g21)", "12", ("plain", "gamma(1)")),
+    ("3d.2dof.plain-gamma23", "(1,g23)", "12", ("plain", "gamma(3)")),
+    ("3d.2dof.plain-gamma2", "(1,g2)", "12", ("plain", "gamma(1,3)")),
+    ("3d.2dof.gamma12-gamma21", "(g12,g21)", "12", ("gamma(2)", "gamma(1)")),
+    ("3d.2dof.gamma12-gamma23", "(g12,g23)", "12", ("gamma(2)", "gamma(3)")),
+    ("3d.2dof.gamma12-gamma2", "(g12,g2)", "12", ("gamma(2)", "gamma(1,3)")),
+    ("3d.2dof.gamma13-gamma23", "(g13,g23)", "12", ("gamma(3)", "gamma(3)")),
+    ("3d.2dof.gamma13-gamma2", "(g13,g2)", "12", ("gamma(3)", "gamma(1,3)")),
+    ("3d.2dof.gamma1-gamma2", "(g1,g2)", "12", ("gamma(2,3)", "gamma(1,3)")),
+    ("3d.2dof.plain-gamma32", "(1,g32)", "13", ("plain", "gamma(2)")),
+    ("3d.2dof.gamma13-gamma32", "(g13,g32)", "13", ("gamma(3)", "gamma(2)")),
+    ("3d.2dof.plain-gamma3", "(1,g3)", "13", ("plain", "gamma(1,2)")),
+    ("3d.2dof.gamma13-gamma3", "(g13,g3)", "13", ("gamma(3)", "gamma(1,2)")),
+    ("3d.2dof.gamma12-plain3", "(g12,1)", "13", ("gamma(2)", "plain")),
+    ("3d.2dof.gamma12-gamma31", "(g12,g31)", "13", ("gamma(2)", "gamma(1)")),
+    ("3d.2dof.gamma12-gamma32", "(g12,g32)", "13", ("gamma(2)", "gamma(2)")),
+    ("3d.2dof.gamma12-gamma3", "(g12,g3)", "13", ("gamma(2)", "gamma(1,2)")),
+    ("3d.2dof.gamma1-plain3", "(g1,1)", "13", ("gamma(2,3)", "plain")),
+    ("3d.2dof.gamma1-gamma31", "(g1,g31)", "13", ("gamma(2,3)", "gamma(1)")),
+    ("3d.2dof.gamma1-gamma32", "(g1,g32)", "13", ("gamma(2,3)", "gamma(2)")),
+    ("3d.2dof.gamma1-gamma3", "(g1,g3)", "13", ("gamma(2,3)", "gamma(1,2)")),
+    ("3d.3dof.max", "(g1,g2,g3)", "", ("gamma(2,3)", "gamma(1,3)", "gamma(1,2)")),
+    ("3d.3dof.min", "(1,1,1)", "", ("plain", "plain", "plain")),
+]
+
+
 def gamma_offset(spec, cfg, summed_vals, fixed_vals, pos):
     """gamma_t(n) of the tower at position pos: its Gamma argument minus n_t."""
     ct = spec.compile(cfg, fixed_vals).towers[pos]
@@ -84,6 +112,14 @@ class TestRegistry:
     def test_max_class_is_fully_deformed(self):
         spec = get("3d.3dof.max")
         assert [tw.form for tw in spec.towers] == ["gamma(2,3)", "gamma(1,3)", "gamma(1,2)"]
+
+    def test_3d_classes_in_catalog_order(self):
+        # the printed catalog: (id, label, case, tower forms), one row per 3D class
+        assert [
+            (s.id, s.label, s.case, tuple(tw.form for tw in s.towers)) for s in select(dimension=3)
+        ] == THREE_D_CATALOG
+        for s in select(dimension=3):
+            assert s.tower_ids == {"12": (1, 2), "13": (1, 3), "": (1, 2, 3)}[s.case]
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

@@ -273,6 +273,10 @@ class TestClassCounts:
             class_counts(4, 2)
         with pytest.raises(SpecError):
             class_counts(3, 2, case="23")
+        # three variables have no case
+        for case in ("12", "13", "bogus"):
+            with pytest.raises(SpecError):
+                class_counts(3, 3, case=case)
 
 
 class TestShiftExtension:
