@@ -12,10 +12,15 @@ from child_env import src_env
 
 # sha256 of the default `vcslab report`
 DEFAULT_REPORT_SHA256 = "60f76e888f4c2d1758623ae06e0cf1f42e274bc7fde260e35999749770ad3987"
-# sha256 of the catalog listings: a reordered or relabeled class changes them
+# sha256 of the catalog listings and deformation graphs: a reordered or
+# relabeled class, or a moved edge, changes them
 CATALOG_SHA256 = {
     "list --format json": "b5499e76927e42fa0cac75702d72422ec2fc3762337297d654fdf6d9f4bd4a74",
     "list": "d1ed744a8f5f25d512b7870bfe479570157fa54fda30cd48fa8fa1aadbb33e66",
+    "taxonomy --dim 2 --dof 1 --format json --level subclass":
+        "271d5dcd689fd490a02f6d6df312ac032fbf0509b9d4e2814d3471fb24ea1142",
+    "taxonomy --dim 2 --dof 2 --format json --level subclass":
+        "23615ccd0d6c4bc317134088178818ef30a09233dddb5b67272e658433bb418d",
     "taxonomy --dim 3 --dof 2 --format json --level subclass":
         "35588de71252ed041938b55227308102ac22c9fd699233e54adc197fed38567c",
 }
