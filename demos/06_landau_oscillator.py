@@ -10,7 +10,7 @@ frequency and the spectrum degenerates.
 
 import math
 
-from vcslab import FrequencyConfig, get, landau_map, shift_extension, verify_moments
+from vcslab import FrequencyConfig, get, landau_map, verify_moments
 from vcslab.moments import moment_target
 
 print("== mode frequencies ==")
@@ -26,7 +26,7 @@ print(f"\n trap off: (O+, O-) = ({osc.omega_plus}, {osc.omega_minus}),"
 print("\n== verifying a deformed class on the trapped-particle spectrum ==")
 cfg = landau_map(3.0, 4.0).config()
 print(f" frequencies {cfg.omegas}, shifts {cfg.shifts}")
-spec = shift_extension(get("2d.1dof.gamma1.A"), cfg.shifts)
+spec = get("2d.1dof.gamma1.A")
 # at n1 = 0 the compiled Gamma argument gamma1 + n1 is the offset gamma1 itself
 gamma_arg = spec.compile(cfg, (2,)).towers[0].gamma_arg
 print(f" shifted Gamma offset at n2=2: {gamma_arg.at((0,)):.6f}")

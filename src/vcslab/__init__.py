@@ -52,7 +52,6 @@ from .taxonomy import (
     deformation_graph,
     enumerate_subclasses,
     landau_map,
-    shift_extension,
     verify_factor,
 )
 

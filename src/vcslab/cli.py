@@ -20,7 +20,6 @@ from .convergence import (
     class_verdict,
     gamma_ratio_surface,
     required_positive_conditions,
-    required_positive_ratios,
 )
 from .frequencies import FrequencyConfig
 from .moments import density_for, verify_moments
@@ -36,6 +35,7 @@ from .taxonomy import (
     deformation_graph,
     graph_to_dot,
     graph_to_json,
+    limit_obstruction,
     verify_edge_continuity,
     verify_factor,
 )
@@ -103,8 +103,9 @@ class RunConfig:
         bad_z = [v for v in self.z_grid if not (math.isfinite(v) and v > 0.0)]
         if bad_z:
             raise UsageError(f"z-grid values must be finite and positive, got {bad_z}")
-        if any(t <= 0 for t in self.tol.values()):
-            raise UsageError("tolerances must be positive")
+        bad_tol = {k: t for k, t in sorted(self.tol.items()) if not (math.isfinite(t) and t > 0.0)}
+        if bad_tol:
+            raise UsageError(f"tolerances must be finite and positive, got {bad_tol}")
         if not isinstance(self.nmax, int) or self.nmax < 0:
             raise UsageError(f"nmax must be a non-negative integer, got {self.nmax!r}")
         bad_fixed = sorted(f"n{k}" for k in self.fixed if k not in (1, 2, 3))
@@ -146,21 +147,9 @@ def _fixed_for(spec, cfg: RunConfig) -> tuple[int, ...]:
 
 
 def _expected_undefined(spec, cfg: RunConfig) -> str | None:
-    """Why this parameter point is predicted non-normalizable, or None.
-
-    A ratio pinned to zero sends its reciprocal to infinity, so a class
-    that uses the reciprocal is undefined there (the deformation graph's
-    forbidden "reciprocal ratio diverges" limit).
-    """
-    zeroed = sorted(p for p, v in cfg.kappa_overrides.items() if v == 0.0)
-    used = spec.ratios_used()
-    for i, j in zeroed:
-        if (j, i) in used:
-            return f"reciprocal ratio kappa{j}{i} diverges"
-    for group in required_positive_ratios(spec):
-        if group and all(p in zeroed for p in group):
-            return "ratio pinned to zero on a required-positive group"
-    return None
+    """Why this parameter point is predicted non-normalizable, or None:
+    the deformation graph's forbidden-limit test on the ratios pinned to zero."""
+    return limit_obstruction(spec, [p for p, v in cfg.kappa_overrides.items() if v == 0.0])
 
 
 def _check_norm(spec, compiled, fc, cfg):
@@ -183,7 +172,7 @@ def _check_factor(spec, fc, cfg):
     for rel in declared_factor_relations():
         if spec.id not in (rel.sub_a, rel.sub_b):
             continue
-        rep = verify_factor(rel, fc, fixed_value=_fixed_for(spec, cfg)[0] if spec.fixed else 1)
+        rep = verify_factor(rel, fc, fixed_value=_fixed_for(spec, cfg)[0])
         residuals.append((f"{rel.sub_b}~{rel.sub_a}", rep.max_residual))
     if not residuals:
         residuals.append(("no-declared-relations", 0.0))

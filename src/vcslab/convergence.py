@@ -349,8 +349,10 @@ def gamma_ratio_surface(
     g = gamma13 (default 1 + n3).  At kappa = 0 both terms are
     exactly 1 and the difference vanishes identically.
     """
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    if gamma13 is not None and not math.isfinite(gamma13):
+        raise ValueError(f"gamma13 must be finite, got {gamma13}")
     g = (1.0 + n3) if gamma13 is None else float(gamma13)
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range

@@ -61,9 +61,6 @@ class LinForm:
             total += v
         return total
 
-    def depends_on_n(self, tower: int) -> bool:
-        return any(t[1] == tower for t in self.terms)
-
     def ratios_used(self) -> set[tuple[int, int]]:
         return {t[0] for t in self.terms if t[0] is not None}
 

@@ -1,12 +1,13 @@
 """Classification machinery: sub-class relevance, factor relations,
-deformation limits, class counting, shift extension, Landau mapping.
+deformation limits, class counting, Landau mapping.
 
 A ratio limit kappa -> 0 is *defined* when the structurally reduced
 class is still solvable, which fails two ways: the class also uses the
 reciprocal ratio (sent to infinity), or the limit strips the last
 dependence on a summed index so the norm series acquires constant
-terms.  Both rules are purely structural; `vcslab verify --kappa ij=0
---checks convergence` confirms them numerically.
+terms.  `limit_obstruction` is the one place that rule lives: the
+deformation graph and the ratios `vcslab verify --kappa ij=0` pins both
+read it, and `--checks convergence` confirms it numerically.
 """
 
 from __future__ import annotations
@@ -66,46 +67,39 @@ class FactorRelation:
                 # the base itself carries the index dependence: (n_f!)^scalar
                 out += comp.scalar * log_gamma(n_fixed + 1.0)
                 continue
-            if comp.exponent == "nf":
-                e = comp.scalar * n_fixed
-            elif comp.exponent == "knf":
+            if comp.exponent == "knf":
                 e = comp.scalar * config.ratio(summed_tower, fixed_tower) * n_fixed
             else:
-                raise SpecError(f"unknown factor exponent {comp.exponent!r}")
+                e = comp.scalar * n_fixed
             if kind == "z":
                 v = complex(z[tower])
                 out += e * complex(math.log(abs(v)), math.atan2(v.imag, v.real))
-            elif kind == "omega":
-                out += e * math.log(config.omega(tower))
             else:
-                raise SpecError(f"unknown factor base {kind!r}")
+                out += e * math.log(config.omega(tower))
         return out
 
 
+def _step_components(tower: int, db: int, dbp: int) -> tuple[FactorComponent, ...]:
+    """The factor an exponent step (db, db') on a summed tower multiplies in:
+    z_t^(db kappa n_f) omega_t^(-db'/2 kappa n_f), zero powers dropped."""
+    pieces = ((("z", tower), float(db)), (("omega", tower), -dbp / 2))
+    return tuple(FactorComponent(base, scalar, "knf") for base, scalar in pieces if scalar)
+
+
 def declared_factor_relations() -> list[FactorRelation]:
-    """The cataloged sub-class factor statements."""
+    """The cataloged sub-class factor statements.
+
+    Each one-variable sub-class B-D is its A times the factor of its
+    exponent step from A, read from the registry's quadruple table.
+    """
     out = []
-    for s, f in ((1, 2), (2, 1)):
-        plain = f"2d.1dof.plain{s}"
-        gamma = f"2d.1dof.gamma{s}"
-        zc = ("z", s)
-        wc = ("omega", s)
-        out += [
-            FactorRelation(f"{plain}.A", f"{plain}.B", (FactorComponent(wc, -0.5, "knf"),)),
-            FactorRelation(f"{plain}.A", f"{plain}.C", (FactorComponent(zc, 1.0, "knf"),)),
-            FactorRelation(
-                f"{plain}.A",
-                f"{plain}.D",
-                (FactorComponent(zc, 1.0, "knf"), FactorComponent(wc, -0.5, "knf")),
-            ),
-            FactorRelation(f"{gamma}.A", f"{gamma}.B", (FactorComponent(zc, -1.0, "knf"),)),
-            FactorRelation(f"{gamma}.A", f"{gamma}.C", (FactorComponent(wc, 0.5, "knf"),)),
-            FactorRelation(
-                f"{gamma}.A",
-                f"{gamma}.D",
-                (FactorComponent(zc, -1.0, "knf"), FactorComponent(wc, 0.5, "knf")),
-            ),
-        ]
+    for s in (1, 2):
+        for fam, quads in ONE_DOF_QUADRUPLES.items():
+            base = f"2d.1dof.{fam}{s}"
+            b, bp = quads["A"]
+            for letter in "BCD":
+                step = _step_components(s, quads[letter][0] - b, quads[letter][1] - bp)
+                out.append(FactorRelation(f"{base}.A", f"{base}.{letter}", step))
     # the two-variable deformed class is the one-variable one times the
     # second-tower canonical factor z2^n2 [w2^n2 n2!]^(-1/2)
     out.append(
@@ -205,8 +199,7 @@ def enumerate_subclasses(class_family: str):
             if (b1, b1p) == base_b1:
                 out.append((quad, "base" if letter == "A" else "relevant", target))
             else:
-                d1, d1p = b1 - base_b1[0], b1p - base_b1[1]
-                desc = _z_omega_factor(1, d1, d1p)
+                desc = _factor_text(_step_components(1, b1 - base_b1[0], b1p - base_b1[1]))
                 out.append((quad, "factor", f"{target} * {desc}"))
         return out
     if class_family in ("plain", "gamma"):
@@ -221,19 +214,15 @@ def enumerate_subclasses(class_family: str):
             if (b, bp) == base:
                 out.append(((b, bp), "base", target))
             else:
-                d, dp = b - base[0], bp - base[1]
-                out.append(((b, bp), "factor", f"{target} = A * {_z_omega_factor(1, d, dp)}"))
+                desc = _factor_text(_step_components(1, b - base[0], bp - base[1]))
+                out.append(((b, bp), "factor", f"{target} = A * {desc}"))
         return out
     raise SpecError(f"unknown family {class_family!r}")
 
 
-def _z_omega_factor(tower: int, dz: int, dw: int) -> str:
-    parts = []
-    if dz:
-        parts.append(f"z{tower}^({dz:+d}*k*nf)")
-    if dw:
-        parts.append(f"omega{tower}^({-dw / 2:+g}*k*nf)")
-    return " ".join(parts) if parts else "1"
+def _factor_text(components) -> str:
+    """A step factor as text: "z1^(+1*k*nf) omega1^(-0.5*k*nf)"."""
+    return " ".join(f"{c.base[0]}{c.base[1]}^({c.scalar:+g}*k*nf)" for c in components)
 
 
 # -- deformation graph -------------------------------------------------
@@ -249,14 +238,26 @@ class DeformationEdge:
     via_symmetry: bool = False
 
 
-def _axis_dependence_survives(spec: ClassSpec, axis: int) -> bool:
-    if axis in spec.tower_ids:
-        return True
-    for tw in spec.towers:
-        for form in (tw.z_exp, tw.w_exp, tw.gamma):
-            if form.depends_on_n(axis):
-                return True
-    return False
+def limit_obstruction(spec: ClassSpec, pairs) -> str | None:
+    """Why sending every ratio in `pairs` to 0 leaves `spec` unsolvable, or None.
+
+    Either the class also uses a reciprocal ratio, which diverges, or a
+    summed index loses its last dependence (no tower of its own and every
+    term that reads it carries a zeroed ratio), so the norm series
+    acquires constant terms.
+    """
+    zeroed = sorted(pairs)
+    used = spec.ratios_used()
+    for i, j in zeroed:
+        if (j, i) in used:
+            return f"reciprocal ratio kappa{j}{i} diverges"
+    terms = [t for tw in spec.towers for form in (tw.z_exp, tw.w_exp, tw.gamma) for t in form.terms]
+    for axis in spec.summed:
+        if axis in spec.tower_ids:
+            continue
+        if not any(n_of == axis and ratio not in zeroed for ratio, n_of, _ in terms):
+            return f"summed index n{axis} decouples: constant terms, not normalizable"
+    return None
 
 
 def _strip_shift_terms(form: LinForm) -> tuple:
@@ -312,25 +313,11 @@ def deformation_graph(dimension: int, dof: int) -> tuple[DeformationEdge, ...]:
         if spec.dimension != dimension or spec.dof != dof:
             continue
         for pair in sorted(spec.ratios_used()):
-            rev = (pair[1], pair[0])
-            if rev in spec.ratios_used():
-                edges.append(
-                    DeformationEdge(
-                        spec.id, None, pair, "forbidden",
-                        reason=f"reciprocal ratio kappa{rev[0]}{rev[1]} diverges",
-                    )
-                )
+            reason = limit_obstruction(spec, (pair,))
+            if reason:
+                edges.append(DeformationEdge(spec.id, None, pair, "forbidden", reason=reason))
                 continue
             limit = spec.drop_ratio(pair)
-            dead = [a for a in spec.summed if not _axis_dependence_survives(limit, a)]
-            if dead:
-                edges.append(
-                    DeformationEdge(
-                        spec.id, None, pair, "forbidden",
-                        reason=f"summed index n{dead[0]} decouples: constant terms, not normalizable",
-                    )
-                )
-                continue
             found = lookup.get(canonical_signature(limit))
             if found is None:
                 raise SpecError(f"{spec.id}: defined limit kappa{pair} leaves an unregistered class")
@@ -442,22 +429,7 @@ def class_counts(dimension: int, dof: int, case: str | None = None) -> int:
     return counts[dof, case]
 
 
-# -- shift extension and the Landau problem -----------------------------
-
-
-def shift_extension(spec: ClassSpec, alphas) -> ClassSpec:
-    """Validate a spectrum shift for a class.
-
-    Shifts enter through FrequencyConfig (every registered exponent and
-    Gamma offset already carries its shift terms), so the returned spec
-    is the input; this is the place that rejects invalid shifts.
-    """
-    alphas = tuple(float(a) for a in alphas)
-    if any(a < 0.0 for a in alphas):
-        raise SpecError("shifts must be non-negative")
-    if len(alphas) < spec.dimension:
-        raise SpecError(f"{spec.id}: needs {spec.dimension} shifts")
-    return spec
+# -- the Landau problem --------------------------------------------------
 
 
 @dataclass(frozen=True)

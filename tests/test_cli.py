@@ -338,6 +338,9 @@ class TestVerify:
         ("2d.1dof.gamma1.A", ["--kappa", "123=0.5"], {"kappa": {"123": 0.5}}),
         ("2d.1dof.gamma1.A", ["--kappa", "45=0.5"], {"kappa": {"45": 0.5}}),
         ("2d.1dof.gamma1.A", ["--fixed", "n7=3"], {"fixed": {"7": 3}}),
+        # a nan tolerance once failed every check and an infinite one passed them
+        ("2d.1dof.plain1.A", ["--tol", "nan"], {"tol": {"norm": "nan"}}),
+        ("2d.1dof.plain1.A", ["--tol", "inf"], {"tol": "inf"}),
     ])
     def test_non_finite_or_negative_parameters_exit_2(self, cid, args, config, tmp_path, capsys):
         # each once ended in a traceback from log_gamma, json or the norm series
@@ -549,6 +552,15 @@ class TestFigure:
     def test_malformed_range_exits_2(self):
         proc = run_cli(["figure", "gamma-ratio", "--m-range", "100:50"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag, name", [("--kappas", "kappa"), ("--gamma13", "gamma13")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_named(self, flag, name, value, capsys):
+        # a nan once reached log_gamma, whose message named no parameter
+        assert main(["figure", "gamma-ratio", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
 
 
 class TestDeterminism:

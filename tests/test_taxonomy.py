@@ -4,12 +4,14 @@ import math
 
 import pytest
 
-from vcslab.cli import main
+from vcslab.cli import RunConfig, main, run_class_checks
 from vcslab.frequencies import FrequencyConfig
 from vcslab.registry import get, registry
 from vcslab.structure import SpecError
 from vcslab.taxonomy import (
     EDGE_WINDOW,
+    FactorComponent,
+    FactorRelation,
     _descendant_state,
     canonical_signature,
     class_counts,
@@ -19,13 +21,44 @@ from vcslab.taxonomy import (
     graph_to_dot,
     graph_to_json,
     landau_map,
-    shift_extension,
     verify_edge_continuity,
     verify_factor,
 )
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
+
+
+def knf(kind, tower, scalar):
+    return FactorComponent((kind, tower), scalar, "knf")
+
+
+# the catalog's factor statements written out one by one: sub-class B-D of
+# a one-variable family is its A times z_s^(db k nf) omega_s^(-db'/2 k nf)
+DECLARED_RELATIONS = [
+    FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.B", (knf("omega", 1, -0.5),)),
+    FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.C", (knf("z", 1, 1.0),)),
+    FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.D", (knf("z", 1, 1.0), knf("omega", 1, -0.5))),
+    FactorRelation("2d.1dof.gamma1.A", "2d.1dof.gamma1.B", (knf("z", 1, -1.0),)),
+    FactorRelation("2d.1dof.gamma1.A", "2d.1dof.gamma1.C", (knf("omega", 1, 0.5),)),
+    FactorRelation("2d.1dof.gamma1.A", "2d.1dof.gamma1.D", (knf("z", 1, -1.0), knf("omega", 1, 0.5))),
+    FactorRelation("2d.1dof.plain2.A", "2d.1dof.plain2.B", (knf("omega", 2, -0.5),)),
+    FactorRelation("2d.1dof.plain2.A", "2d.1dof.plain2.C", (knf("z", 2, 1.0),)),
+    FactorRelation("2d.1dof.plain2.A", "2d.1dof.plain2.D", (knf("z", 2, 1.0), knf("omega", 2, -0.5))),
+    FactorRelation("2d.1dof.gamma2.A", "2d.1dof.gamma2.B", (knf("z", 2, -1.0),)),
+    FactorRelation("2d.1dof.gamma2.A", "2d.1dof.gamma2.C", (knf("omega", 2, 0.5),)),
+    FactorRelation("2d.1dof.gamma2.A", "2d.1dof.gamma2.D", (knf("z", 2, -1.0), knf("omega", 2, 0.5))),
+    # the second-tower canonical factor z2^n2 [w2^n2 n2!]^(-1/2)
+    FactorRelation(
+        "2d.1dof.gamma1.A",
+        "2d.2dof.gamma1-plain.A",
+        (
+            FactorComponent(("z", 2), 1.0, "nf"),
+            FactorComponent(("omega", 2), -0.5, "nf"),
+            FactorComponent(("factorial", 2), -0.5, "nf"),
+        ),
+    ),
+]
 
 
 def verify_pinned_limit(edge, tmp_path):
@@ -80,6 +113,9 @@ class TestEnumerateSubclasses:
 
 
 class TestFactorRelations:
+    def test_generated_relations_match_the_written_table(self):
+        assert declared_factor_relations() == DECLARED_RELATIONS
+
     def test_catalog_covers_all_one_dof_variants(self):
         rels = declared_factor_relations()
         ids = {r.sub_b for r in rels}
@@ -148,6 +184,18 @@ class TestDeformationGraph:
         )
         assert e.status == "forbidden" and "reciprocal" in e.reason
         assert verify_pinned_limit(e, tmp_path) == (0, "undefined")
+
+    @pytest.mark.parametrize("dim, dof", [(2, 1), (2, 2), (3, 2)])
+    def test_cli_predicts_undefined_exactly_on_forbidden_edges(self, dim, dof):
+        # the CLI judges a ratio pinned to zero by the graph's own test
+        for e in deformation_graph(dim, dof):
+            (rep,) = run_class_checks(
+                e.ancestor, RunConfig(kappa_overrides={e.parameter: 0.0}, checks=["norm"])
+            )
+            undefined = rep["residuals"] == {"predicted-undefined": 0.0}
+            assert undefined == (e.status == "forbidden"), e
+            if undefined:
+                assert rep["metadata"]["reason"] == e.reason, e
 
     def test_text_stated_chains_present(self):
         edges = deformation_graph(3, 2)
@@ -277,23 +325,6 @@ class TestClassCounts:
         for case in ("12", "13", "bogus"):
             with pytest.raises(SpecError):
                 class_counts(3, 3, case=case)
-
-
-class TestShiftExtension:
-    def test_zero_shift_identity(self):
-        spec = get("2d.1dof.plain1.A")
-        assert shift_extension(spec, (0.0, 0.0)) is spec
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(SpecError):
-            shift_extension(get("2d.1dof.plain1.A"), (-0.1, 0.0))
-
-    def test_shifted_gamma_argument(self):
-        spec = shift_extension(get("2d.1dof.gamma1.A"), (0.5, 0.5))
-        cfg = FrequencyConfig((1.0, 2.0), shifts=(0.5, 0.5))
-        # at n1 = 0 the Gamma argument gamma1 + n1 is the offset gamma1 itself
-        gamma_arg = spec.compile(cfg, (1,)).towers[0].gamma_arg
-        assert gamma_arg.at((0,)) == pytest.approx(1.5 + 2.0 * 1.5)
 
 
 class TestLandauMap:
