@@ -18,13 +18,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .convergence import (
-    Verdict,
-    class_verdict,
-    comparison_check,
-    gamma_ratio_surface,
-    row_column_check,
-)
+from .convergence import Verdict, class_verdict, gamma_ratio_surface
 from .frequencies import FrequencyConfig
 from .moments import (
     MeasureDensity,

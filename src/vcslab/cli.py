@@ -75,6 +75,15 @@ class RunConfig:
         cfg = cls()
         # each value converts as the text of its flag would
         num, whole = (lambda v: float(str(v))), (lambda v: int(str(v)))
+
+        def tolerances(v):
+            if not isinstance(v, dict):
+                return dict.fromkeys(cfg.tol, num(v))
+            unknown = sorted(str(k) for k in v if str(k) not in cfg.tol)
+            if unknown:
+                raise UsageError(f"config field 'tol' names no check {unknown}; known: {sorted(cfg.tol)}")
+            return {**cfg.tol, **{str(k): num(x) for k, x in v.items()}}
+
         convert = {
             "classes": lambda v: [str(x) for x in v],
             "checks": lambda v: [str(x) for x in v],
@@ -83,8 +92,7 @@ class RunConfig:
             "z_grid": lambda v: [num(x) for x in v],
             "nmax": whole,
             "out": lambda v: None if v is None else str(v),
-            "tol": lambda v: {**cfg.tol, **{str(k): num(x) for k, x in v.items()}}
-            if isinstance(v, dict) else dict.fromkeys(cfg.tol, num(v)),
+            "tol": tolerances,
             "fixed": lambda v: {whole(k): whole(x) for k, x in v.items()},
             "kappa": lambda v: {_kappa_key(k): num(x) for k, x in v.items()},
         }

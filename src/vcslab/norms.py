@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -126,6 +126,48 @@ class TermGenerator:
     def gamma_factors(self) -> list[tuple[float, tuple[float, ...]]]:
         """(constant, per-axis slopes) of every Gamma argument in the term."""
         return [(ct.gamma_arg.const, ct.gamma_arg.slopes) for ct in self.compiled.towers]
+
+
+class AxisGrowth(NamedTuple):
+    """How the norm-series terms of one summed axis grow, and whether they sum."""
+
+    gamma_slope: float  # the Gamma arguments' slopes along the axis, summed
+    log_weight: float
+    convergent: bool
+
+
+def axis_growth(gen: TermGenerator) -> tuple[AxisGrowth, ...]:
+    """The convergence rule of the norm series, axis by axis.
+
+    Every term is exp(lw . n + c) / prod_t Gamma(c_t + s_t . n), with lw
+    the axis log weights.  Each Gamma argument must be positive on the
+    lattice, so c_t > 0 and every s_t >= 0, or ValueError names it.  An
+    axis with no Gamma slope factors out of the sum as the geometric
+    series sum_n w^n, which converges iff its weight, as a float, is < 1;
+    its weight inf - inf (nan) decides nothing and raises ValueError.
+    On the other axes sum_t s_t . n >= m |n|_1 with m > 0, so by the
+    convexity of x log x the Gamma product grows like e^(m |n| log |n|)
+    and beats any weight: such an axis converges whatever its weight,
+    inf and nan included.
+    """
+    factors = gen.gamma_factors()
+    for ct, (c, slopes) in zip(gen.compiled.towers, factors):
+        if not (c > 0.0 and all(s >= 0.0 for s in slopes)):
+            raise ValueError(
+                f"tower {ct.tower}: Gamma argument {c:g} + {list(slopes)} . n "
+                "is not positive on the lattice"
+            )
+    out = []
+    for k in range(len(gen.axes)):
+        slope = sum(slopes[k] for _, slopes in factors)
+        lw = gen.log_weight(k)
+        if slope > 0.0:
+            out.append(AxisGrowth(slope, lw, True))
+            continue
+        if math.isnan(lw):
+            raise ValueError(f"axis {k}: the log weight is inf - inf, past the float range")
+        out.append(AxisGrowth(slope, lw, lw < 0.0 and math.exp(lw) < 1.0))
+    return tuple(out)
 
 
 def term_generator(
@@ -238,8 +280,8 @@ def _certified_sum(log_window, ndim: int):
 def norm_series(gen: TermGenerator) -> NormResult:
     """Certified evaluation of the squared-coefficient sum.
 
-    An axis along which no Gamma argument moves is a geometric series in
-    its weight, so a weight >= 1 there diverges.
+    An axis that `axis_growth` finds divergent, one along which no Gamma
+    argument moves and whose weight is >= 1, raises DivergenceError.
     """
     return _summed_series(gen)[0]
 
@@ -249,8 +291,8 @@ def _summed_series(gen: TermGenerator) -> tuple[NormResult, np.ndarray]:
     ndim = len(gen.axes)
     if ndim not in (1, 2):
         raise SpecError("norm_series supports one or two summed indices")
-    for k in range(ndim):
-        if all(slopes[k] == 0.0 for _, slopes in gen.gamma_factors()) and gen.log_weight(k) >= 0.0:
+    for k, axis in enumerate(axis_growth(gen)):
+        if not axis.convergent:
             raise DivergenceError(
                 f"no Gamma growth along n{gen.axes[k]} and its weight is >= 1: divergent series"
             )

@@ -357,6 +357,8 @@ class TestVerify:
         {"tol": {"norm": "x"}},
         {"z_grid": [1, "a"]},
         {"omegas": [1, None]},
+        # a misspelled tolerance name was once merged and ignored
+        {"tol": {"nrom": 1e-30}},
     ])
     def test_config_field_of_the_wrong_type_exits_2(self, config, tmp_path, capsys):
         # each once ended in a ValueError or TypeError traceback
@@ -453,15 +455,16 @@ class TestVerify:
         ["2d.2dof.plain-plain.D", "--omega", "1e300,1e-8"],
         ["3d.2dof.plain-gamma3", "--omega", "1e300,1,1e-8"],
     ])
-    def test_nan_axis_weight_is_an_evaluation_error(self, argv):
-        # the verdict read "inconclusive" with "frontier ratio nan" as its witness
+    def test_nan_axis_weight_on_a_gamma_axis_is_convergent(self, argv):
+        # the log weight of axis 0 is inf - inf, but the axis has a Gamma
+        # slope, which converges at any weight
         proc = run_cli(["verify", *argv, "--checks", "convergence"])
-        assert proc.returncode == 1
+        assert proc.returncode == 0
         assert proc.stderr == "" and "nan" not in proc.stdout
         (rep,) = json.loads(proc.stdout)["results"]
-        assert rep["verdict"] == "fail"
-        assert rep["residuals"] == {"evaluation-error": 1.0}
-        assert rep["metadata"]["error"].startswith("axis 0: the log weight is inf - inf")
+        assert rep["verdict"] == "pass"
+        assert rep["residuals"] == {"convergent": 0.0}
+        assert rep["metadata"]["witness"].startswith("axis 0: Gamma slope ")
 
     def test_divergent_moment_exponent_is_an_evaluation_error(self, tmp_path):
         out = tmp_path / "r.json"
@@ -561,6 +564,16 @@ class TestFigure:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+
+    def test_non_positive_gamma_argument_is_named(self, capsys):
+        # gamma13 + m = -50.5 once reached log_gamma unnamed
+        argv = ["figure", "gamma-ratio", "--gamma13", "-100.5", "--kappas", "0.5",
+                "--m-range", "50:50", "--n-range", "0:0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: gamma13 + kappa n + m must be > 0") and err.count("\n") == 1
+        assert "gamma13 = -100.5 with m range 50:50" in err
 
 
 class TestDeterminism:

@@ -1,25 +1,12 @@
-import itertools
 import math
 
 import pytest
 
-from vcslab import convergence
-from vcslab.convergence import (
-    _OTHERS,
-    Verdict,
-    _log_weights,
-    _majorant_grid,
-    _ratio_decision,
-    _rows_columns,
-    class_verdict,
-    comparison_check,
-    gamma_ratio_surface,
-    row_column_check,
-)
+from vcslab.convergence import _axis_witness, class_verdict, gamma_ratio_surface
 from vcslab.frequencies import FrequencyConfig
-from vcslab.norms import norm_series, term_generator
+from vcslab.norms import TermGenerator, axis_growth, norm_series, term_generator
 from vcslab.registry import get, registry
-from vcslab.special import log_gamma
+from vcslab.structure import AffineForm, CompiledClass, CompiledTower
 
 CFG2 = FrequencyConfig((1.0, 2.0))
 CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
@@ -29,146 +16,93 @@ def probe_z(spec, cfg, scale=1.0):
     return tuple(math.sqrt(scale * cfg.omega(t)) for t in spec.tower_ids)
 
 
-def ratio_decision(gen):
-    """The full ratio test on gen's axis weights and Gamma slopes."""
-    return _ratio_decision(_log_weights(gen), gen.gamma_factors())
+def synthetic(log_weights, gamma_slopes=None):
+    """Terms prod_k w_k^(n_k) / Gamma(1 + s . n): tower k + 1 carries axis k's
+    weight through its omega exponent, and tower 1 also the Gamma slopes s."""
+    ndim = len(log_weights)
+    gamma_slopes = (0.0,) * ndim if gamma_slopes is None else tuple(gamma_slopes)
+    flat = AffineForm(0.0, (0.0,) * ndim)
+    towers = tuple(
+        CompiledTower(
+            k + 1, lw, flat, AffineForm(0.0, tuple(-1.0 if j == k else 0.0 for j in range(ndim))),
+            AffineForm(1.0, gamma_slopes if k == 0 else (0.0,) * ndim), 0.0, z_gap=0.0, w_gap=-1.0,
+        )
+        for k, lw in enumerate(log_weights)
+    )
+    compiled = CompiledClass("synthetic", tuple(range(1, ndim + 1)), towers)
+    return TermGenerator.of(compiled, (1.0,) * ndim)
+
+
+def witness(gen):
+    return "; ".join(_axis_witness(k, a) for k, a in enumerate(axis_growth(gen)))
 
 
 class TestRowColumn:
     def test_plain_double_exponential_both_axes_vanishing_ratio(self):
         spec = get("3d.2dof.plain-plain")
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-        verdicts = row_column_check(gen)
-        assert all(v.convergent for v in verdicts.values())
-        assert all("ratio" in v.witness for v in verdicts.values())
+        axes = axis_growth(gen)
+        assert all(a.convergent and a.gamma_slope > 0.0 for a in axes)
+        assert witness(gen) == "axis 0: Gamma slope 1 > 0, ratio -> 0; axis 1: Gamma slope 1 > 0, ratio -> 0"
 
     def test_pinned_zero_ratio_gives_constant_divergent_column(self):
         spec = get("3d.2dof.gamma13-gamma32")
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.0})
-        verdicts = row_column_check(gen)
-        assert verdicts[2].divergent
-        assert "do not vanish" in verdicts[2].witness
+        first, second = axis_growth(gen)
+        assert first.convergent
+        assert not second.convergent and second.gamma_slope == 0.0
+        assert witness(gen).endswith("axis 1: constant ratio 1 >= 1, terms do not vanish")
 
     def test_small_ratio_column_still_convergent(self):
         spec = get("3d.2dof.gamma13-gamma32")
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.5})
-        verdicts = row_column_check(gen)
-        assert verdicts[1].convergent and verdicts[2].convergent
-
-
-class TestRowsColumnsShortcut:
-    def test_one_decision_stands_for_the_three_scans(self, monkeypatch):
-        calls = []
-        decide = convergence._decide_axis
-
-        def counted(*args):
-            calls.append(args)
-            return decide(*args)
-
-        monkeypatch.setattr(convergence, "_decide_axis", counted)
-        shortcuts = scans = 0
-        for spec in registry():
-            cfg = CFG3 if spec.dimension == 3 else CFG2
-            fixed = (1,) * len(spec.fixed)
-            # the natural ratios, then the first ratio the class uses pinned
-            pins = [None] + [{pair: 1e-3} for pair in sorted(spec.ratios_used())[:1]]
-            for overrides in pins:
-                gen = term_generator(spec, cfg, probe_z(spec, cfg), fixed, overrides)
-                log_weights, factors = _log_weights(gen), gen.gamma_factors()
-                for k in range(len(log_weights)):
-                    want = [
-                        decide(log_weights, factors, k, {j: v for j in range(len(log_weights)) if j != k})
-                        for v in _OTHERS
-                    ]
-                    calls.clear()
-                    assert _rows_columns(log_weights, factors, k) == want, (spec.id, overrides, k)
-                    shortcuts += len(calls) == 1
-                    scans += len(calls) == len(_OTHERS)
-        assert shortcuts > 0 and scans > 0
+        assert all(a.convergent for a in axis_growth(gen))
 
 
 class TestComparison:
+    """Gamma slopes of at least 1 on every axis put an n! under each index;
+    smaller slopes still decide convergence."""
+
     def test_doubly_deformed_dominated_by_double_exponential(self):
         spec = get("3d.2dof.gamma1-gamma2")
         gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-        v = comparison_check(gen)
-        assert v.convergent
+        axes = axis_growth(gen)
+        assert all(a.convergent and a.gamma_slope >= 1.0 for a in axes)
 
     def test_case13_needs_more_than_double_exponential(self):
-        # small kappa32 defeats Gamma >= factorial domination along axis 2
+        # small kappa32 defeats Gamma >= factorial domination along axis 2,
+        # and the slope alone still decides
         spec = get("3d.2dof.gamma13-gamma32")
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.05})
-        v = comparison_check(gen)
-        assert v.status == "inconclusive"
-        assert "domination fails" in v.witness
+        v = class_verdict(spec, CFG3, (0,), overrides={(3, 2): 0.05})
+        assert v.convergent
+        assert v.witness.endswith("axis 1: Gamma slope 0.05 > 0, ratio -> 0")
 
 
 class TestRatioTests:
     def test_geometric_terms(self):
-        # synthetic geometric double series through a plain-class generator
-        spec = get("3d.2dof.plain-plain")
-        slow = term_generator(spec, CFG3, (math.sqrt(0.5), math.sqrt(1.0)), (0,))
-        assert ratio_decision(slow).convergent
+        # synthetic geometric double series: no Gamma slope, weights 1/2 and 1/3
+        gen = synthetic([math.log(0.5), math.log(1 / 3)])
+        assert all(a.convergent for a in axis_growth(gen))
+        assert witness(gen) == (
+            "axis 0: constant ratio 0.5 < 1 (geometric); axis 1: constant ratio 0.333333 < 1 (geometric)"
+        )
 
     def test_dependent_class_joint_ratio_vanishes(self):
         spec = get("3d.2dof.gamma1-plain3")
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-        v = ratio_decision(gen)
+        v = class_verdict(spec, CFG3, (1,))
         assert v.convergent
-
-
-def scalar_majorant(gen):
-    """Per-point log terms of the majorant `_majorant_grid` builds on gen."""
-
-    def log_term(n):
-        lt = gen.log_term(n)
-        if lt == float("-inf"):
-            return lt
-        for ct in gen.compiled.towers:
-            lt += log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm
-        for v in n:
-            lt -= log_gamma(v + 1.0)
-        return lt
-
-    return log_term
-
-
-def scalar_scan_domination(log_a, log_b, k0, depth):
-    for n in itertools.product(*[range(k, k + depth) for k in k0]):
-        a, b = log_a(n), log_b(n)
-        if a > b + 1e-12:
-            return f"domination fails first at {n}: log a={a:.6g} > log b={b:.6g}"
-    return None
+        # n2 reaches tower 1's Gamma argument through kappa12 = 2
+        assert v.witness == "axis 0: Gamma slope 1 > 0, ratio -> 0; axis 1: Gamma slope 2 > 0, ratio -> 0"
 
 
 class TestProbeWindows:
-    """The verdict engine's windows against a scan one point at a time."""
-
-    def test_majorant_grids_equal_scalar_bit_for_bit(self):
-        for spec in registry():
-            cfg = CFG3 if spec.dimension == 3 else CFG2
-            gen = term_generator(spec, cfg, probe_z(spec, cfg, 0.7), (1,) * len(spec.fixed))
-            start, shape = ((2, 4), (5, 6)) if len(gen.axes) == 2 else ((2,), (24,))
-            grid = _majorant_grid(gen, gen.log_term_grid(shape, start), shape, start)
-            scalar = scalar_majorant(gen)
-            for n in itertools.product(*[range(k, k + s) for k, s in zip(start, shape)]):
-                idx = tuple(v - k for v, k in zip(n, start))
-                assert grid[idx] == scalar(n), (spec.id, n)
-
-    def test_domination_reports_first_failure_off_origin(self):
-        spec = get("3d.2dof.plain-gamma32")
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-        expected = scalar_scan_domination(gen.log_term, scalar_majorant(gen), (2, 2), 24)
-        assert expected.startswith("domination fails first at (2, 4):")
-        v = comparison_check(gen)
-        assert v.status == "inconclusive"
-        assert v.witness == expected
-
     def test_window_with_non_positive_gamma_argument_raises(self):
         spec = get("2d.1dof.gamma1.A")
         gen = term_generator(spec, CFG2, (1.0,), (3,), overrides={(1, 2): -1.5})
-        with pytest.raises(ValueError, match="log_gamma requires x > 0, got -1.5"):
-            comparison_check(gen)
+        with pytest.raises(ValueError, match=r"tower 1: Gamma argument .* is not positive on the lattice"):
+            axis_growth(gen)
+        with pytest.raises(ValueError, match="is not positive on the lattice"):
+            class_verdict(spec, CFG2, (3,), overrides={(1, 2): -1.5})
 
 
 class TestClassVerdict:
@@ -182,6 +116,7 @@ class TestClassVerdict:
         spec = get("3d.2dof.gamma13-gamma32")
         v = class_verdict(spec, CFG3, (0,), overrides={(3, 2): 0.0})
         assert v.divergent
+        assert "axis 1: constant ratio 1 >= 1" in v.witness
 
     @pytest.mark.parametrize("k32", [1e-3, 1e-2, 0.1, 1.0, 10.0])
     def test_monotone_kappa_domain(self, k32):
@@ -208,23 +143,36 @@ class TestClassVerdict:
             v = class_verdict(spec, cfg, (1,) * len(spec.fixed))
             assert v.convergent, (spec.id, v)
 
-    def test_comparison_or_ratio_test_decides_every_census_verdict(self):
-        # the verdict engine has no stage after the ratio test; this census
-        # of natural and pinned ratios shows none is needed
-        decided = []
-        for spec in registry():
-            for omegas in ((1.0, 2.0, 3.0), (1.37, 2.91, 0.73)):
+    def test_census_status_counts(self):
+        # natural ratios and every used ratio pinned to each value; a pin
+        # to 0 of a ratio the class takes the reciprocal of cannot compile
+        for omegas in ((1.0, 2.0, 3.0), (1.37, 2.91, 0.73)):
+            statuses = []
+            for spec in registry():
                 cfg = FrequencyConfig(omegas[: spec.dimension])
                 fixed = (1,) * len(spec.fixed)
                 pins = [None] + [
-                    {ratio: k} for ratio in sorted(spec.ratios_used()) for k in (1e-6, 0.1, 10.0)
+                    {ratio: k} for ratio in sorted(spec.ratios_used()) for k in (0.0, 1e-6, 1e-3, 0.1, 10.0)
                 ]
                 for overrides in pins:
-                    v = class_verdict(spec, cfg, fixed, overrides=overrides)
-                    assert v.convergent, (spec.id, omegas, overrides, v.witness)
-                    decided.append(v.witness.split(":")[0])
-        assert set(decided) == {"comparison test", "ratio test"}
-        assert len(decided) == 652
+                    try:
+                        statuses.append(class_verdict(spec, cfg, fixed, overrides=overrides).status)
+                    except ZeroDivisionError:
+                        statuses.append("ZeroDivisionError")
+            counts = {s: statuses.count(s) for s in set(statuses)}
+            assert counts == {"convergent": 466, "divergent": 8, "ZeroDivisionError": 32}, omegas
+
+    @pytest.mark.parametrize("cid, omegas", [
+        # one weight exactly 1 with the only Gamma slope kappa32 = 1e-12
+        ("3d.2dof.plain-gamma3", (1.0, 1e-6, 1e6)),
+        ("3d.2dof.plain-gamma32", (1.0, 1e-6, 1e6)),
+        # a weight of e^(5.04e303) under n1! growth
+        ("2d.2dof.plain-plain.B", (7.3, 1e-300)),
+    ])
+    def test_any_positive_gamma_slope_converges_at_extreme_ratios(self, cid, omegas):
+        spec = get(cid)
+        v = class_verdict(spec, FrequencyConfig(omegas), (1,) * len(spec.fixed))
+        assert v.convergent, v.witness
 
     def test_verdict_consistent_with_partial_sums(self):
         # anti-lying check: verdicts match actual summation behavior
@@ -273,16 +221,14 @@ class TestGammaRatioSurface:
 
 class TestSpecInvariants:
     def test_case12_families_dominated_by_double_exponential(self):
-        # every case-(12) class and the independent-sum entries satisfy
-        # the termwise double-exponential comparison
-        from vcslab.registry import registry
-
+        # every case-(12) class puts a Gamma slope of at least 1, an n!,
+        # on each summed index, so it converges at any weight
         for spec in registry():
             if spec.dimension != 3 or spec.case != "12":
                 continue
-            gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (1,))
-            v = comparison_check(gen)
-            assert v.convergent, (spec.id, v.witness)
+            gen = term_generator(spec, CFG3, probe_z(spec, CFG3, 1e6), (1,))
+            axes = axis_growth(gen)
+            assert all(a.convergent and a.gamma_slope >= 1.0 for a in axes), (spec.id, axes)
 
     def test_divergence_crosscheck_on_window_sums(self):
         # verdicts must match the partial-sum behavior on growing windows
@@ -309,18 +255,43 @@ class TestSpecInvariants:
 class TestSyntheticGeometric:
     # bare double-geometric weights r^(n1+n2): no Gamma factors
     def test_ratio_two_divergent(self):
-        v = _ratio_decision([math.log(2.0)] * 2, [])
-        assert v.divergent
+        assert not any(a.convergent for a in axis_growth(synthetic([math.log(2.0)] * 2)))
 
     def test_ratio_half_convergent(self):
-        v = _ratio_decision([math.log(0.5)] * 2, [])
-        assert v.convergent
+        assert all(a.convergent for a in axis_growth(synthetic([math.log(0.5)] * 2)))
 
     def test_ratio_two_witness_prints_the_ratio(self):
-        assert "constant ratio 2 >= 1" in _ratio_decision([math.log(2.0)] * 2, []).witness
+        assert "constant ratio 2 >= 1" in witness(synthetic([math.log(2.0)] * 2))
 
     def test_ratio_past_the_float_range_is_divergent(self):
         # the ratio e^800 has no float: the witness carries its log
-        v = _ratio_decision([800.0, 800.0], [])
-        assert v.divergent
-        assert "constant ratio exp(800) >= 1" in v.witness
+        gen = synthetic([800.0, 800.0])
+        assert not any(a.convergent for a in axis_growth(gen))
+        assert "constant ratio exp(800) >= 1" in witness(gen)
+
+    def test_weight_just_below_one_in_floats_is_divergent(self):
+        # log w = -1e-17 rounds to the weight 1.0
+        assert not axis_growth(synthetic([-1e-17]))[0].convergent
+
+    def test_gamma_slope_converges_at_any_weight(self):
+        for lw in (0.0, 800.0, math.inf, math.nan):
+            (axis,) = axis_growth(synthetic([lw], gamma_slopes=[1e-12]))
+            assert axis.convergent, lw
+
+    def test_negative_gamma_slope_raises(self):
+        # Gamma(1 - n/2) reaches a pole at n = 2 though its constant is positive
+        with pytest.raises(ValueError, match=r"tower 1: Gamma argument 1 \+ \[-0.5\] \. n is not positive"):
+            axis_growth(synthetic([0.0], gamma_slopes=[-0.5]))
+
+    def test_nan_weight_on_a_geometric_axis_raises(self):
+        # omega = inf on two towers whose omega exponents cancel: log w = inf - inf
+        flat = AffineForm(0.0, (0.0,))
+        towers = tuple(
+            CompiledTower(t, math.inf, flat, AffineForm(0.0, (s,)), AffineForm(1.0, (0.0,)), 0.0,
+                          z_gap=0.0, w_gap=-1.0)
+            for t, s in ((1, -1.0), (2, 1.0))
+        )
+        gen = TermGenerator.of(CompiledClass("synthetic", (1,), towers), (1.0, 1.0))
+        assert math.isnan(gen.log_weight(0))
+        with pytest.raises(ValueError, match=r"axis 0: the log weight is inf - inf"):
+            axis_growth(gen)

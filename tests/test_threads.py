@@ -11,7 +11,7 @@ import pytest
 from child_env import src_env
 
 # sha256 of the default `vcslab report`
-DEFAULT_REPORT_SHA256 = "60f76e888f4c2d1758623ae06e0cf1f42e274bc7fde260e35999749770ad3987"
+DEFAULT_REPORT_SHA256 = "db7de2f07c97f8f2b47dac2a40627f25e14d3c1d404ae5988a2e0b132a7cda3e"
 # sha256 of the catalog listings and deformation graphs: a reordered or
 # relabeled class, or a moved edge, changes them
 CATALOG_SHA256 = {
