@@ -262,7 +262,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
             elif check == "resolution":
                 rep = resolution_residual(
                     spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"],
-                    density=density(), compiled=compiled,
+                    density=density(), compiled=compiled, overrides=overrides,
                 )
             elif check == "factor":
                 rep = _check_factor(spec, fc, cfg)
@@ -493,10 +493,12 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def _runconfig_from_args(args, classes=None) -> RunConfig:
+def _runconfig_from_args(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if getattr(args, "config", None) else RunConfig()
-    if classes:
-        cfg.classes = classes
+    # an explicit positional list overrides the config file; otherwise the
+    # config's selection (default "all") stands
+    if getattr(args, "classes", None):
+        cfg.classes = args.classes
     if getattr(args, "omega", None):
         cfg.omegas = _parse_floats(args.omega)
     if getattr(args, "alpha", None):
@@ -519,16 +521,8 @@ def _runconfig_from_args(args, classes=None) -> RunConfig:
 
 
 def cmd_verify(args) -> int:
-    # an explicit positional list overrides the config file; otherwise the
-    # config's selection (default "all") stands
-    cfg = _runconfig_from_args(args, classes=args.classes or None)
-    doc = run_verification(cfg)
-    _write_out(dumps_deterministic(doc), cfg.out)
-    return 0 if doc["summary"]["failed"] == 0 else 1
-
-
-def cmd_report(args) -> int:
-    cfg = _runconfig_from_args(args, classes=["all"])
+    """`verify` and `report`: run, write the document, exit 1 on a failed check."""
+    cfg = _runconfig_from_args(args)
     doc = run_verification(cfg)
     _write_out(dumps_deterministic(doc), cfg.out)
     return 0 if doc["summary"]["failed"] == 0 else 1
@@ -576,10 +570,8 @@ def main(argv=None) -> int:
             return cmd_list(args)
         if args.command == "describe":
             return cmd_describe(args)
-        if args.command == "verify":
+        if args.command in ("verify", "report"):
             return cmd_verify(args)
-        if args.command == "report":
-            return cmd_report(args)
         if args.command == "taxonomy":
             return cmd_taxonomy(args)
         if args.command == "figure":

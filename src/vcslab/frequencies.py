@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 RatioOverrides = dict[tuple[int, int], float]
 
@@ -66,17 +67,22 @@ def resolve_ratio(
     config: FrequencyConfig,
     pair: tuple[int, int],
     overrides: RatioOverrides | None = None,
-) -> float:
+    exact: bool = False,
+) -> float | Fraction:
     """Ratio kappa(pair) honoring probe overrides.
 
     An override of (i, j) fixes kappa_{ij}; the reciprocal kappa_{ji} is
     then forced to 1/value, and pinning a ratio to zero makes any use of
-    its reciprocal a domain error (the limit sends it to infinity).
+    its reciprocal a domain error (the limit sends it to infinity).  When
+    exact, the ratio is a Fraction of each frequency and override read as
+    the shortest decimal it prints as: the number a report shows and the
+    decimal the user typed, not the binary float's expansion.
     """
+    read = (lambda x: Fraction(repr(float(x)))) if exact else (lambda x: x)
     i, j = pair
     if overrides:
         if pair in overrides:
-            return overrides[pair]
+            return read(overrides[pair])
         rev = (j, i)
         if rev in overrides:
             v = overrides[rev]
@@ -84,5 +90,5 @@ def resolve_ratio(
                 raise ZeroDivisionError(
                     f"ratio {pair} undefined: reciprocal ratio {rev} pinned to 0"
                 )
-            return 1.0 / v
-    return config.ratio(i, j)
+            return 1 / read(v)
+    return read(config.omega(j)) / read(config.omega(i)) if exact else config.ratio(i, j)

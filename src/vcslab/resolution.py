@@ -7,7 +7,8 @@ matrix is therefore assembled as: off-diagonals certified by the
 selection rule (or, at aliasing collisions of rational frequency
 ratios, computed explicitly), diagonals from the closed-form moment
 integrals, whose reduction `verify_moments` certifies against the
-density.
+density.  The rule is decided in exact rational arithmetic, each
+frequency and ratio override read as the decimal it prints as.
 """
 
 from __future__ import annotations
@@ -20,94 +21,92 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frequencies import FrequencyConfig
+from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
 from .logspace import rel_diff_from_logs
 from .moments import MeasureDensity, _log_moments, density_for
 from .report import VerificationReport
-from .structure import ClassSpec, CompiledClass
-
-
-# c.delta counts as zero within this fraction of its scale
-_ANNIHILATION_TOL = 1e-12
-# the largest denominator a coefficient ratio is read as rational with
-_MAX_DENOMINATOR = 10**6
+from .structure import ClassSpec, CompiledClass, LinForm
 
 
 @dataclass(frozen=True)
 class SelectionRule:
     """Linear constraints on summed-index differences from phase integration.
 
-    Each constraint is a tuple of coefficients over the summed indices;
-    a Gram pair (m, m') survives angular integration only when every
-    constraint annihilates the difference vector m - m'.
+    Each constraint is one tower's z slopes over the summed indices; a Gram
+    pair (m, m') survives angular integration only when every constraint
+    annihilates the difference vector m - m'.  `exact` holds the rows as
+    Fractions, which decide; `constraints` holds the same rows as compiled
+    floats, as the report prints them.
     """
 
     spec_id: str
     axes: tuple[int, ...]
     constraints: tuple[tuple[float, ...], ...]
-
-    def satisfied(self, delta) -> bool | np.ndarray:
-        """Whether every constraint annihilates delta, a difference vector or
-        a stack of them (one per row), to _ANNIHILATION_TOL relative; a
-        bool, or a bool array for a stack.
-
-        Each c.delta is summed in index order, as a scalar loop would.
-        """
-        d = np.asarray(delta, dtype=float)
-        scale = 1.0 + np.abs(d).max(axis=-1, initial=0.0)
-        ok = np.ones(d.shape[:-1], dtype=bool)
-        for row in self.constraints:
-            dot = np.zeros(d.shape[:-1])
-            for c, column in zip(row, np.moveaxis(d, -1, 0)):
-                dot = dot + c * column
-            ok &= np.abs(dot) <= _ANNIHILATION_TOL * scale * max(map(abs, row))
-        return bool(ok) if d.ndim == 1 else ok
+    exact: tuple[tuple[Fraction, ...], ...]
 
 
-def _proportional(a, b) -> bool:
-    """Whether rows a and b vanish at the same places and share one ratio b/a, to 1e-12."""
-    ratios = [y / x for x, y in zip(a, b) if x != 0.0]
-    return all((x == 0.0) == (y == 0.0) for x, y in zip(a, b)) and not any(
-        abs(r - ratios[0]) > 1e-12 * abs(ratios[0]) for r in ratios
-    )
+def _exact_slopes(form: LinForm, axes, config: FrequencyConfig, overrides) -> tuple[Fraction, ...]:
+    """The form's coefficient of each summed index, in Fractions (no term
+    built by `structure`'s constructors reads both an index and a shift)."""
+    row = dict.fromkeys(axes, Fraction(0))
+    for ratio, n_of, _ in form.terms:
+        if n_of in row:
+            row[n_of] += 1 if ratio is None else resolve_ratio(config, ratio, overrides, exact=True)
+    return tuple(row.values())
 
 
-def selection_rule(spec: ClassSpec, config: FrequencyConfig, compiled=None) -> SelectionRule:
+def selection_rule(
+    spec: ClassSpec,
+    config: FrequencyConfig,
+    compiled: CompiledClass | None = None,
+    overrides: RatioOverrides | None = None,
+) -> SelectionRule:
     """Constraints read off the variable-phase exponents, one per tower.
 
     The z slopes do not depend on the fixed indices, so compiled may be the
-    class at any of them; it defaults to the class at zeros.
+    class at any of them, compiled with the same overrides; it defaults to
+    the class at zeros.
     """
-    compiled = spec.compile(config, (0,) * len(spec.fixed)) if compiled is None else compiled
-    rows = [
-        ct.z_exp.slopes for ct in compiled.towers if any(c != 0.0 for c in ct.z_exp.slopes)
-    ]
-    unique: list[tuple[float, ...]] = []
-    for row in rows:
-        # proportional rows are one constraint
-        if not any(_proportional(kept, row) for kept in unique):
-            unique.append(row)
-    return SelectionRule(spec.id, spec.summed, tuple(unique))
-
-
-def _looks_rational(x: float) -> Fraction | None:
-    """Continued-fraction detection of a small-denominator rational."""
-    fr = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
-    if abs(float(fr) - x) <= 1e-12 * max(1.0, abs(x)):
-        return fr
-    return None
+    if compiled is None:
+        compiled = spec.compile(config, (0,) * len(spec.fixed), overrides)
+    floats, exact = [], []
+    for tw, ct in zip(spec.towers, compiled.towers):
+        row = _exact_slopes(tw.z_exp, spec.summed, config, overrides)
+        # a zero row constrains nothing, and proportional rows are one constraint
+        if any(row) and not any(
+            all(x * v == y * u for (x, u), (y, v) in itertools.combinations(zip(row, kept), 2))
+            for kept in exact
+        ):
+            floats.append(ct.z_exp.slopes)
+            exact.append(row)
+    return SelectionRule(spec.id, spec.summed, tuple(floats), tuple(exact))
 
 
 def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]]:
-    """Nonzero integer difference vectors inside the window satisfying the rule."""
+    """Nonzero integer difference vectors inside the window satisfying the
+    rule, in lexicographic order.
+
+    With at most two summed axes the integer solutions are every vector (no
+    constraint), none (one axis, or two independent constraints), or the
+    multiples of one primitive vector.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    k = len(rule.axes)
-    side = np.arange(-window, window + 1)
-    # C order of the index grid is itertools.product order
-    deltas = np.stack(np.meshgrid(*[side] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    hits = rule.satisfied(deltas) & deltas.any(axis=1)
-    return [tuple(row) for row in deltas[hits].tolist()]
+    if not rule.exact:
+        box = range(-window, window + 1)
+        return [d for d in itertools.product(box, repeat=len(rule.axes)) if any(d)]
+    if len(rule.axes) > 2:
+        raise ValueError(f"{rule.spec_id}: the selection lattice is solved for at most two summed axes")
+    if len(rule.axes) == 1 or len(rule.exact) > 1:
+        return []
+    (a, b), = rule.exact
+    scale = math.lcm(a.denominator, b.denominator)
+    a, b = int(a * scale), int(b * scale)
+    # a d1 + b d2 = 0 on the integers is spanned by (b, -a) / gcd(a, b)
+    g = math.gcd(a, b)
+    v = (b // g, -a // g)
+    reach = window // max(map(abs, v))
+    return sorted((t * v[0], t * v[1]) for t in range(-reach, reach + 1) if t)
 
 
 @lru_cache(maxsize=32)
@@ -132,14 +131,18 @@ def resolution_residual(
     tol: float = 1e-6,
     density: MeasureDensity | None = None,
     compiled: CompiledClass | None = None,
+    overrides: RatioOverrides | None = None,
 ) -> VerificationReport:
-    """max |G - I| over the truncated basis at the given fixed indices;
-    density and compiled default to the class's at the natural ratios."""
+    """max |G - I| over the truncated basis at the given fixed indices.
+
+    compiled defaults to the class compiled at the overrides, and density
+    to the one read off compiled; a compiled class handed in must be
+    compiled at the overrides, which the selection rule also reads."""
     fixed = tuple(int(v) for v in fixed)
     nmax = (nmax,) * len(spec.summed) if isinstance(nmax, int) else tuple(nmax)
-    compiled = spec.compile(config, fixed) if compiled is None else compiled
+    compiled = spec.compile(config, fixed, overrides) if compiled is None else compiled
     density = density_for(spec, config, compiled) if density is None else density
-    rule = selection_rule(spec, config, compiled)
+    rule = selection_rule(spec, config, compiled, overrides)
     basis, basis_arr, grid, labels = _gram_basis(nmax)
     # diagonal entries: moment integral over target
     diagonal = _log_moments(compiled, density, grid).tolist()
@@ -179,18 +182,14 @@ def resolution_residual(
                 entry = math.inf
             flagged.append((m, mp, entry))
             residuals.append((f"G[{m}|{mp}]", entry))
-    rationality = []
-    for row in rule.constraints:
-        nz = [c for c in row if c != 0.0]
-        if len(nz) >= 2:
-            fr = _looks_rational(nz[1] / nz[0])
-            rationality.append(str(fr) if fr is not None else "irrational")
+    nonzero = ([c for c in row if c] for row in rule.exact)
+    ratios = [str(nz[1] / nz[0]) for nz in nonzero if len(nz) >= 2]
     metadata = (
         ("nmax", list(nmax)),
         ("fixed", list(fixed)),
         ("gram_dim", len(basis)),
         ("selection_constraints", [list(r) for r in rule.constraints]),
-        ("constraint_coefficient_ratios", rationality),
+        ("constraint_coefficient_ratios", ratios),
         ("aliasing_pairs", len(flagged)),
         ("omegas", list(config.omegas)),
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .convergence import class_verdict  # noqa: F401  (bench/spans.py patches taxonomy.class_verdict)
+from .convergence import required_positive_ratios
 from .frequencies import FrequencyConfig
 from .norms import state, term_generator
 from .registry import (
@@ -243,19 +244,17 @@ def limit_obstruction(spec: ClassSpec, pairs) -> str | None:
 
     Either the class also uses a reciprocal ratio, which diverges, or a
     summed index loses its last dependence (no tower of its own and every
-    term that reads it carries a zeroed ratio), so the norm series
-    acquires constant terms.
+    ratio of its `required_positive_ratios` group zeroed), so the norm
+    series acquires constant terms.
     """
     zeroed = sorted(pairs)
     used = spec.ratios_used()
     for i, j in zeroed:
         if (j, i) in used:
             return f"reciprocal ratio kappa{j}{i} diverges"
-    terms = [t for tw in spec.towers for form in (tw.z_exp, tw.w_exp, tw.gamma) for t in form.terms]
-    for axis in spec.summed:
-        if axis in spec.tower_ids:
-            continue
-        if not any(n_of == axis and ratio not in zeroed for ratio, n_of, _ in terms):
+    free = [axis for axis in spec.summed if axis not in spec.tower_ids]
+    for axis, group in zip(free, required_positive_ratios(spec)):
+        if all(ratio in zeroed for ratio in group):
             return f"summed index n{axis} decouples: constant terms, not normalizable"
     return None
 

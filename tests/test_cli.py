@@ -477,12 +477,14 @@ class TestVerify:
             assert "log_gamma requires x > 0" in rep["metadata"]["error"]
 
     def test_gram_entry_past_the_float_range_is_inf(self):
-        # math.exp of an aliased entry's log raised an OverflowError traceback
-        proc = run_cli(["verify", "3d.2dof.gamma1-gamma3", "--omega", "7.3,1e100,7.3",
+        # math.exp of an aliased entry's log raised an OverflowError traceback;
+        # kappa12 = 2 aliases delta = (2, -1), and omega3 = 1e-300 takes the
+        # entry past the float range
+        proc = run_cli(["verify", "3d.2dof.gamma1-gamma3", "--omega", "1,2,1e-300",
                         "--checks", "resolution"])
         assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
         (rep,) = json.loads(proc.stdout)["results"]
-        assert rep["max_residual"] == "inf" and rep["residuals"]["G[(0, 1)|(1, 1)]"] == "inf"
+        assert rep["max_residual"] == "inf" and rep["residuals"]["G[(0, 6)|(2, 5)]"] == "inf"
 
     def test_infinite_hyp1f1_argument_is_an_evaluation_error(self):
         # an axis weight of inf reached the 1F1 closed form, whose
@@ -512,6 +514,29 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert {r["check"] for r in doc["results"]} == {"norm", "moment"}
+
+
+class TestAliasingLattice:
+    """`--checks resolution` decides aliasing on the ratios as typed, overrides included."""
+
+    @pytest.mark.parametrize(
+        "argv, pairs, ratio",
+        [
+            # not 1/3: no lattice
+            (["all", "--omega", "1,0.3333333333333333,0.7"], 0, "3333333333333333/10000000000000000"),
+            (["all", "--omega", "3,1,2.1"], 1128, "1/3"),
+            # a tiny ratio is not zero
+            (["all", "--omega", "7.3,1e-300,1"], 0, "1/73" + "0" * 299),
+            # the natural kappa12 = 2 gives 220 pairs with ratio "2"
+            (["3d.2dof.gamma1-gamma2", "--kappa", "12=0.3"], 8, "3/10"),
+        ],
+    )
+    def test_aliased_pairs_and_ratio(self, tmp_path, argv, pairs, ratio):
+        out = tmp_path / "r.json"
+        assert main(["verify", *argv, "--checks", "resolution", "--out", str(out)]) in (0, 1)
+        metas = [doc["metadata"] for doc in json.loads(out.read_text())["results"]]
+        assert sum(m.get("aliasing_pairs", 0) for m in metas) == pairs
+        assert {r for m in metas for r in m.get("constraint_coefficient_ratios", [])} == {ratio}
 
 
 class TestTaxonomyExport:

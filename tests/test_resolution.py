@@ -1,13 +1,16 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from vcslab.frequencies import FrequencyConfig
 from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import density_for, verify_moments
-from vcslab.registry import get
+from vcslab.registry import get, registry
 from vcslab.resolution import (
+    SelectionRule,
+    _exact_slopes,
     _gram_basis,
     aliasing_solutions,
     resolution_residual,
@@ -20,20 +23,19 @@ CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
 CFG3_IRR = FrequencyConfig((1.0, math.sqrt(2.0), math.sqrt(5.0)))
 
 
-def _scalar_satisfied(rule, delta, tol=1e-12):
-    """The selection rule one difference vector at a time, in scalar arithmetic."""
-    scale = 1.0 + max(abs(d) for d in delta) if delta else 1.0
-    return all(
-        abs(sum(c * d for c, d in zip(row, delta))) <= tol * scale * max(map(abs, row))
-        for row in rule.constraints
-    )
+def _exact_oracle(spec, cfg, window, overrides=None):
+    """Every nonzero difference vector in the window that each tower's exact
+    z-slope row annihilates, found by brute force over the box."""
+    rows = [_exact_slopes(tw.z_exp, spec.summed, cfg, overrides) for tw in spec.towers]
+    box = itertools.product(range(-window, window + 1), repeat=len(spec.summed))
+    return [d for d in box if any(d) and all(sum(c * x for c, x in zip(r, d)) == 0 for r in rows)]
 
 
 class TestSelectionRule:
     def test_single_integer_phase(self):
         rule = selection_rule(get("2d.1dof.plain1.A"), CFG2)
         assert rule.constraints == ((1.0,),)
-        assert rule.satisfied((0,)) and not rule.satisfied((1,))
+        assert aliasing_solutions(rule, 5) == []
 
     def test_doubly_deformed_constraint_pair(self):
         # both towers give proportional constraints d1 + k12 d2 = 0; the
@@ -52,20 +54,45 @@ class TestSelectionRule:
     def test_independent_class_diagonal_rule(self):
         rule = selection_rule(get("3d.2dof.gamma13-gamma23"), CFG3)
         assert len(rule.constraints) == 2
-        assert rule.satisfied((0, 0)) and not rule.satisfied((1, 0)) and not rule.satisfied((0, 1))
+        assert aliasing_solutions(rule, 10) == []
 
 
 class TestAliasing:
-    def test_stacked_deltas_match_one_at_a_time(self):
-        spec = get("3d.2dof.gamma1-gamma2")
-        for cfg in (FrequencyConfig((2.0, 1.0, 3.0)), FrequencyConfig((1.0, math.sqrt(2.0), 3.0))):
-            rule = selection_rule(spec, cfg)
-            deltas = list(itertools.product(range(-6, 7), repeat=2))
-            stacked = rule.satisfied(deltas)
-            assert stacked.tolist() == [_scalar_satisfied(rule, d) for d in deltas]
-            assert [rule.satisfied(d) for d in deltas] == stacked.tolist()
-            hits = [d for d, ok in zip(deltas, stacked) if ok and any(d)]
-            assert aliasing_solutions(rule, 6) == hits
+    @pytest.mark.parametrize(
+        "omegas, overrides",
+        [((1, 2, 3), None), ((2, 1, 3), None), ((3, 1, 2.1), None), ((0.01, 0.1, 1), None),
+         ((1, 2, 3), {(1, 2): 0.3})],
+        ids=["1,2,3", "2,1,3", "3,1,2.1", "0.01,0.1,1", "kappa12=0.3"],
+    )
+    def test_lattice_matches_exact_brute_force(self, omegas, overrides):
+        for spec in registry():
+            cfg = FrequencyConfig(omegas[: spec.dimension])
+            rule = selection_rule(spec, cfg, overrides=overrides)
+            for window in (1, 6, 10):
+                expected = _exact_oracle(spec, cfg, window, overrides)
+                assert aliasing_solutions(rule, window) == expected, (spec.id, window)
+
+    def test_common_factor_of_a_row_is_divided_out(self):
+        # 3/2 d1 + 3/4 d2 = 0 is solved by the multiples of (1, -2), not only of (3, -6)
+        row = (Fraction(3, 2), Fraction(3, 4))
+        rule = SelectionRule("hand-built", (1, 2), ((1.5, 0.75),), (row,))
+        assert aliasing_solutions(rule, 4) == [(-2, 4), (-1, 2), (1, -2), (2, -4)]
+
+    def test_no_constraint_keeps_every_difference(self):
+        rule = SelectionRule("hand-built", (1,), (), ())
+        assert aliasing_solutions(rule, 2) == [(-2,), (-1,), (1,), (2,)]
+
+    def test_ratios_read_as_typed_decimals(self):
+        # 0.1 / 0.01 is 10 as typed; the binary floats' quotient is not, and
+        # would alias nothing
+        cfg = FrequencyConfig((0.01, 0.1, 1.0))
+        pairs, ratios = 0, set()
+        for spec in registry():
+            rep = resolution_residual(spec, cfg, (1,) * len(spec.fixed), 10)
+            meta = dict(rep.metadata)
+            pairs += meta["aliasing_pairs"]
+            ratios.update(meta["constraint_coefficient_ratios"])
+        assert pairs == 80 and ratios == {"10"}
 
     def test_irrational_ratio_no_solutions(self):
         spec = get("3d.2dof.gamma1-gamma2")
@@ -158,7 +185,7 @@ class TestTwoDimensionalDoublyDeformedRule:
         # the two forms are proportional and collapse to one constraint
         rule = selection_rule(get("2d.2dof.gamma1-gamma2.A"), CFG2)
         assert len(rule.constraints) == 1
-        assert rule.satisfied((0,)) and not rule.satisfied((2,))
+        assert aliasing_solutions(rule, 5) == []
 
 
 class TestGramBasis:

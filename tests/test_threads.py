@@ -12,6 +12,14 @@ from child_env import src_env
 
 # sha256 of the default `vcslab report`
 DEFAULT_REPORT_SHA256 = "db7de2f07c97f8f2b47dac2a40627f25e14d3c1d404ae5988a2e0b132a7cda3e"
+# sha256 of the resolution documents at two rational triples besides the
+# default: a moved or lost aliasing pair, or a reprinted ratio, changes them
+RESOLUTION_SHA256 = {
+    "verify all --omega 3,1,2.1 --checks resolution":
+        "9743ce526b504a5bce97eaf75054325049cd9aa202d285452be2dd5c0b3276aa",
+    "verify all --omega 0.01,0.1,1 --checks resolution":
+        "30f7e446445db56ad1577b738c7b2c27d71326379c8beeb78629a1a60afa0590",
+}
 # sha256 of the catalog listings and deformation graphs: a reordered or
 # relabeled class, or a moved edge, changes them
 CATALOG_SHA256 = {
@@ -80,11 +88,21 @@ def test_blas_threads_move_no_number(tmp_path, openblas_threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
-@pytest.mark.parametrize("command", sorted(CATALOG_SHA256))
-def test_catalog_bytes_are_pinned(command):
+def stdout_sha256(command):
+    """sha256 of the stdout of `vcslab <command>`, which must exit 0."""
     proc = subprocess.run(
         [sys.executable, "-m", "vcslab.cli", *command.split()],
         capture_output=True, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == CATALOG_SHA256[command]
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_SHA256))
+def test_catalog_bytes_are_pinned(command):
+    assert stdout_sha256(command) == CATALOG_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(RESOLUTION_SHA256))
+def test_resolution_bytes_are_pinned(command):
+    assert stdout_sha256(command) == RESOLUTION_SHA256[command]
