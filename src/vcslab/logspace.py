@@ -9,6 +9,7 @@ and sums of such terms are taken with `logsumexp`.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -32,14 +33,33 @@ def logsumexp(a) -> float:
         return m + math.log(np.exp(a - m).sum())
 
 
-def rel_diff_from_logs(log_a: float, log_b: float) -> float:
-    """|a - b| / |b| for a, b >= 0 given by their logs (-inf for zero); inf past the expm1 range."""
-    if log_b == float("-inf"):
-        return 0.0 if log_a == float("-inf") else float("inf")
-    if log_a == float("-inf"):
-        return 1.0
+def rel_diffs_from_logs(log_a, log_b) -> list[float]:
+    """|a - b| / |b| elementwise, for a, b >= 0 given by their logs (-inf
+    for zero): 0 where both are zero, inf where only b is, 1 where only a
+    is, else |expm1(log a - log b)| by `math.expm1`, inf past its range."""
+    log_a = np.asarray(log_a, dtype=float).tolist()
+    log_b = np.asarray(log_b, dtype=float).tolist()
+    diffs = list(map(operator.sub, log_a, log_b))
     try:
-        return abs(math.expm1(log_a - log_b))
-    except OverflowError:
-        return float("inf")
+        out = list(map(abs, map(math.expm1, diffs)))
+    except OverflowError:  # a difference past expm1's range
+        out = list(map(_abs_expm1, diffs))
+    if -math.inf in log_a or -math.inf in log_b:
+        for i, (a, b) in enumerate(zip(log_a, log_b)):
+            if b == -math.inf:
+                out[i] = 0.0 if a == -math.inf else math.inf
+            elif a == -math.inf:
+                out[i] = 1.0
+    return out
 
+
+def _abs_expm1(d: float) -> float:
+    try:
+        return abs(math.expm1(d))
+    except OverflowError:
+        return math.inf
+
+
+def rel_diff_from_logs(log_a: float, log_b: float) -> float:
+    """`rel_diffs_from_logs` of one pair."""
+    return rel_diffs_from_logs([log_a], [log_b])[0]

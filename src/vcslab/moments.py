@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .frequencies import FrequencyConfig
-from .logspace import rel_diff_from_logs
+from .logspace import rel_diffs_from_logs
 from .quadrature import _integration_order, combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
@@ -52,6 +52,11 @@ class MeasureDensity:
     def power(self, var: int) -> float:
         return sum(p for v, p in self.powers if v == var)
 
+    @cached_property
+    def integration_order(self) -> tuple[ExpTerm, ...]:
+        """The exp terms in the order the closed form integrates them."""
+        return tuple(_integration_order(self))
+
     def log_grid(self, v: dict[int, np.ndarray]) -> np.ndarray:
         """log chi at u = e^v, v mapping each variable to log u; broadcasts.
 
@@ -61,11 +66,11 @@ class MeasureDensity:
         for var, p in self.powers:
             if p != 0.0:
                 out = out + p * v[var]
-        for term in self.exp_terms:
-            arg = v[term.var] - term.log_scale
-            for j, b in term.couplings:
-                arg = arg + b * v[j]
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for term in self.exp_terms:
+                arg = v[term.var] - term.log_scale
+                for j, b in term.couplings:
+                    arg = arg + b * v[j]
                 out = out - np.exp(arg)
         return out
 
@@ -130,8 +135,9 @@ def density_for(spec: ClassSpec, config: FrequencyConfig, compiled: CompiledClas
 # -- moment integration ------------------------------------------------
 
 
-def _log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np.ndarray:
-    """log of the radial moment integral at each summed multi-index in points.
+def _log_moments(compiled: CompiledClass, density: MeasureDensity, forms) -> np.ndarray:
+    """log of the radial moment integral at each point of the index grid
+    that forms, `compiled.forms_on_grid`'s array, was evaluated on.
 
     The triangular change of variables reduces each integral of
     chi(u) prod u^e(n) to a product of pieces int u^(s-1) e^(-u) du,
@@ -139,14 +145,12 @@ def _log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np
     exponents s are evaluated on all points at once, in the association
     of a scalar pass, and a divergent one raises at its first point.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, len(compiled.summed))
-    grids = list(pts.T)
-    size = pts.shape[0]
-    e = {ct.tower: ct.z_exp.on_grid(grids) for ct in compiled.towers}
+    z_exps, w_exps = forms[0], forms[1]
+    e = {ct.tower: z for ct, z in zip(compiled.towers, z_exps)}
+    size = z_exps.shape[1]
     q = {v: e.get(v, 0.0) + np.full(size, density.power(v)) for v in density.variables}
-    order = _integration_order(density)
     xs, log_pieces = [], []
-    for term in order:
+    for term in density.integration_order:
         s = q[term.var] + 1.0
         for j, bexp in term.couplings:
             q[j] = q[j] - bexp * s
@@ -157,21 +161,21 @@ def _log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np
     out = np.full(size, density.log_const)
     for t, log_piece in enumerate(log_pieces):
         out = out + (pieces[:, t] + log_piece)
-    return _over_frequency_powers(compiled, grids, out)
+    return _over_frequency_powers(compiled, w_exps, out)
 
 
-def _over_frequency_powers(compiled: CompiledClass, grids, log_integrals) -> np.ndarray:
-    """The log integrals divided by prod_t omega_t^(w_t(n))."""
-    for ct in compiled.towers:
-        log_integrals = log_integrals - ct.w_exp.on_grid(grids) * ct.log_w
+def _over_frequency_powers(compiled: CompiledClass, w_exps, log_integrals) -> np.ndarray:
+    """The log integrals divided by prod_t omega_t^(w_t(n)), from the
+    omega exponent rows w_exps."""
+    for ct, w in zip(compiled.towers, w_exps):
+        log_integrals = log_integrals - w * ct.log_w
     return log_integrals
 
 
-def _direct_log_moments(compiled: CompiledClass, density: MeasureDensity, points) -> np.ndarray:
+def _direct_log_moments(compiled: CompiledClass, density: MeasureDensity, forms) -> np.ndarray:
     """`_log_moments` by the direct route: the density integrated numerically."""
-    grids = _columns(points)
-    exponents = {ct.tower: ct.z_exp.on_grid(grids) for ct in compiled.towers}
-    return _over_frequency_powers(compiled, grids, log_moment_direct(density, exponents))
+    exponents = {ct.tower: z for ct, z in zip(compiled.towers, forms[0])}
+    return _over_frequency_powers(compiled, forms[1], log_moment_direct(density, exponents))
 
 
 def _columns(points) -> list[np.ndarray]:
@@ -197,15 +201,14 @@ def moment_integral(
     compiled = spec.compile(config, fixed)
     compiled.check(n)
     density = density_for(spec, config, compiled) if density is None else density
-    return float(_log_moments(compiled, density, [n])[0])
+    return float(_log_moments(compiled, density, compiled.forms_on_grid(_columns([n])))[0])
 
 
 @lru_cache(maxsize=32)
 def _lattice(n_axes: int, n_max: int) -> tuple:
-    """(points, grid, ends, labels): `probe_lattice`'s points, and what a
-    moment check derives from them once: the points as a read-only float
-    array (point, axis), its first and last rows, where the direct route
-    runs, and the residual labels "3,7"."""
+    """(points, grid, labels): `probe_lattice`'s points, and what a moment
+    check derives from them once: the points as a read-only float array
+    (point, axis), and the residual labels "3,7"."""
     if n_axes == 1:
         points = [(n,) for n in range(n_max + 1)]
     else:
@@ -217,10 +220,12 @@ def _lattice(n_axes: int, n_max: int) -> tuple:
                 pts.add(p)
         points = sorted(pts)
     grid = np.array(points, dtype=float).reshape(-1, n_axes)
-    ends = grid[[0, -1]]
     grid.setflags(write=False)
-    ends.setflags(write=False)
-    return tuple(points), grid, ends, tuple(",".join(map(str, n)) for n in points)
+    return tuple(points), grid, tuple(",".join(map(str, n)) for n in points)
+
+
+# the lattice rows where the direct route runs: n = 0 and the largest exponents
+_ROUTE_ENDS = [0, -1]
 
 
 def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
@@ -240,25 +245,24 @@ def verify_moments(
 
     The integrals are the closed form.  At the lattice's first and last
     points (n = 0 and the largest exponents) the direct route integrates
-    the density itself, and the two routes must agree to HARD_TOL.
-    density and compiled default to the class's at the natural ratios.
+    the density itself, and the two routes must agree to HARD_TOL.  Both
+    routes read the exponents evaluated once on the lattice.  density and
+    compiled default to the class's at the natural ratios.
     """
     fixed = tuple(int(v) for v in fixed)
     compiled = spec.compile(config, fixed) if compiled is None else compiled
     density = density_for(spec, config, compiled) if density is None else density
-    _, grid, ends, labels = _lattice(len(spec.summed), n_range)
-    integrals = _log_moments(compiled, density, grid).tolist()
-    direct = _direct_log_moments(compiled, density, ends).tolist()
-    for i, log_direct in zip((0, -1), direct):
-        combine_routes(integrals[i], log_direct, context=f"({density.spec_id})")
-    targets = compiled.log_target_grid(list(grid.T)).tolist()
-    residuals = [
-        (label, rel_diff_from_logs(i, t)) for label, i, t in zip(labels, integrals, targets)
-    ]
+    _, grid, labels = _lattice(len(spec.summed), n_range)
+    forms = compiled.forms_on_grid(list(grid.T))
+    integrals = _log_moments(compiled, density, forms)
+    direct = _direct_log_moments(compiled, density, forms[..., _ROUTE_ENDS])
+    for log_closed, log_direct in zip(integrals[_ROUTE_ENDS].tolist(), direct.tolist()):
+        combine_routes(log_closed, log_direct, context=f"({density.spec_id})")
+    targets = compiled.log_target(forms[2])
     return make_report(
         spec.id,
         "moment",
-        residuals,
+        zip(labels, rel_diffs_from_logs(integrals, targets)),
         tol,
         metadata=(
             ("omegas", list(config.omegas)),

@@ -196,8 +196,7 @@ def _frontier_ratio(logs: np.ndarray, prev: np.ndarray) -> float:
     Only a term that had already vanished (-inf after -inf: nan) gets
     ratio 0; a ratio past the float range stays inf.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = np.exp(logs - prev)
+    r = np.exp(logs - prev)
     return float(np.where(np.isnan(r), 0.0, r).max())
 
 
@@ -235,46 +234,52 @@ def _certified_sum(log_window, ndim: int):
     every Gamma slope is >= 0.  Returns (log sum, last index per axis,
     relative tail, the summed window of t, which starts at the origin and
     holds indices 0..16 at least).
+
+    numpy's overflow and invalid-value warnings are off throughout: a
+    term past the float range is inf and a difference of two such is nan,
+    which the window sum turns into TailBudgetError and a frontier ratio
+    into 0, as described above.
     """
-    last = [FIRST_WINDOW - 1] * ndim
-    logs = log_window((FIRST_WINDOW,) * ndim, (0,) * ndim)
-    while True:
-        log_partial = logsumexp(logs)
-        if not log_partial < float("inf"):
-            raise TailBudgetError(f"window sum is {log_partial}: no tail certificate")
-        if log_partial == float("-inf"):
-            return log_partial, tuple(last), 0.0, logs
-        masses = [logsumexp(np.take(logs, -1, axis=k)) for k in range(ndim)]
-        ratios = [
-            _frontier_ratio(np.take(logs, -1, axis=k), np.take(logs, -2, axis=k))
-            for k in range(ndim)
-        ]
-        if max(ratios) < 1.0:
-            # each frontier slice, and in 2d the corner past both, times
-            # r / (1 - r) for every axis it lies past
-            gains = [math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf for r in ratios]
-            pieces = [m + g for m, g in zip(masses, gains)]
-            if ndim == 2:
-                pieces.append(logs[-1, -1] + gains[0] + gains[1])
-            rel = math.exp(logsumexp(pieces) - log_partial)
-            if rel <= 1e-12:
-                return log_partial, tuple(last), rel, logs
-        if logs.size == FIRST_WINDOW**ndim:
-            # log-concave terms that already fall on the first frontier fall
-            # past the budget too; only the others need a probe
-            for k in range(ndim):
-                if ratios[k] >= 1.0:
-                    _check_budget_reachable(log_window, ndim, k)
-        axis = int(np.argmax(masses))
-        strip = [v + 1 for v in last]
-        strip[axis] = last[axis]
-        last[axis] *= 2
-        if math.prod(v + 1 for v in last) > MAX_TERMS:
-            raise TailBudgetError(f"tail certificate not achieved within {MAX_TERMS} terms")
-        start = tuple(strip[k] + 1 if k == axis else 0 for k in range(ndim))
-        # the window grows by the new strip only: the old part already
-        # passed, so the first bad point in product order lies in the strip
-        logs = np.concatenate([logs, log_window(tuple(strip), start)], axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = [FIRST_WINDOW - 1] * ndim
+        logs = log_window((FIRST_WINDOW,) * ndim, (0,) * ndim)
+        while True:
+            log_partial = logsumexp(logs)
+            if not log_partial < float("inf"):
+                raise TailBudgetError(f"window sum is {log_partial}: no tail certificate")
+            if log_partial == float("-inf"):
+                return log_partial, tuple(last), 0.0, logs
+            masses = [logsumexp(np.take(logs, -1, axis=k)) for k in range(ndim)]
+            ratios = [
+                _frontier_ratio(np.take(logs, -1, axis=k), np.take(logs, -2, axis=k))
+                for k in range(ndim)
+            ]
+            if max(ratios) < 1.0:
+                # each frontier slice, and in 2d the corner past both, times
+                # r / (1 - r) for every axis it lies past
+                gains = [math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf for r in ratios]
+                pieces = [m + g for m, g in zip(masses, gains)]
+                if ndim == 2:
+                    pieces.append(logs[-1, -1] + gains[0] + gains[1])
+                rel = math.exp(logsumexp(pieces) - log_partial)
+                if rel <= 1e-12:
+                    return log_partial, tuple(last), rel, logs
+            if logs.size == FIRST_WINDOW**ndim:
+                # log-concave terms that already fall on the first frontier fall
+                # past the budget too; only the others need a probe
+                for k in range(ndim):
+                    if ratios[k] >= 1.0:
+                        _check_budget_reachable(log_window, ndim, k)
+            axis = int(np.argmax(masses))
+            strip = [v + 1 for v in last]
+            strip[axis] = last[axis]
+            last[axis] *= 2
+            if math.prod(v + 1 for v in last) > MAX_TERMS:
+                raise TailBudgetError(f"tail certificate not achieved within {MAX_TERMS} terms")
+            start = tuple(strip[k] + 1 if k == axis else 0 for k in range(ndim))
+            # the window grows by the new strip only: the old part already
+            # passed, so the first bad point in product order lies in the strip
+            logs = np.concatenate([logs, log_window(tuple(strip), start)], axis=axis)
 
 
 def norm_series(gen: TermGenerator) -> NormResult:
@@ -416,10 +421,10 @@ def state(
         log_terms = summed[tuple(slice(m) for m in shape)]
     else:
         log_terms = gen.log_term_grid(shape)
-    grids = gen.compiled.window(shape, (0,) * len(shape))
+    z_exps = gen.compiled.forms_on_grid(gen.compiled.window(shape, (0,) * len(shape)))[0]
     phases = np.zeros(shape)
-    for ct, arg in zip(gen.compiled.towers, gen.z_args):
-        phases = phases + ct.z_exp.on_grid(grids) * arg
+    for e, arg in zip(z_exps, gen.z_args):
+        phases = phases + e * arg
     coeffs = {}
     # C order is itertools.product order
     points = itertools.product(*[range(m) for m in shape])

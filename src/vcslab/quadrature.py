@@ -127,14 +127,15 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     peak's width.  Then log I = h(v*) + sum over components of
     log int exp(h - h(v*)).  The integrand's values come from
     `density.log_grid` only; A and c serve only to place the nodes.
-    Couplings that `_integration_order` rejects raise its SpecError, so
+    Couplings that `_integration_order` rejects raise its SpecError (read
+    through the density's cached `integration_order`), so
     A is triangular up to a permutation, with a unit diagonal: |det A| = 1.
     """
     variables = list(density.variables)
     col = {v: i for i, v in enumerate(variables)}
     if sorted(t.var for t in density.exp_terms) != sorted(variables):
         raise ValueError(f"{density.spec_id}: one exponential factor per variable is required")
-    _integration_order(density)
+    density.integration_order  # derived once per density; raises on a cyclic coupling
     a = np.eye(len(variables))
     log_scale = np.zeros(len(variables))
     for t in density.exp_terms:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
-from .logspace import rel_diff_from_logs
+from .logspace import rel_diffs_from_logs
 from .moments import MeasureDensity, _log_moments, density_for
 from .report import VerificationReport
 from .structure import ClassSpec, CompiledClass, LinForm
@@ -145,11 +145,11 @@ def resolution_residual(
     rule = selection_rule(spec, config, compiled, overrides)
     basis, basis_arr, grid, labels = _gram_basis(nmax)
     # diagonal entries: moment integral over target
-    diagonal = _log_moments(compiled, density, grid).tolist()
-    targets = compiled.log_target_grid(list(grid.T)).tolist()
-    residuals = [
-        (label, rel_diff_from_logs(i, t)) for label, i, t in zip(labels, diagonal, targets)
-    ]
+    forms = compiled.forms_on_grid(list(grid.T))
+    diagonal = _log_moments(compiled, density, forms)
+    log_targets = compiled.log_target(forms[2])
+    residuals = list(zip(labels, rel_diffs_from_logs(diagonal, log_targets)))
+    targets = log_targets.tolist()
     # the verdict judges the certified (diagonal) part; the aliased entries
     # appended below are reported but carry no pass/fail semantics
     verdict = "pass" if all(v <= tol for _, v in residuals) else "fail"
@@ -171,7 +171,8 @@ def resolution_residual(
         # angular integral is 1; the exponents are affine in n, so a
         # pair's cross moment is the moment at its midpoint, and the entry
         # divides it by the targets' geometric mean
-        cross = _log_moments(compiled, density, 0.5 * (basis_arr[inside] + shifted[inside]))
+        midpoints = 0.5 * (basis_arr[inside] + shifted[inside])
+        cross = _log_moments(compiled, density, compiled.forms_on_grid(list(midpoints.T)))
         partners = np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax])
         for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
             m, mp = basis[i], basis[j]

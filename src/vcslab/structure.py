@@ -14,8 +14,10 @@ series, moment targets, selection rules, deformation limits) is derived
 from this one representation.  `ClassSpec.compile` evaluates each form
 at given frequencies, fixed indices and ratio overrides, as a constant
 plus one slope per summed index; numbers at lattice points come from
-there.  A caller that runs several checks on one class at one parameter
-point compiles it once and hands the `CompiledClass` to each of them.
+there.  Which terms make each slope and each gap is worked out once per
+class, on its first compile (`ClassSpec.compile_plan`).  A caller that
+runs several checks on one class at one parameter point compiles it once
+and hands the `CompiledClass` to each of them.
 """
 
 from __future__ import annotations
@@ -154,14 +156,6 @@ class AffineForm:
     def at(self, n) -> float:
         return self.const + sum(s * v for s, v in zip(self.slopes, n))
 
-    def on_grid(self, grids) -> np.ndarray:
-        """The form on index grids that broadcast together, associated as
-        in `at`, so the two agree bit for bit."""
-        acc = np.zeros(np.shape(grids[0]))
-        for s, g in zip(self.slopes, grids):
-            acc = acc + s * g
-        return self.const + acc
-
 
 @dataclass(frozen=True)
 class CompiledTower:
@@ -208,18 +202,43 @@ class CompiledClass:
             for i, (k, s) in enumerate(zip(start, shape))
         ]
 
-    def log_factorial_grid(self, grids, dead=False) -> tuple[np.ndarray, ...]:
-        """log R_t(n) = log Gamma(gamma_t(n) + n_t) - log Gamma(gamma_t)
-        on index grids (one array per summed axis), one array per tower.
+    @cached_property
+    def _lowered(self) -> np.ndarray:
+        """Every tower's z exponent, omega exponent and Gamma argument as
+        one array (form, tower, const and one slope per summed axis)."""
+        return np.array([
+            [(f.const, *f.slopes) for f in forms]
+            for forms in zip(*((ct.z_exp, ct.w_exp, ct.gamma_arg) for ct in self.towers))
+        ])
+
+    def forms_on_grid(self, grids) -> np.ndarray:
+        """Every tower's z exponent, omega exponent and Gamma argument on
+        index grids that broadcast together, as one array (form, tower,
+        *grid): z_exp, w_exp and gamma_arg in that order.  Each is
+        associated as in `AffineForm.at`, so the two agree bit for bit."""
+        lowered = self._lowered
+        lead = lowered.shape[:2]
+        pad = lead + (1,) * np.ndim(grids[0])
+        acc = np.zeros(lead + np.shape(grids[0]))
+        for i, g in enumerate(grids, 1):
+            acc = acc + lowered[..., i].reshape(pad) * g
+        return lowered[..., 0].reshape(pad) + acc
+
+    def log_factorials(self, gamma_args, dead=None) -> tuple[np.ndarray, ...]:
+        """log R_t(n) = log Gamma(gamma_t(n) + n_t) - log Gamma(gamma_t),
+        one array per tower, from the Gamma arguments (tower, *grid) that
+        `forms_on_grid` gives.
 
         dead, broadcast to (points, tower), marks the entries of terms
         already zero: they take argument 1.  The first other argument that
         is not > 0, point by point and tower by tower, raises log_gamma's
         ValueError.
         """
-        args = np.stack([ct.gamma_arg.on_grid(grids) for ct in self.towers], axis=-1)
+        last = gamma_args.ndim - 1
+        args = gamma_args.transpose(*range(1, last + 1), 0)  # (points, tower)
+        log_r = log_gamma_grid(args if dead is None else np.where(dead, 1.0, args))
         norms = np.array([ct.log_gamma_norm for ct in self.towers])
-        return tuple(np.moveaxis(log_gamma_grid(np.where(dead, 1.0, args)) - norms, -1, 0))
+        return tuple((log_r - norms).transpose(last, *range(last)))
 
     def window_parts(self, shape, start, zero) -> tuple:
         """The parts of the norm-series log terms on a window that do not depend on |z|.
@@ -228,20 +247,18 @@ class CompiledClass:
         terms that vanish and, per tower, its z exponent, its log frequency
         term and its log Gamma term, as read-only arrays on the window.
         """
-        grids = self.window(shape, start)
+        z_exps, w_exps, gamma_args = self.forms_on_grid(self.window(shape, start))
         dead = np.zeros(shape, dtype=bool)
-        z_exps, masks = [], []
-        for ct, is_zero in zip(self.towers, zero):
-            e = ct.z_exp.on_grid(grids)
+        masks = []
+        for e, is_zero in zip(z_exps, zero):
             if is_zero:
                 dead = dead | (e > 0.0)
-            z_exps.append(e)
             # a term already zero never reaches this tower's Gamma
             masks.append(dead)
-        log_rs = self.log_factorial_grid(grids, np.stack(masks, axis=-1))
+        log_rs = self.log_factorials(gamma_args, np.stack(masks, axis=-1))
         towers = tuple(
-            (e, ct.w_exp.on_grid(grids) * ct.log_w, log_r)
-            for e, ct, log_r in zip(z_exps, self.towers, log_rs)
+            (e, w * ct.log_w, log_r)
+            for e, w, ct, log_r in zip(z_exps, w_exps, self.towers, log_rs)
         )
         for a in (dead, *itertools.chain(*towers)):
             a.setflags(write=False)
@@ -255,10 +272,15 @@ class CompiledClass:
 
     def log_target_grid(self, grids) -> np.ndarray:
         """log of the product of the tower factorials R_t(n), the moment
-        target, on index grids, towers summed in order as a scalar loop
-        over them would."""
-        out = np.zeros(np.shape(grids[0]))
-        for log_r in self.log_factorial_grid(grids):
+        target, on index grids."""
+        return self.log_target(self.forms_on_grid(grids)[2])
+
+    def log_target(self, gamma_args) -> np.ndarray:
+        """`log_target_grid` from the Gamma arguments (tower, *grid) that
+        `forms_on_grid` gives, towers summed in order as a scalar loop over
+        them would."""
+        out = np.zeros(gamma_args.shape[1:])
+        for log_r in self.log_factorials(gamma_args):
             out = out + log_r
         return out
 
@@ -332,51 +354,83 @@ class ClassSpec:
     ) -> CompiledClass:
         """Reduce every form once: its value at the summed origin and its
         coefficient of each summed index.  Each tower also gets the two
-        gaps its density is read from, at the summed origin."""
+        gaps its density is read from, at the summed origin.  The forms to
+        evaluate come from `compile_plan`; only their values are computed
+        here."""
         if config.dimension < self.dimension:
             raise SpecError(f"{self.id}: needs {self.dimension} frequencies")
         nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
 
-        def reduce(form: LinForm) -> AffineForm:
+        def reduce(form: LinForm, own) -> AffineForm:
             const = form.value(nv0, config, overrides)
-            # a slope is the axis's own terms evaluated at n_axis = 1
-            own = {a: LinForm(tuple(t for t in form.terms if t[1] == a)) for a in self.summed}
-            return AffineForm(const, tuple(f.value({a: 1}, config, overrides) for a, f in own.items()))
+            return AffineForm(const, tuple(f.value(unit, config, overrides) for unit, f in own))
 
-        def value(terms: list[Term]) -> float:
-            return LinForm(tuple(terms)).value(nv0, config, overrides) if terms else 0.0
+        def gap(kept: LinForm | None, rest: LinForm | None) -> float:
+            plus = kept.value(nv0, config, overrides) if kept else 0.0
+            return plus - (rest.value(nv0, config, overrides) if rest else 0.0)
 
-        def gap(plus: tuple[Term, ...], minus: tuple[Term, ...]) -> float:
-            """sum(plus) - sum(minus) at the origin, the terms both sides
-            share cancelled first, so that a gap that vanishes is exactly 0."""
+        towers = []
+        for tower, normalized, z_exp, w_exp, gamma, own_step, z_gap, w_gap in self.compile_plan:
+            gamma = reduce(*gamma)
+            towers.append(
+                CompiledTower(
+                    tower=tower,
+                    log_w=math.log(config.omega(tower)),
+                    z_exp=reduce(*z_exp),
+                    w_exp=reduce(*w_exp),
+                    # the Gamma argument gamma_t + n_t steps by one more along n_t
+                    gamma_arg=AffineForm(
+                        gamma.const + nv0[tower], tuple(s + u for s, u in zip(gamma.slopes, own_step))
+                    ),
+                    log_gamma_norm=log_gamma(gamma.const) if normalized else 0.0,
+                    z_gap=gap(*z_gap),
+                    w_gap=gap(*w_gap),
+                )
+            )
+        return CompiledClass(self.id, self.summed, tuple(towers))
+
+    @cached_property
+    def compile_plan(self) -> tuple[tuple, ...]:
+        """What `compile` evaluates, derived from the forms once: per tower
+        (tower, normalized, z, w and Gamma form plans, own step, z gap,
+        w gap).
+
+        A form plan is (form, ((index values {axis: 1}, the form's terms
+        on that axis alone), ... per summed axis)): the slope along an axis
+        is that part at n_axis = 1.  The own step is 1.0 on the tower's
+        own summed axis, else 0.0.  A gap is (plus side, minus side), the
+        terms both share cancelled, so that a gap that vanishes is exactly
+        0; an empty side is None.
+        """
+        units = tuple({a: 1} for a in self.summed)
+
+        def split(form: LinForm) -> tuple:
+            own = tuple(LinForm(tuple(t for t in form.terms if t[1] == a)) for a in self.summed)
+            return form, tuple(zip(units, own))
+
+        def cancel(plus: tuple[Term, ...], minus: tuple[Term, ...]) -> tuple:
             kept, rest = [], list(minus)
             for t in plus:
                 if t in rest:
                     rest.remove(t)
                 else:
                     kept.append(t)
-            return value(kept) - value(rest)
+            return tuple(LinForm(tuple(terms)) if terms else None for terms in (kept, rest))
 
-        towers = []
+        plans = []
         for tw in self.towers:
-            gamma = reduce(tw.gamma)
             arg_terms = (*tw.gamma.terms, t_n(tw.tower))  # gamma_t + n_t
-            # the Gamma argument gamma_t + n_t steps by one more along n_t
-            steps = tuple(s + (1.0 if a == tw.tower else 0.0) for s, a in zip(gamma.slopes, self.summed))
-            gamma_arg = AffineForm(gamma.const + nv0[tw.tower], steps)
-            towers.append(
-                CompiledTower(
-                    tower=tw.tower,
-                    log_w=math.log(config.omega(tw.tower)),
-                    z_exp=reduce(tw.z_exp),
-                    w_exp=reduce(tw.w_exp),
-                    gamma_arg=gamma_arg,
-                    log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
-                    z_gap=gap(arg_terms, (t_one(), *tw.z_exp.terms)),
-                    w_gap=gap(tw.w_exp.terms, arg_terms),
-                )
-            )
-        return CompiledClass(self.id, self.summed, tuple(towers))
+            plans.append((
+                tw.tower,
+                tw.normalized,
+                split(tw.z_exp),
+                split(tw.w_exp),
+                split(tw.gamma),
+                tuple(1.0 if a == tw.tower else 0.0 for a in self.summed),
+                cancel(arg_terms, (t_one(), *tw.z_exp.terms)),
+                cancel(tw.w_exp.terms, arg_terms),
+            ))
+        return tuple(plans)
 
     # -- structural transforms -----------------------------------------
 

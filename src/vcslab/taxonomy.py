@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .convergence import class_verdict  # noqa: F401  (bench/spans.py patches taxonomy.class_verdict)
 from .convergence import required_positive_ratios
@@ -87,8 +87,9 @@ def _step_components(tower: int, db: int, dbp: int) -> tuple[FactorComponent, ..
     return tuple(FactorComponent(base, scalar, "knf") for base, scalar in pieces if scalar)
 
 
-def declared_factor_relations() -> list[FactorRelation]:
-    """The cataloged sub-class factor statements.
+@cache
+def declared_factor_relations() -> tuple[FactorRelation, ...]:
+    """The cataloged sub-class factor statements, built once.
 
     Each one-variable sub-class B-D is its A times the factor of its
     exponent step from A, read from the registry's quadruple table.
@@ -114,7 +115,7 @@ def declared_factor_relations() -> list[FactorRelation]:
             ),
         )
     )
-    return out
+    return tuple(out)
 
 
 def _distance_from_one(log_v: complex) -> float:

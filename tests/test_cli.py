@@ -405,6 +405,15 @@ class TestVerify:
         # route's result; numpy's "overflow encountered in exp" once went to stderr
         self.assert_silent_inf_disagreement("2d.2dof.plain-gamma2.D", "7.3,1e-300")
 
+    def test_overflowing_norm_terms_print_no_warning(self):
+        # tower 2's exponents grow by 7.3e300 per step: its terms overflow
+        # and cancel to nan inside the certified sum, which once printed
+        # numpy's overflow and invalid-value warnings to stderr
+        proc = run_cli(["verify", "2d.2dof.plain-plain.D", "--omega", "7.3,1e-300,1", "--checks", "norm"])
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["summary"]["checks"] == 1
+
     @pytest.mark.parametrize("argv,checks", [
         (["2d.1dof.gamma1.A", "--kappa", "12=0", "--fixed", "n2=1000"], 1),
         (["all", "--omega", "1e-3,1,1e3"], 56),

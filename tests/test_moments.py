@@ -56,6 +56,11 @@ def _reference_log_moment(compiled, density, n):
     return float(log_i)
 
 
+def _forms(compiled, points):
+    """`compiled.forms_on_grid` at a list of multi-indices."""
+    return compiled.forms_on_grid(_columns(points))
+
+
 def _reference_log_target(compiled, n):
     return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in compiled.towers)
 
@@ -435,7 +440,8 @@ class TestArrayMomentPath:
             want = _outcome(lambda: [
                 _reference_log_moment(compiled, density, n) for n in points
             ])
-            assert _outcome(lambda: _log_moments(compiled, density, points)) == want, spec.id
+            forms = _forms(compiled, points)
+            assert _outcome(lambda: _log_moments(compiled, density, forms)) == want, spec.id
             targets = [_reference_log_target(compiled, n) for n in points]
             assert _bits(compiled.log_target_grid(_columns(points))) == _bits(targets), spec.id
 
@@ -473,7 +479,7 @@ class TestArrayMomentPath:
         assert midpoints
         for points in (basis, midpoints):
             want = [_reference_log_moment(compiled, density, n) for n in points]
-            assert _bits(_log_moments(compiled, density, points)) == _bits(want)
+            assert _bits(_log_moments(compiled, density, _forms(compiled, points))) == _bits(want)
 
     def test_perturbed_density_matches_scan_and_still_fails(self):
         spec = get("2d.1dof.plain1.A")
@@ -481,7 +487,7 @@ class TestArrayMomentPath:
         bad = density_for(spec, CFG2, compiled).perturbed(1, 1.01)
         points = probe_lattice(1, 12)
         want = [_reference_log_moment(compiled, bad, n) for n in points]
-        assert _bits(_log_moments(compiled, bad, points)) == _bits(want)
+        assert _bits(_log_moments(compiled, bad, _forms(compiled, points))) == _bits(want)
         assert not verify_moments(spec, CFG2, (0,), n_range=12, density=bad).passed
 
     def test_divergent_point_raises_what_a_scan_raises(self):
@@ -496,7 +502,7 @@ class TestArrayMomentPath:
         points = [(3, 3), (1, 1), (0, 0)]
         want = _outcome(lambda: [_reference_log_moment(compiled, bad, n) for n in points])
         assert want == ("ValueError", "log_gamma requires x > 0, got 0.0")
-        assert _outcome(lambda: _log_moments(compiled, bad, points)) == want
+        assert _outcome(lambda: _log_moments(compiled, bad, _forms(compiled, points))) == want
 
 
 class TestDirectRoute:
@@ -508,8 +514,9 @@ class TestDirectRoute:
             compiled = spec.compile(cfg, fixed)
             density = density_for(spec, cfg, compiled)
             points = probe_lattice(len(spec.summed), 20)
-            closed = _log_moments(compiled, density, points)
-            direct = _direct_log_moments(compiled, density, points)
+            forms = _forms(compiled, points)
+            closed = _log_moments(compiled, density, forms)
+            direct = _direct_log_moments(compiled, density, forms)
             assert np.abs(np.expm1(direct - closed)).max() <= 1e-9, spec.id
 
     def test_reduction_tamper_is_caught(self, monkeypatch):
@@ -579,21 +586,34 @@ class TestLattice:
         assert all(max(p) <= 20 for p in pts)
 
     def test_cached_lattice_is_read_only_and_probe_lattice_a_copy(self):
-        points, grid, ends, labels = moments._lattice(2, 20)
-        for array in (grid, ends):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+        points, grid, labels = moments._lattice(2, 20)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 1.0
         pts = probe_lattice(2, 20)
         pts[0] = (5, 5)
         pts.append((99, 99))
         assert probe_lattice(2, 20) == list(points)
         assert grid.tolist() == [[float(v) for v in p] for p in points]
-        assert ends.tolist() == [grid[0].tolist(), grid[-1].tolist()]
         assert labels[-1] == "20,20"
 
     @pytest.mark.parametrize("n_axes", [1, 2])
-    def test_route_ends_at_n_range_0_are_one_point(self, n_axes):
-        assert moments._lattice(n_axes, 0)[2].tolist() == [[0.0] * n_axes] * 2
+    def test_route_ends_at_n_range_0_are_one_point(self, n_axes, monkeypatch):
+        # the lattice at n_range 0 is n = 0 alone, so both route ends are it
+        spec = next(s for s in registry() if len(s.summed) == n_axes)
+        cfg = CFG3 if spec.dimension == 3 else CFG2
+        fixed = (1,) * len(spec.fixed)
+        handed = []
+        direct = moments.log_moment_direct
+
+        def spy(density, exponents):
+            handed.append({t: e.tolist() for t, e in exponents.items()})
+            return direct(density, exponents)
+
+        monkeypatch.setattr(moments, "log_moment_direct", spy)
+        rep = verify_moments(spec, cfg, fixed, n_range=0)
+        assert [k for k, _ in rep.residuals] == [",".join("0" * n_axes)]
+        origin = {ct.tower: ct.z_exp.const for ct in spec.compile(cfg, fixed).towers}
+        assert handed == [{t: [e, e] for t, e in origin.items()}]
 
     def test_cached_node_layout_is_read_only(self):
         for array in quadrature._node_layout(((0,), (1, 2))):

@@ -1,12 +1,29 @@
+import dataclasses
+import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
+from child_env import src_env
 from vcslab.frequencies import FrequencyConfig, resolve_ratio
 from vcslab.norms import term_generator
 from vcslab.registry import get, ids, registry, select
 from vcslab.special import log_gamma
-from vcslab.structure import ClassSpec, SpecError, TowerTerm, lf, t_n, t_one, t_ratio_n
+from vcslab.structure import (
+    AffineForm,
+    ClassSpec,
+    CompiledClass,
+    CompiledTower,
+    LinForm,
+    SpecError,
+    TowerTerm,
+    lf,
+    t_n,
+    t_one,
+    t_ratio_n,
+)
 
 
 THREE_D_CATALOG = [
@@ -245,3 +262,102 @@ class TestCoefficientStructure:
             term_generator(dual, cfg, (0.8,), (1,)).log_term((2,)), abs=1e-12
         )
 
+
+
+def reference_compile(spec, config, fixed, overrides=None) -> CompiledClass:
+    """`ClassSpec.compile` as it was before the compile plan: every form
+    split by axis and every gap cancelled on each call."""
+    if config.dimension < spec.dimension:
+        raise SpecError(f"{spec.id}: needs {spec.dimension} frequencies")
+    nv0 = spec.quantum_numbers((0,) * len(spec.summed), tuple(int(v) for v in fixed))
+
+    def reduce(form):
+        const = form.value(nv0, config, overrides)
+        own = {a: LinForm(tuple(t for t in form.terms if t[1] == a)) for a in spec.summed}
+        return AffineForm(const, tuple(f.value({a: 1}, config, overrides) for a, f in own.items()))
+
+    def value(terms):
+        return LinForm(tuple(terms)).value(nv0, config, overrides) if terms else 0.0
+
+    def gap(plus, minus):
+        kept, rest = [], list(minus)
+        for t in plus:
+            if t in rest:
+                rest.remove(t)
+            else:
+                kept.append(t)
+        return value(kept) - value(rest)
+
+    towers = []
+    for tw in spec.towers:
+        gamma = reduce(tw.gamma)
+        arg_terms = (*tw.gamma.terms, t_n(tw.tower))
+        steps = tuple(s + (1.0 if a == tw.tower else 0.0) for s, a in zip(gamma.slopes, spec.summed))
+        towers.append(
+            CompiledTower(
+                tower=tw.tower,
+                log_w=math.log(config.omega(tw.tower)),
+                z_exp=reduce(tw.z_exp),
+                w_exp=reduce(tw.w_exp),
+                gamma_arg=AffineForm(gamma.const + nv0[tw.tower], steps),
+                log_gamma_norm=log_gamma(gamma.const) if tw.normalized else 0.0,
+                z_gap=gap(arg_terms, (t_one(), *tw.z_exp.terms)),
+                w_gap=gap(tw.w_exp.terms, arg_terms),
+            )
+        )
+    return CompiledClass(spec.id, spec.summed, tuple(towers))
+
+
+def compile_outcome(compile_, *args):
+    """A compiled class as nested tuples with every float as its bits, or
+    the type and message of what compiling raised."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        return v
+
+    try:
+        return bits(dataclasses.astuple(compile_(*args)))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+PLAN_CONFIGS = [
+    FrequencyConfig((1.0, 2.0, 3.0)),
+    FrequencyConfig((1.37, 2.91, 0.73)),
+    FrequencyConfig((1.0, 1e-6, 1e6)),
+    FrequencyConfig((7.3, 1e-300, 1.0), (0.5, 0.25, 1.0)),
+    FrequencyConfig((1.0, 2.0, 3.0), (1.5, 0.0, 2.75)),
+]
+PLAN_OVERRIDES = [None, {(1, 2): 0.3}, {(2, 1): 1e-6}, {(3, 2): 1e-12}, {(1, 2): 0.0}]
+
+
+class TestCompilePlan:
+    def test_compile_matches_the_per_call_derivation_bit_for_bit(self):
+        points = 0
+        for spec in registry():
+            fixed_sets = sorted({(v,) * len(spec.fixed) for v in (0, 1, 5)})
+            for cfg, overrides, fixed in itertools.product(PLAN_CONFIGS, PLAN_OVERRIDES, fixed_sets):
+                want = compile_outcome(reference_compile, spec, cfg, fixed, overrides)
+                assert compile_outcome(spec.compile, cfg, fixed, overrides) == want, (
+                    spec.id, cfg, overrides, fixed)
+                points += 1
+        assert points == 4200
+
+    def test_the_plan_is_built_once_per_spec(self):
+        spec = dataclasses.replace(get("3d.3dof.max"))
+        assert "compile_plan" not in vars(spec)
+        first = spec.compile(PLAN_CONFIGS[0], (1,))
+        plan = vars(spec)["compile_plan"]
+        second = spec.compile(PLAN_CONFIGS[0], (1,))
+        assert spec.compile_plan is plan and second == first
+
+    def test_registry_builds_no_plan(self):
+        code = (
+            "from vcslab.registry import registry\n"
+            "print(sum('compile_plan' in vars(s) for s in registry()), len(registry()))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+        assert proc.stdout == "0 56\n", proc.stderr

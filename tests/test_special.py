@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vcslab import special
-from vcslab.logspace import logsumexp, rel_diff_from_logs
+from vcslab.logspace import logsumexp, rel_diff_from_logs, rel_diffs_from_logs
 from vcslab.special import _TABLE_SIZE, _upper_gamma_q, hyp1f1_one_closed, log_gamma, log_gamma_grid
 
 mpmath.mp.dps = 40
@@ -321,6 +322,23 @@ class TestLogValue:
         assert rel_diff_from_logs(800.0, 0.0) == math.inf
         assert rel_diff_from_logs(0.0, 800.0) == 1.0
         assert rel_diff_from_logs(1.0, 0.0) == math.expm1(1.0)
+
+    def test_list_rel_diffs_match_the_pointwise_rule(self):
+        def pointwise(log_a, log_b):
+            if log_b == -math.inf:
+                return 0.0 if log_a == -math.inf else math.inf
+            if log_a == -math.inf:
+                return 1.0
+            try:
+                return abs(math.expm1(log_a - log_b))
+            except OverflowError:
+                return math.inf
+
+        values = [-math.inf, math.inf, math.nan, -800.0, -1.5, -0.0, 0.0, 1e-17, 0.5, 2.0, 709.0, 800.0]
+        pairs = list(itertools.product(values, repeat=2))
+        got = rel_diffs_from_logs(np.array([a for a, _ in pairs]), [b for _, b in pairs])
+        want = [pointwise(a, b) for a, b in pairs]
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
     def test_lower_regularized_bounds(self):
         # P(a, x) = gamma(a, x) / Gamma(a) lies in [0, 1] on both sides of the x = b switch

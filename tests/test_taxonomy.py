@@ -35,7 +35,7 @@ def knf(kind, tower, scalar):
 
 # the catalog's factor statements written out one by one: sub-class B-D of
 # a one-variable family is its A times z_s^(db k nf) omega_s^(-db'/2 k nf)
-DECLARED_RELATIONS = [
+DECLARED_RELATIONS = (
     FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.B", (knf("omega", 1, -0.5),)),
     FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.C", (knf("z", 1, 1.0),)),
     FactorRelation("2d.1dof.plain1.A", "2d.1dof.plain1.D", (knf("z", 1, 1.0), knf("omega", 1, -0.5))),
@@ -58,7 +58,7 @@ DECLARED_RELATIONS = [
             FactorComponent(("factorial", 2), -0.5, "nf"),
         ),
     ),
-]
+)
 
 
 def verify_pinned_limit(edge, tmp_path):
@@ -115,6 +115,8 @@ class TestEnumerateSubclasses:
 class TestFactorRelations:
     def test_generated_relations_match_the_written_table(self):
         assert declared_factor_relations() == DECLARED_RELATIONS
+        # built once: every call returns the same tuple
+        assert declared_factor_relations() is declared_factor_relations()
 
     def test_catalog_covers_all_one_dof_variants(self):
         rels = declared_factor_relations()
