@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .convergence import (
     Verdict,
     class_verdict,
@@ -241,50 +243,53 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     # the moment and resolution checks share one density, built on first use
     density = functools.cache(lambda: density_for(spec, fc, compiled))
     ratios = _kappa_text(cfg.kappa_overrides)
-    for check in cfg.checks:
-        if undefined_point and check != "convergence":
-            rep = make_report(
-                spec.id, check, (("predicted-undefined", 0.0),), 1.0, undefined=True,
-                metadata=(("reason", undefined_point),),
-            )
-            out.append(rep.as_dict())
-            continue
-        try:
-            if check == "convergence":
-                rep = _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point)
-            elif check == "norm":
-                rep = _check_norm(spec, compiled, fc, cfg)
-            elif check == "moment":
-                rep = verify_moments(
-                    spec, fc, fixed, n_range=cfg.nmax, tol=cfg.tol["moment"],
-                    density=density(), compiled=compiled,
+    # a frequency point near the float range makes inf and nan terms that
+    # the checks turn into verdicts; numpy's warnings about them are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in cfg.checks:
+            if undefined_point and check != "convergence":
+                rep = make_report(
+                    spec.id, check, (("predicted-undefined", 0.0),), 1.0, undefined=True,
+                    metadata=(("reason", undefined_point),),
                 )
-            elif check == "resolution":
-                rep = resolution_residual(
-                    spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"],
-                    density=density(), compiled=compiled, overrides=overrides,
+                out.append(rep.as_dict())
+                continue
+            try:
+                if check == "convergence":
+                    rep = _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point)
+                elif check == "norm":
+                    rep = _check_norm(spec, compiled, fc, cfg)
+                elif check == "moment":
+                    rep = verify_moments(
+                        spec, fc, fixed, n_range=cfg.nmax, tol=cfg.tol["moment"],
+                        density=density(), compiled=compiled,
+                    )
+                elif check == "resolution":
+                    rep = resolution_residual(
+                        spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"],
+                        density=density(), compiled=compiled, overrides=overrides,
+                    )
+                elif check == "factor":
+                    rep = _check_factor(spec, fc, cfg)
+                elif check == "limits":
+                    rep = _check_limits(spec, fc, cfg)
+                else:
+                    raise UsageError(f"unknown check {check}")
+            except SpecError:
+                raise
+            except (DivergenceError, TailBudgetError, QuadratureDisagreement, ValueError) as exc:
+                # a ValueError here is an argument outside a special function's
+                # domain, such as a moment exponent <= -1 built from a ratio
+                # past the float range
+                rep = make_report(
+                    spec.id, check, (("evaluation-error", 1.0),), 0.5,
+                    metadata=(("error", str(exc)),),
                 )
-            elif check == "factor":
-                rep = _check_factor(spec, fc, cfg)
-            elif check == "limits":
-                rep = _check_limits(spec, fc, cfg)
-            else:
-                raise UsageError(f"unknown check {check}")
-        except SpecError:
-            raise
-        except (DivergenceError, TailBudgetError, QuadratureDisagreement, ValueError) as exc:
-            # a ValueError here is an argument outside a special function's
-            # domain, such as a moment exponent <= -1 built from a ratio
-            # past the float range
-            rep = make_report(
-                spec.id, check, (("evaluation-error", 1.0),), 0.5,
-                metadata=(("error", str(exc)),),
-            )
-        doc = rep.as_dict()
-        if ratios:
-            # factor and limits compile other classes, at the natural ratios
-            doc["metadata"]["ratios"] = "natural" if check in ("factor", "limits") else ratios
-        out.append(doc)
+            doc = rep.as_dict()
+            if ratios:
+                # factor and limits compile other classes, at the natural ratios
+                doc["metadata"]["ratios"] = "natural" if check in ("factor", "limits") else ratios
+            out.append(doc)
     return out
 
 

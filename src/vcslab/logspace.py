@@ -22,15 +22,20 @@ def logsumexp(a) -> float:
     gives -inf, an array holding +inf gives +inf and one holding nan gives
     nan.
     """
-    a = np.asarray(a, dtype=float)
+    # a - m may pass the float range only towards -inf, where exp is 0
+    with np.errstate(over="ignore"):
+        return logsumexp_kernel(np.asarray(a, dtype=float))
+
+
+def logsumexp_kernel(a: np.ndarray) -> float:
+    """`logsumexp` of a float array or numpy float, for a caller that
+    already holds numpy's overflow warning off."""
     if a.size == 0:
         return float("-inf")
     m = float(a.max())
     if not math.isfinite(m):
         return m
-    # a - m may pass the float range only towards -inf, where exp is 0
-    with np.errstate(over="ignore"):
-        return m + math.log(np.exp(a - m).sum())
+    return m + math.log(np.exp(a - m).sum())
 
 
 def rel_diffs_from_logs(log_a, log_b) -> list[float]:

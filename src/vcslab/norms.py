@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .frequencies import FrequencyConfig, RatioOverrides
-from .logspace import logsumexp
+from .logspace import logsumexp_kernel
 from .special import hyp1f1_one_closed, log_gamma, log_gamma_grid
 from .structure import FIRST_WINDOW, ClassSpec, CompiledClass, SpecError
 
@@ -105,7 +105,7 @@ class TermGenerator:
                 out = out + 2.0 * z_exp * log_z
             out = out - w_term
             out = out - gamma_term
-        return np.where(dead, -np.inf, out)
+        return out if dead is None else np.where(dead, -np.inf, out)
 
     def log_weight(self, axis_pos: int) -> float:
         """log of the geometric weight w of one summed axis.
@@ -196,8 +196,7 @@ def _frontier_ratio(logs: np.ndarray, prev: np.ndarray) -> float:
     Only a term that had already vanished (-inf after -inf: nan) gets
     ratio 0; a ratio past the float range stays inf.
     """
-    r = np.exp(logs - prev)
-    return float(np.where(np.isnan(r), 0.0, r).max())
+    return float(np.fmax.reduce(np.exp(logs - prev), axis=None, initial=0.0))
 
 
 def _check_budget_reachable(log_window, ndim: int, axis: int) -> None:
@@ -244,16 +243,16 @@ def _certified_sum(log_window, ndim: int):
         last = [FIRST_WINDOW - 1] * ndim
         logs = log_window((FIRST_WINDOW,) * ndim, (0,) * ndim)
         while True:
-            log_partial = logsumexp(logs)
+            log_partial = logsumexp_kernel(logs)
             if not log_partial < float("inf"):
                 raise TailBudgetError(f"window sum is {log_partial}: no tail certificate")
             if log_partial == float("-inf"):
                 return log_partial, tuple(last), 0.0, logs
-            masses = [logsumexp(np.take(logs, -1, axis=k)) for k in range(ndim)]
-            ratios = [
-                _frontier_ratio(np.take(logs, -1, axis=k), np.take(logs, -2, axis=k))
-                for k in range(ndim)
-            ]
+            # each axis's frontier slice and the slice behind it, as views
+            frontier = [logs[(slice(None),) * k + (-1,)] for k in range(ndim)]
+            behind = [logs[(slice(None),) * k + (-2,)] for k in range(ndim)]
+            masses = [logsumexp_kernel(f) for f in frontier]
+            ratios = [_frontier_ratio(f, b) for f, b in zip(frontier, behind)]
             if max(ratios) < 1.0:
                 # each frontier slice, and in 2d the corner past both, times
                 # r / (1 - r) for every axis it lies past
@@ -261,7 +260,7 @@ def _certified_sum(log_window, ndim: int):
                 pieces = [m + g for m, g in zip(masses, gains)]
                 if ndim == 2:
                     pieces.append(logs[-1, -1] + gains[0] + gains[1])
-                rel = math.exp(logsumexp(pieces) - log_partial)
+                rel = math.exp(logsumexp_kernel(np.array(pieces)) - log_partial)
                 if rel <= 1e-12:
                     return log_partial, tuple(last), rel, logs
             if logs.size == FIRST_WINDOW**ndim:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,43 @@ def make_report(class_id, check, residuals, tolerance, metadata=(), undefined=Fa
 def dumps_deterministic(obj) -> str:
     """Canonical JSON: sorted keys, stable separators, LF newline at end.
 
-    Floats serialize through repr (shortest exact round-trip, at most 17
-    significant digits), which is byte-stable across runs and platforms
-    for identical doubles.  JSON has no inf or nan, so a residual past
-    the float range is written as the string "inf" ("-inf", "nan").
+    The bytes are those of json.dumps(obj, sort_keys=True, indent=2),
+    written by one recursive pass.  Floats serialize through repr
+    (shortest exact round-trip, at most 17 significant digits), which is
+    byte-stable across runs and platforms for identical doubles.  JSON
+    has no inf or nan, so a value past the float range is written as the
+    string of its repr ("inf", "-inf", "nan").  Each container is joined
+    as soon as it is written, so no more than one nesting path of small
+    strings is alive at a time.
     """
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        return json.dumps(_nonfinite_as_text(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _text(obj, "\n") + "\n"
 
 
-def _nonfinite_as_text(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _nonfinite_as_text(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nonfinite_as_text(v) for v in obj]
-    return obj
+def _text(o, pad: str) -> str:
+    """The JSON text of o, whose lines continue after pad (a newline and
+    the indent of o's own line)."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else _quote(repr(o))
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        # a key that is not a str raises TypeError in _quote
+        body = ("," + inner).join([_quote(k) + ": " + _text(v, inner) for k, v in sorted(o.items())])
+        return "{" + inner + body + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + pad + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -111,16 +111,18 @@ def aliasing_solutions(rule: SelectionRule, window: int) -> list[tuple[int, ...]
 
 @lru_cache(maxsize=32)
 def _gram_basis(nmax: tuple[int, ...]) -> tuple:
-    """(points, indices, grid, labels) of the truncated basis 0 <= m_i <=
+    """(indices, grid, labels, texts) of the truncated basis 0 <= m_i <=
     nmax_i, built once per nmax: the points in `itertools.product` order,
-    as read-only int and float arrays (point, axis), and the diagonal
-    residual labels "G[3,7]"."""
+    as read-only int and float arrays (point, axis), the diagonal residual
+    labels "G[3,7]" and each point's tuple text "(3, 7)", which the
+    aliased entries' labels "G[(3, 7)|(5, 4)]" join."""
     points = tuple(itertools.product(*[range(m + 1) for m in nmax]))
     indices = np.array(points, dtype=int).reshape(-1, len(nmax))
     grid = indices.astype(float)
     indices.setflags(write=False)
     grid.setflags(write=False)
-    return points, indices, grid, tuple("G[" + ",".join(map(str, m)) + "]" for m in points)
+    labels = tuple("G[" + ",".join(map(str, m)) + "]" for m in points)
+    return indices, grid, labels, tuple(map(str, points))
 
 
 def resolution_residual(
@@ -143,7 +145,7 @@ def resolution_residual(
     compiled = spec.compile(config, fixed, overrides) if compiled is None else compiled
     density = density_for(spec, config, compiled) if density is None else density
     rule = selection_rule(spec, config, compiled, overrides)
-    basis, basis_arr, grid, labels = _gram_basis(nmax)
+    basis_arr, grid, labels, texts = _gram_basis(nmax)
     # diagonal entries: moment integral over target
     forms = compiled.forms_on_grid(list(grid.T))
     diagonal = _log_moments(compiled, density, forms)
@@ -156,7 +158,7 @@ def resolution_residual(
     # off-diagonal entries: certified zero unless the rule aliases
     window = max(nmax)
     aliases = aliasing_solutions(rule, window) if window >= 1 else []
-    flagged = []
+    firsts, seconds = [], []
     for delta in aliases:
         # lexicographic order is translation invariant: every pair of a
         # delta whose first nonzero entry is negative has mp < m, and is
@@ -165,33 +167,34 @@ def resolution_residual(
             continue
         shifted = basis_arr + delta
         inside = np.flatnonzero(((shifted >= 0) & (shifted <= nmax)).all(axis=1))
-        if not inside.size:
-            continue
+        if inside.size:
+            firsts.append(inside)
+            seconds.append(np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax]))
+    if firsts:
         # an aliased delta has c.delta = 0 for every constraint, so its
         # angular integral is 1; the exponents are affine in n, so a
         # pair's cross moment is the moment at its midpoint, and the entry
-        # divides it by the targets' geometric mean
-        midpoints = 0.5 * (basis_arr[inside] + shifted[inside])
+        # divides it by the targets' geometric mean.  The pairs of all
+        # deltas are evaluated at once, in delta order.
+        inside, partners = np.concatenate(firsts), np.concatenate(seconds)
+        midpoints = 0.5 * (basis_arr[inside] + basis_arr[partners])
         cross = _log_moments(compiled, density, compiled.forms_on_grid(list(midpoints.T)))
-        partners = np.ravel_multi_index(tuple(shifted[inside].T), [mx + 1 for mx in nmax])
         for i, j, log_i in zip(inside.tolist(), partners.tolist(), cross.tolist()):
-            m, mp = basis[i], basis[j]
             log_t = 0.5 * (targets[i] + targets[j])
             try:
                 entry = math.exp(log_i - log_t)
             except OverflowError:  # an entry past the float range
                 entry = math.inf
-            flagged.append((m, mp, entry))
-            residuals.append((f"G[{m}|{mp}]", entry))
+            residuals.append(("G[" + texts[i] + "|" + texts[j] + "]", entry))
     nonzero = ([c for c in row if c] for row in rule.exact)
     ratios = [str(nz[1] / nz[0]) for nz in nonzero if len(nz) >= 2]
     metadata = (
         ("nmax", list(nmax)),
         ("fixed", list(fixed)),
-        ("gram_dim", len(basis)),
+        ("gram_dim", len(labels)),
         ("selection_constraints", [list(r) for r in rule.constraints]),
         ("constraint_coefficient_ratios", ratios),
-        ("aliasing_pairs", len(flagged)),
+        ("aliasing_pairs", sum(map(len, firsts))),
         ("omegas", list(config.omegas)),
     )
     return VerificationReport(spec.id, "resolution", tuple(residuals), verdict, tol, metadata)

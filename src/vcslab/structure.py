@@ -244,23 +244,28 @@ class CompiledClass:
         """The parts of the norm-series log terms on a window that do not depend on |z|.
 
         zero flags the towers whose variable is 0.  Returns the mask of the
-        terms that vanish and, per tower, its z exponent, its log frequency
-        term and its log Gamma term, as read-only arrays on the window.
+        terms that vanish, None when no variable is 0, and, per tower, its
+        z exponent, its log frequency term and its log Gamma term, as
+        read-only arrays on the window.
         """
         z_exps, w_exps, gamma_args = self.forms_on_grid(self.window(shape, start))
-        dead = np.zeros(shape, dtype=bool)
-        masks = []
-        for e, is_zero in zip(z_exps, zero):
-            if is_zero:
-                dead = dead | (e > 0.0)
-            # a term already zero never reaches this tower's Gamma
-            masks.append(dead)
-        log_rs = self.log_factorials(gamma_args, np.stack(masks, axis=-1))
+        dead = masks = None
+        if any(zero):
+            dead = np.zeros(shape, dtype=bool)
+            per_tower = []
+            for e, is_zero in zip(z_exps, zero):
+                if is_zero:
+                    dead = dead | (e > 0.0)
+                # a term already zero never reaches this tower's Gamma
+                per_tower.append(dead)
+            masks = np.stack(per_tower, axis=-1)
+            dead.setflags(write=False)
+        log_rs = self.log_factorials(gamma_args, masks)
         towers = tuple(
             (e, w * ct.log_w, log_r)
             for e, w, ct, log_r in zip(z_exps, w_exps, self.towers, log_rs)
         )
-        for a in (dead, *itertools.chain(*towers)):
+        for a in itertools.chain(*towers):
             a.setflags(write=False)
         return dead, towers
 

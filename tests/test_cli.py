@@ -1,7 +1,10 @@
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from child_env import src_env
@@ -414,6 +417,20 @@ class TestVerify:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["summary"]["checks"] == 1
 
+    def test_float_range_point_prints_no_warning_and_keeps_its_bytes(self):
+        # the Gamma arguments and moment exponents overflow at omega1 =
+        # 1e300; numpy's overflow and invalid-value warnings once went to
+        # stderr from the forms on the grid and the moment pieces
+        proc = subprocess.run(
+            RUN + ["verify", "2d.2dof.plain-plain.D", "--omega", "1e300,1e-8"],
+            capture_output=True, env=src_env(),
+        )
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "ce56314403c9e7b10190e1914745ef65c7d1c79fb68433ce8fe77a39e56f9299"
+        )
+
     @pytest.mark.parametrize("argv,checks", [
         (["2d.1dof.gamma1.A", "--kappa", "12=0", "--fixed", "n2=1000"], 1),
         (["all", "--omega", "1e-3,1,1e3"], 56),
@@ -610,6 +627,25 @@ class TestFigure:
         assert "gamma13 = -100.5 with m range 50:50" in err
 
 
+def reference_dumps(obj) -> str:
+    """The JSON text the report writer must reproduce byte for byte:
+    json.dumps with sorted keys and an indent of 2, and where that meets a
+    non-finite float, the same with each such value replaced by its repr."""
+    def as_text(o):
+        if isinstance(o, float) and not math.isfinite(o):
+            return repr(o)
+        if isinstance(o, dict):
+            return {k: as_text(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [as_text(v) for v in o]
+        return o
+
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(as_text(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path):
         args = [
@@ -630,6 +666,38 @@ class TestDeterminism:
 
         doc = {"r": {"a": float("inf"), "b": [1.5, float("-inf")]}, "c": float("nan")}
         assert json.loads(dumps_deterministic(doc)) == {"r": {"a": "inf", "b": [1.5, "-inf"]}, "c": "nan"}
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--format", "json"],
+        ["describe", "3d.3dof.max"],
+        ["taxonomy", "--dim", "3", "--dof", "2", "--format", "json"],
+        ["report", "--nmax", "2"],
+    ])
+    def test_writer_matches_json_dumps_on_command_documents(self, argv, monkeypatch, tmp_path):
+        from vcslab import cli
+
+        # record the document the command hands to the writer
+        write, docs = cli.dumps_deterministic, []
+        monkeypatch.setattr(cli, "dumps_deterministic", lambda obj: docs.append(obj) or write(obj))
+        out = tmp_path / "doc.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        (doc,) = docs
+        assert out.read_text() == reference_dumps(doc)
+
+    def test_writer_matches_json_dumps_on_edge_values(self):
+        from vcslab.report import dumps_deterministic
+
+        docs = [
+            {}, [], (), {"a": {}, "b": [], "c": [{}, [[]], ()]},
+            [True, False, None, 0, -7, 2**70, (1, (2.5, "x"))],
+            {"f": [np.float64(0.1), np.float64(-1e-300), -0.0, 5e-324, 1e308, 1.0, 123456789.0]},
+            {"r": {"a": math.inf, "b": [1.5, -math.inf, math.nan]}, "c": math.nan},
+            [np.float64(math.inf), {"z": np.float64(math.nan)}],
+            {"\u00e9t\u00e9": "\u03c9\u2081 \U0001d4b1", "tab\there": "line\nbreak \"quoted\" \\ \x00\x1f\x7f"},
+            "top-level text", 3.25, math.inf, None, 42,
+        ]
+        for doc in docs:
+            assert dumps_deterministic(doc) == reference_dumps(doc), doc
 
 
 class TestReport:

@@ -190,10 +190,11 @@ class TestTwoDimensionalDoublyDeformedRule:
 
 class TestGramBasis:
     def test_cached_basis_is_read_only(self):
-        points, indices, grid, labels = _gram_basis((3, 2))
-        assert points == tuple(itertools.product(range(4), range(3)))
+        indices, grid, labels, texts = _gram_basis((3, 2))
+        points = tuple(itertools.product(range(4), range(3)))
         assert indices.tolist() == [list(m) for m in points] == grid.tolist()
         assert labels[5] == "G[1,2]"
+        assert texts == tuple(map(str, points)) and texts[5] == "(1, 2)"
         for array in (indices, grid):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1

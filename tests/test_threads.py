@@ -13,12 +13,15 @@ from child_env import src_env
 # sha256 of the default `vcslab report`
 DEFAULT_REPORT_SHA256 = "db7de2f07c97f8f2b47dac2a40627f25e14d3c1d404ae5988a2e0b132a7cda3e"
 # sha256 of the resolution documents at two rational triples besides the
-# default: a moved or lost aliasing pair, or a reprinted ratio, changes them
+# default: a moved or lost aliasing pair, or a reprinted ratio, changes them;
+# and of one whose aliased entries pass the float range, written as "inf"
 RESOLUTION_SHA256 = {
     "verify all --omega 3,1,2.1 --checks resolution":
         "9743ce526b504a5bce97eaf75054325049cd9aa202d285452be2dd5c0b3276aa",
     "verify all --omega 0.01,0.1,1 --checks resolution":
         "30f7e446445db56ad1577b738c7b2c27d71326379c8beeb78629a1a60afa0590",
+    "verify 3d.2dof.gamma1-gamma3 --omega 1,2,1e-300 --checks resolution":
+        "30b5da30dfc4bfd5e058c1ac9ff769e56a69cc48f683113445a5550116c51fb5",
 }
 # sha256 of the catalog listings and deformation graphs: a reordered or
 # relabeled class, or a moved edge, changes them
