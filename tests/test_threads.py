@@ -23,6 +23,18 @@ RESOLUTION_SHA256 = {
     "verify 3d.2dof.gamma1-gamma3 --omega 1,2,1e-300 --checks resolution":
         "30b5da30dfc4bfd5e058c1ac9ff769e56a69cc48f683113445a5550116c51fb5",
 }
+# sha256 of reports at pinned ratios: a pin read differently by the
+# compile, the selection rule or the convergence verdict changes them
+PINNED_SHA256 = {
+    "verify all --kappa 12=0.3":
+        "42321c30b12033715e9fd4acab117d34e238318085539cda25ae93545d59fabe",
+    "verify all --kappa 32=0":
+        "3108e8bfc431d6f16865c520b0fbdd4e56caa4ecd5b7807aa136d5369acf3cea",
+    "verify all --kappa 13=0 --kappa 23=0.5":
+        "cbce526d81be92fff49af79a88611644000cd1019ce918255daaff4b1466967b",
+    "verify all --omega 0.01,0.1,1 --kappa 12=0.25 --checks resolution":
+        "8f7b243040837bf189c190ec1b4b5f1d9be34bb3f627d4ecdd9903efb87d54c4",
+}
 # sha256 of the catalog listings and deformation graphs: a reordered or
 # relabeled class, or a moved edge, changes them
 CATALOG_SHA256 = {
@@ -109,3 +121,8 @@ def test_catalog_bytes_are_pinned(command):
 @pytest.mark.parametrize("command", sorted(RESOLUTION_SHA256))
 def test_resolution_bytes_are_pinned(command):
     assert stdout_sha256(command) == RESOLUTION_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SHA256))
+def test_pinned_ratio_bytes_are_pinned(command):
+    assert stdout_sha256(command) == PINNED_SHA256[command]
