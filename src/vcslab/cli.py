@@ -24,6 +24,7 @@ from .convergence import (
     required_positive_conditions,
 )
 from .frequencies import FrequencyConfig
+from .logspace import rel_diff_from_logs
 from .moments import density_for, verify_moments
 from .norms import DivergenceError, TailBudgetError, TermGenerator, norm_closed_form, norm_series
 from .quadrature import QuadratureDisagreement
@@ -116,6 +117,9 @@ class RunConfig:
         bad_tol = {k: t for k, t in sorted(self.tol.items()) if not (math.isfinite(t) and t > 0.0)}
         if bad_tol:
             raise UsageError(f"tolerances must be finite and positive, got {bad_tol}")
+        for name, values in (("omegas", self.omegas), ("alphas", self.alphas)):
+            if len(values) > 3:
+                raise UsageError(f"{name} take at most 3 values, one per tower, got {values}")
         if not isinstance(self.nmax, int) or self.nmax < 0:
             raise UsageError(f"nmax must be a non-negative integer, got {self.nmax!r}")
         bad_fixed = sorted(f"n{k}" for k in self.fixed if k not in (1, 2, 3))
@@ -141,13 +145,16 @@ class RunConfig:
             raise UsageError(f"unknown checks: {sorted(unknown)}")
 
 
-def _config_for(spec, cfg: RunConfig) -> FrequencyConfig:
+def _configs_for(spec, cfg: RunConfig) -> tuple[FrequencyConfig, FrequencyConfig]:
+    """spec's parameter point under cfg at its natural ratios, and with
+    cfg's kappa pins."""
     omegas = tuple(cfg.omegas[: spec.dimension])
     if len(omegas) < spec.dimension:
         raise UsageError(f"{spec.id} needs {spec.dimension} frequencies, got {cfg.omegas}")
     shifts = tuple(cfg.alphas[: spec.dimension]) if cfg.alphas else ()
     try:
-        return FrequencyConfig(omegas, shifts)
+        natural = FrequencyConfig(omegas, shifts)
+        return natural, natural.pinned(cfg.kappa_overrides)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -156,10 +163,10 @@ def _fixed_for(spec, cfg: RunConfig) -> tuple[int, ...]:
     return tuple(cfg.fixed.get(t, 1) for t in spec.fixed)
 
 
-def _expected_undefined(spec, cfg: RunConfig) -> str | None:
+def _expected_undefined(spec, fc: FrequencyConfig) -> str | None:
     """Why this parameter point is predicted non-normalizable, or None:
     the deformation graph's forbidden-limit test on the ratios pinned to zero."""
-    return limit_obstruction(spec, [p for p, v in cfg.kappa_overrides.items() if v == 0.0])
+    return limit_obstruction(spec, [p for p, v in fc.pins if v == 0.0])
 
 
 def _check_norm(spec, compiled, fc, cfg):
@@ -173,7 +180,7 @@ def _check_norm(spec, compiled, fc, cfg):
             residuals.append((f"z2={scale}w(tail)", series.tail_bound))
         else:
             method = closed.method
-            residuals.append((f"z2={scale}w", abs(math.expm1(series.log_norm - closed.log_norm))))
+            residuals.append((f"z2={scale}w", rel_diff_from_logs(series.log_norm, closed.log_norm)))
     return make_report(spec.id, "norm", residuals, cfg.tol["norm"], metadata=(("method", method),))
 
 
@@ -205,9 +212,9 @@ def _check_limits(spec, fc, cfg):
     return make_report(spec.id, "limits", residuals, cfg.tol["limits"])
 
 
-def _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point):
+def _check_convergence(spec, fc, fixed, compiled, undefined_point):
     if not undefined_point:
-        v = class_verdict(spec, fc, fixed, overrides=overrides, compiled=compiled)
+        v = class_verdict(spec, fc, fixed, compiled=compiled)
         return make_report(
             spec.id, "convergence",
             ((v.status, 0.0 if v.convergent else 1.0),),
@@ -217,7 +224,7 @@ def _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point):
     # the point is predicted non-normalizable: divergence is the expected
     # outcome; anything else is a regression
     try:
-        v = class_verdict(spec, fc, fixed, overrides=overrides)
+        v = class_verdict(spec, fc, fixed)
     except ZeroDivisionError:
         # a term needs the reciprocal of a zero ratio: undefined as predicted
         v = Verdict("divergent", undefined_point)
@@ -232,14 +239,15 @@ def _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point):
 
 def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
     spec = get(class_id)
-    fc = _config_for(spec, cfg)
+    # factor and limits compile other classes, at the natural ratios; the
+    # other checks run at the pinned ones
+    natural, fc = _configs_for(spec, cfg)
     fixed = _fixed_for(spec, cfg)
-    overrides = cfg.kappa_overrides or None
     out = []
-    undefined_point = _expected_undefined(spec, cfg)
+    undefined_point = _expected_undefined(spec, fc)
     # one compile serves norm, moment, resolution and convergence; at a
     # predicted-undefined point it would divide by zero
-    compiled = None if undefined_point else spec.compile(fc, fixed, overrides)
+    compiled = None if undefined_point else spec.compile(fc, fixed)
     # the moment and resolution checks share one density, built on first use
     density = functools.cache(lambda: density_for(spec, fc, compiled))
     ratios = _kappa_text(cfg.kappa_overrides)
@@ -256,7 +264,7 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 continue
             try:
                 if check == "convergence":
-                    rep = _check_convergence(spec, fc, fixed, overrides, compiled, undefined_point)
+                    rep = _check_convergence(spec, fc, fixed, compiled, undefined_point)
                 elif check == "norm":
                     rep = _check_norm(spec, compiled, fc, cfg)
                 elif check == "moment":
@@ -267,12 +275,12 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 elif check == "resolution":
                     rep = resolution_residual(
                         spec, fc, fixed, min(cfg.nmax, 12), tol=cfg.tol["resolution"],
-                        density=density(), compiled=compiled, overrides=overrides,
+                        density=density(), compiled=compiled,
                     )
                 elif check == "factor":
-                    rep = _check_factor(spec, fc, cfg)
+                    rep = _check_factor(spec, natural, cfg)
                 elif check == "limits":
-                    rep = _check_limits(spec, fc, cfg)
+                    rep = _check_limits(spec, natural, cfg)
                 else:
                     raise UsageError(f"unknown check {check}")
             except SpecError:
@@ -287,15 +295,14 @@ def run_class_checks(class_id: str, cfg: RunConfig) -> list[dict]:
                 )
             doc = rep.as_dict()
             if ratios:
-                # factor and limits compile other classes, at the natural ratios
                 doc["metadata"]["ratios"] = "natural" if check in ("factor", "limits") else ratios
             out.append(doc)
     return out
 
 
-def _kappa_text(overrides) -> dict[str, float]:
-    """The ratio overrides as JSON: {"ij": value}, keys in order."""
-    return {f"{i}{j}": v for (i, j), v in sorted(overrides.items())}
+def _kappa_text(pins) -> dict[str, float]:
+    """The kappa pins as JSON: {"ij": value}, keys in order."""
+    return {f"{i}{j}": v for (i, j), v in sorted(pins.items())}
 
 
 def _selected_ids(cfg: RunConfig) -> list[str]:

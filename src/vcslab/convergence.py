@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
-from .frequencies import FrequencyConfig, RatioOverrides
+from .frequencies import FrequencyConfig
 from .norms import AxisGrowth, TermGenerator, axis_growth
 from .special import log_gamma
 from .structure import ClassSpec, CompiledClass
@@ -86,15 +87,17 @@ def class_verdict(
     spec: ClassSpec,
     config: FrequencyConfig,
     fixed,
-    overrides: RatioOverrides | None = None,
+    overrides: Mapping[tuple[int, int], float] | None = None,
     compiled: CompiledClass | None = None,
 ) -> Verdict:
     """Verdict at |z_t|^2 = omega_t from `axis_growth`, with one witness per axis.
 
-    Divergent when some axis without a Gamma slope has a weight >= 1;
-    compiled defaults to the class compiled at config, fixed and overrides.
+    Divergent when some axis without a Gamma slope has a weight >= 1.
+    overrides pins ratios: the verdict is config.pinned(overrides)'s.
+    compiled defaults to the class compiled there at fixed.
     """
-    compiled = spec.compile(config, fixed, overrides) if compiled is None else compiled
+    config = config.pinned(overrides or {})
+    compiled = spec.compile(config, fixed) if compiled is None else compiled
     z = tuple(math.sqrt(config.omega(t)) for t in spec.tower_ids)
     axes = axis_growth(TermGenerator.of(compiled, z))
     return Verdict(

@@ -206,9 +206,9 @@ def moment_integral(
 
 @lru_cache(maxsize=32)
 def _lattice(n_axes: int, n_max: int) -> tuple:
-    """(points, grid, labels): `probe_lattice`'s points, and what a moment
-    check derives from them once: the points as a read-only float array
-    (point, axis), and the residual labels "3,7"."""
+    """(grid, labels) of the probe lattice, derived once: its points in
+    order as a read-only float array (point, axis), and the residual
+    labels "3,7"."""
     if n_axes == 1:
         points = [(n,) for n in range(n_max + 1)]
     else:
@@ -221,15 +221,11 @@ def _lattice(n_axes: int, n_max: int) -> tuple:
         points = sorted(pts)
     grid = np.array(points, dtype=float).reshape(-1, n_axes)
     grid.setflags(write=False)
-    return tuple(points), grid, tuple(",".join(map(str, n)) for n in points)
+    return grid, tuple(",".join(map(str, n)) for n in points)
 
 
 # the lattice rows where the direct route runs: n = 0 and the largest exponents
 _ROUTE_ENDS = [0, -1]
-
-
-def probe_lattice(n_axes: int, n_max: int) -> list[tuple[int, ...]]:
-    return list(_lattice(n_axes, n_max)[0])
 
 
 def verify_moments(
@@ -252,7 +248,7 @@ def verify_moments(
     fixed = tuple(int(v) for v in fixed)
     compiled = spec.compile(config, fixed) if compiled is None else compiled
     density = density_for(spec, config, compiled) if density is None else density
-    _, grid, labels = _lattice(len(spec.summed), n_range)
+    grid, labels = _lattice(len(spec.summed), n_range)
     forms = compiled.forms_on_grid(list(grid.T))
     integrals = _log_moments(compiled, density, forms)
     direct = _direct_log_moments(compiled, density, forms[..., _ROUTE_ENDS])

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .frequencies import FrequencyConfig, RatioOverrides
+from .frequencies import FrequencyConfig
 from .logspace import logsumexp_kernel
 from .special import hyp1f1_one_closed, log_gamma, log_gamma_grid
 from .structure import FIRST_WINDOW, ClassSpec, CompiledClass, SpecError
@@ -170,15 +170,9 @@ def axis_growth(gen: TermGenerator) -> tuple[AxisGrowth, ...]:
     return tuple(out)
 
 
-def term_generator(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    z,
-    fixed,
-    overrides: RatioOverrides | None = None,
-) -> TermGenerator:
+def term_generator(spec: ClassSpec, config: FrequencyConfig, z, fixed) -> TermGenerator:
     """Build the norm-series term generator of a registered class."""
-    return TermGenerator.of(spec.compile(config, fixed, overrides), z)
+    return TermGenerator.of(spec.compile(config, fixed), z)
 
 
 @dataclass(frozen=True)
@@ -397,18 +391,11 @@ class TruncatedState:
         return self.coeffs.get(tuple(n), 0.0)
 
 
-def state(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    z,
-    fixed,
-    nmax,
-    overrides: RatioOverrides | None = None,
-) -> TruncatedState:
+def state(spec: ClassSpec, config: FrequencyConfig, z, fixed, nmax) -> TruncatedState:
     """Normalized truncated state; raises DivergenceError off the solvable domain."""
     if isinstance(nmax, int):
         nmax = (nmax,) * len(spec.summed)
-    gen = term_generator(spec, config, z, fixed, overrides)
+    gen = term_generator(spec, config, z, fixed)
     norm, summed = _summed_series(gen)
     if not math.isfinite(norm.log_norm):
         raise SpecError(

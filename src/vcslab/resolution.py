@@ -8,7 +8,7 @@ selection rule (or, at aliasing collisions of rational frequency
 ratios, computed explicitly), diagonals from the closed-form moment
 integrals, whose reduction `verify_moments` certifies against the
 density.  The rule is decided in exact rational arithmetic, each
-frequency and ratio override read as the decimal it prints as.
+frequency and pinned ratio read as the decimal it prints as.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
+from .frequencies import FrequencyConfig
 from .logspace import rel_diffs_from_logs
 from .moments import MeasureDensity, _log_moments, density_for
 from .report import VerificationReport
@@ -45,33 +45,29 @@ class SelectionRule:
     exact: tuple[tuple[Fraction, ...], ...]
 
 
-def _exact_slopes(form: LinForm, axes, config: FrequencyConfig, overrides) -> tuple[Fraction, ...]:
+def _exact_slopes(form: LinForm, axes, config: FrequencyConfig) -> tuple[Fraction, ...]:
     """The form's coefficient of each summed index, in Fractions (no term
     built by `structure`'s constructors reads both an index and a shift)."""
     row = dict.fromkeys(axes, Fraction(0))
     for ratio, n_of, _ in form.terms:
         if n_of in row:
-            row[n_of] += 1 if ratio is None else resolve_ratio(config, ratio, overrides, exact=True)
+            row[n_of] += 1 if ratio is None else config.ratio(*ratio, exact=True)
     return tuple(row.values())
 
 
 def selection_rule(
-    spec: ClassSpec,
-    config: FrequencyConfig,
-    compiled: CompiledClass | None = None,
-    overrides: RatioOverrides | None = None,
+    spec: ClassSpec, config: FrequencyConfig, compiled: CompiledClass | None = None
 ) -> SelectionRule:
     """Constraints read off the variable-phase exponents, one per tower.
 
     The z slopes do not depend on the fixed indices, so compiled may be the
-    class at any of them, compiled with the same overrides; it defaults to
-    the class at zeros.
+    class at config and any of them; it defaults to the class at zeros.
     """
     if compiled is None:
-        compiled = spec.compile(config, (0,) * len(spec.fixed), overrides)
+        compiled = spec.compile(config, (0,) * len(spec.fixed))
     floats, exact = [], []
     for tw, ct in zip(spec.towers, compiled.towers):
-        row = _exact_slopes(tw.z_exp, spec.summed, config, overrides)
+        row = _exact_slopes(tw.z_exp, spec.summed, config)
         # a zero row constrains nothing, and proportional rows are one constraint
         if any(row) and not any(
             all(x * v == y * u for (x, u), (y, v) in itertools.combinations(zip(row, kept), 2))
@@ -133,18 +129,16 @@ def resolution_residual(
     tol: float = 1e-6,
     density: MeasureDensity | None = None,
     compiled: CompiledClass | None = None,
-    overrides: RatioOverrides | None = None,
 ) -> VerificationReport:
     """max |G - I| over the truncated basis at the given fixed indices.
 
-    compiled defaults to the class compiled at the overrides, and density
-    to the one read off compiled; a compiled class handed in must be
-    compiled at the overrides, which the selection rule also reads."""
+    compiled defaults to the class compiled at config and fixed, and
+    density to the one read off compiled."""
     fixed = tuple(int(v) for v in fixed)
     nmax = (nmax,) * len(spec.summed) if isinstance(nmax, int) else tuple(nmax)
-    compiled = spec.compile(config, fixed, overrides) if compiled is None else compiled
+    compiled = spec.compile(config, fixed) if compiled is None else compiled
     density = density_for(spec, config, compiled) if density is None else density
-    rule = selection_rule(spec, config, compiled, overrides)
+    rule = selection_rule(spec, config, compiled)
     basis_arr, grid, labels, texts = _gram_basis(nmax)
     # diagonal entries: moment integral over target
     forms = compiled.forms_on_grid(list(grid.T))

@@ -12,9 +12,9 @@ from {1} and the frequency ratios, plus shift constants, which is
 exactly the algebra LinForm encodes.  Everything downstream (norm
 series, moment targets, selection rules, deformation limits) is derived
 from this one representation.  `ClassSpec.compile` evaluates each form
-at given frequencies, fixed indices and ratio overrides, as a constant
-plus one slope per summed index; numbers at lattice points come from
-there.  Which terms make each slope and each gap is worked out once per
+at a parameter point (frequencies and pinned ratios) and fixed indices,
+as a constant plus one slope per summed index; numbers at lattice points
+come from there.  Which terms make each slope and each gap is worked out once per
 class, on its first compile (`ClassSpec.compile_plan`).  A caller that
 runs several checks on one class at one parameter point compiles it once
 and hands the `CompiledClass` to each of them.
@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .frequencies import FrequencyConfig, RatioOverrides, resolve_ratio
+from .frequencies import FrequencyConfig
 from .special import log_gamma, log_gamma_grid
 
 # One additive term: coefficient (a frequency ratio, or 1 when None)
@@ -45,16 +45,11 @@ FIRST_WINDOW = 17
 class LinForm:
     terms: tuple[Term, ...]
 
-    def value(
-        self,
-        nvals: Mapping[int, int],
-        config: FrequencyConfig,
-        overrides: RatioOverrides | None = None,
-    ) -> float:
-        """The form at the quantum numbers nvals (ratios resolved numerically)."""
+    def value(self, nvals: Mapping[int, int], config: FrequencyConfig) -> float:
+        """The form at the quantum numbers nvals (ratios read numerically)."""
         total = 0.0
         for ratio, n_of, shift_of in self.terms:
-            v = 1.0 if ratio is None else resolve_ratio(config, ratio, overrides)
+            v = 1.0 if ratio is None else config.ratio(*ratio)
             if v != 0.0:
                 if n_of is not None:
                     v *= nvals[n_of]
@@ -171,7 +166,7 @@ class CompiledTower:
 
 @dataclass(frozen=True)
 class CompiledClass:
-    """A class's forms at fixed frequencies, fixed indices and overrides.
+    """A class's forms at one parameter point and fixed indices.
 
     Every exponent and Gamma argument is affine in the summed indices n,
     so each is evaluated once here and then costs one dot product per n.
@@ -351,12 +346,7 @@ class ClassSpec:
             raise SpecError("quantum numbers must be non-negative")
         return nvals
 
-    def compile(
-        self,
-        config: FrequencyConfig,
-        fixed,
-        overrides: RatioOverrides | None = None,
-    ) -> CompiledClass:
+    def compile(self, config: FrequencyConfig, fixed) -> CompiledClass:
         """Reduce every form once: its value at the summed origin and its
         coefficient of each summed index.  Each tower also gets the two
         gaps its density is read from, at the summed origin.  The forms to
@@ -367,12 +357,12 @@ class ClassSpec:
         nv0 = self.quantum_numbers((0,) * len(self.summed), tuple(int(v) for v in fixed))
 
         def reduce(form: LinForm, own) -> AffineForm:
-            const = form.value(nv0, config, overrides)
-            return AffineForm(const, tuple(f.value(unit, config, overrides) for unit, f in own))
+            const = form.value(nv0, config)
+            return AffineForm(const, tuple(f.value(unit, config) for unit, f in own))
 
         def gap(kept: LinForm | None, rest: LinForm | None) -> float:
-            plus = kept.value(nv0, config, overrides) if kept else 0.0
-            return plus - (rest.value(nv0, config, overrides) if rest else 0.0)
+            plus = kept.value(nv0, config) if kept else 0.0
+            return plus - (rest.value(nv0, config) if rest else 0.0)
 
         towers = []
         for tower, normalized, z_exp, w_exp, gamma, own_step, z_gap, w_gap in self.compile_plan:

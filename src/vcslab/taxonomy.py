@@ -355,7 +355,7 @@ def verify_edge_continuity(
     fixed = tuple(int(v) for v in fixed)
     z = tuple(0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids)
     nmax = (EDGE_WINDOW,) * len(anc.summed)
-    st_a = state(anc, config, z, fixed, nmax, overrides={edge.parameter: EDGE_KAPPA})
+    st_a = state(anc, config.pinned({edge.parameter: EDGE_KAPPA}), z, fixed, nmax)
     if edge.via_symmetry:
         towers = [TOWER_SWAP.get(t, t) for t in range(1, config.dimension + 1)]
         cfg_d = FrequencyConfig(tuple(map(config.omega, towers)), tuple(map(config.shift, towers)))

@@ -202,15 +202,15 @@ class TestVerify:
         calls = []
         compile_ = ClassSpec.compile
 
-        def counting(spec, config, fixed, overrides=None):
-            calls.append((spec.id, tuple(fixed), dict(overrides or {})))
-            return compile_(spec, config, fixed, overrides)
+        def counting(spec, config, fixed):
+            calls.append((spec.id, tuple(fixed), config.pins))
+            return compile_(spec, config, fixed)
 
         monkeypatch.setattr(ClassSpec, "compile", counting)
         reports = run_class_checks(cid, RunConfig(nmax=4, kappa_overrides=dict(overrides)))
         assert [r["check"] for r in reports] == list(ALL_CHECKS)
         assert {r["verdict"] for r in reports} == {"pass"}
-        assert calls.count((cid, (1,), overrides)) == 1
+        assert calls.count((cid, (1,), tuple(overrides.items()))) == 1
 
     def test_kappa_reaches_moment_and_resolution(self, tmp_path):
         def run(*extra):
@@ -351,6 +351,25 @@ class TestVerify:
         cfg.write_text(json.dumps(config))
         for argv in (args, ["--config", str(cfg)]):
             assert main(["verify", cid, "--omega", "1,2", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,config", [
+        # a ratio pinned together with its reciprocal was once read one way
+        # by the compile and the other by the undefined-point rule
+        (["all", "--kappa", "12=0.3", "--kappa", "21=0.5"], {"kappa": {"12": 0.3, "21": 0.5}}),
+        (["3d.3dof.max", "--kappa", "13=0", "--kappa", "31=2", "--checks", "convergence"],
+         {"kappa": {"13": 0, "31": 2}, "checks": ["convergence"]}),
+        # a fourth frequency or shift was once dropped while the report echoed it
+        (["all", "--omega", "1,2,3,4"], {"omegas": [1, 2, 3, 4]}),
+        (["all", "--alpha", "0,0,0,0"], {"alphas": [0, 0, 0, 0]}),
+    ])
+    def test_contradictory_or_extra_parameters_exit_2(self, args, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (args, [args[0], "--config", str(cfg)]):
+            assert main(["verify", *argv]) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -47,7 +47,7 @@ class TestRowColumn:
 
     def test_pinned_zero_ratio_gives_constant_divergent_column(self):
         spec = get("3d.2dof.gamma13-gamma32")
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.0})
+        gen = term_generator(spec, CFG3.pinned({(3, 2): 0.0}), probe_z(spec, CFG3), (0,))
         first, second = axis_growth(gen)
         assert first.convergent
         assert not second.convergent and second.gamma_slope == 0.0
@@ -55,7 +55,7 @@ class TestRowColumn:
 
     def test_small_ratio_column_still_convergent(self):
         spec = get("3d.2dof.gamma13-gamma32")
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.5})
+        gen = term_generator(spec, CFG3.pinned({(3, 2): 0.5}), probe_z(spec, CFG3), (0,))
         assert all(a.convergent for a in axis_growth(gen))
 
 
@@ -98,7 +98,7 @@ class TestRatioTests:
 class TestProbeWindows:
     def test_window_with_non_positive_gamma_argument_raises(self):
         spec = get("2d.1dof.gamma1.A")
-        gen = term_generator(spec, CFG2, (1.0,), (3,), overrides={(1, 2): -1.5})
+        gen = term_generator(spec, CFG2.pinned({(1, 2): -1.5}), (1.0,), (3,))
         with pytest.raises(ValueError, match=r"tower 1: Gamma argument .* is not positive on the lattice"):
             axis_growth(gen)
         with pytest.raises(ValueError, match="is not positive on the lattice"):
@@ -179,7 +179,7 @@ class TestClassVerdict:
         spec = get("3d.2dof.gamma13-gamma32")
         ok = class_verdict(spec, CFG3, (0,), overrides={(3, 2): 0.7})
         assert ok.convergent
-        gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides={(3, 2): 0.7})
+        gen = term_generator(spec, CFG3.pinned({(3, 2): 0.7}), probe_z(spec, CFG3), (0,))
         res = norm_series(gen)
         assert math.isfinite(res.log_norm)
 
@@ -237,7 +237,7 @@ class TestSpecInvariants:
         spec = get("3d.2dof.gamma13-gamma32")
 
         def window_masses(overrides):
-            gen = term_generator(spec, CFG3, probe_z(spec, CFG3), (0,), overrides=overrides)
+            gen = term_generator(spec, CFG3.pinned(overrides), probe_z(spec, CFG3), (0,))
             return [
                 float(logsumexp(gen.log_term_grid((w, w)))) for w in (8, 16, 32, 64)
             ]

@@ -10,7 +10,7 @@ import pytest
 
 from vcslab import moments, quadrature
 from vcslab.cli import ALL_CHECKS, RunConfig, run_verification
-from vcslab.frequencies import FrequencyConfig, resolve_ratio
+from vcslab.frequencies import FrequencyConfig
 from vcslab.logspace import rel_diff_from_logs
 from vcslab.moments import (
     ExpTerm,
@@ -23,7 +23,6 @@ from vcslab.moments import (
     moment_integral,
     moment_target,
     nonuniqueness_partner,
-    probe_lattice,
     verify_moments,
 )
 from vcslab.quadrature import QuadratureDisagreement, log_moment_closed, log_moment_direct
@@ -65,9 +64,15 @@ def _reference_log_target(compiled, n):
     return sum(log_gamma(ct.gamma_arg.at(n)) - ct.log_gamma_norm for ct in compiled.towers)
 
 
-def _density(spec, cfg, fixed, overrides=None):
-    """The density of a class compiled at these frequencies, indices and ratios."""
-    return density_for(spec, cfg, spec.compile(cfg, fixed, overrides))
+def _density(spec, cfg, fixed):
+    """The density of a class compiled at these frequencies, pins and indices."""
+    return density_for(spec, cfg, spec.compile(cfg, fixed))
+
+
+def probe_points(n_axes, n_max):
+    """The points of a moment check's probe lattice, as index tuples."""
+    grid, _ = moments._lattice(n_axes, n_max)
+    return [tuple(map(int, p)) for p in grid.tolist()]
 
 
 def _bits(values):
@@ -212,8 +217,7 @@ class TestVerifyMoments:
     def test_density_reads_kappa_through_the_overrides(self):
         # kappa12 = 2 at these frequencies; the check runs at kappa12 = 0.3
         spec = get("2d.1dof.gamma1.B")
-        overrides = {(1, 2): 0.3}
-        compiled = spec.compile(CFG2, (2,), overrides)
+        compiled = spec.compile(CFG2.pinned({(1, 2): 0.3}), (2,))
         density = density_for(spec, CFG2, compiled)
         assert verify_moments(spec, CFG2, (2,), density=density, compiled=compiled).passed
         natural = _density(spec, CFG2, (2,))
@@ -227,13 +231,13 @@ class TestVerifyMoments:
         # and the compile of one whose forms do (the Gamma tower) raises,
         # which the CLI predicts as an undefined point
         spec = get(cid)
-        pinned = {(2, 1): 0.0}
+        pinned = CFG2.pinned({(2, 1): 0.0})
         if cid == "2d.1dof.gamma1.A":
             assert (1, 2) in spec.ratios_used()
             with pytest.raises(ZeroDivisionError):
-                spec.compile(CFG2, (1,), pinned)
+                spec.compile(pinned, (1,))
         else:
-            assert density_for(spec, CFG2, spec.compile(CFG2, (1,), pinned)) == _density(spec, CFG2, (1,))
+            assert density_for(spec, pinned, spec.compile(pinned, (1,))) == _density(spec, CFG2, (1,))
 
     def test_plain_class_full_range(self):
         rep = verify_moments(get("2d.1dof.plain1.A"), CFG2, (0,), n_range=20)
@@ -342,9 +346,10 @@ class TestSolveGeneralized:
         spec = get(cid)
         l1, l2 = math.log(1.37), math.log(2.91)
         for overrides in (None, KAPPA):
-            k12, k21 = (resolve_ratio(CFG_IRR, p, overrides) for p in ((1, 2), (2, 1)))
+            cfg = CFG_IRR.pinned(overrides or {})
+            k12, k21 = cfg.ratio(1, 2), cfg.ratio(2, 1)
             for n in (0, 2):
-                d = _density(spec, CFG_IRR, (n,), overrides)
+                d = _density(spec, cfg, (n,))
                 log_const, powers, terms = HAND_TABLE[cid](l1, l2, k12, k21, n)
                 where = (n, overrides)
                 assert _close(d.log_const, log_const), where
@@ -394,7 +399,7 @@ class TestSolveGeneralized:
             assert "".join("Plain" if tw.normalized else "Gamma" for tw in spec.towers) == form
             for n in (0, 2):
                 for overrides in (None, KAPPA):
-                    compiled = spec.compile(CFG_IRR, (n,), overrides)
+                    compiled = spec.compile(CFG_IRR.pinned(overrides or {}), (n,))
                     rep = verify_moments(
                         spec, CFG_IRR, (n,), n_range=12,
                         density=density_for(spec, CFG_IRR, compiled), compiled=compiled,
@@ -436,7 +441,7 @@ class TestArrayMomentPath:
             fixed = (1,) * len(spec.fixed)
             compiled = spec.compile(cfg, fixed)
             density = density_for(spec, cfg, compiled)
-            points = probe_lattice(len(spec.summed), 10)
+            points = probe_points(len(spec.summed), 10)
             want = _outcome(lambda: [
                 _reference_log_moment(compiled, density, n) for n in points
             ])
@@ -457,7 +462,7 @@ class TestArrayMomentPath:
                 (",".join(map(str, n)), rel_diff_from_logs(
                     _reference_log_moment(compiled, density, n), _reference_log_target(compiled, n)
                 ))
-                for n in probe_lattice(len(spec.summed), n_range)
+                for n in probe_points(len(spec.summed), n_range)
             ]
             got = verify_moments(spec, cfg, fixed, n_range=n_range).residuals
             assert [k for k, _ in got] == [k for k, _ in want], spec.id
@@ -485,7 +490,7 @@ class TestArrayMomentPath:
         spec = get("2d.1dof.plain1.A")
         compiled = spec.compile(CFG2, (0,))
         bad = density_for(spec, CFG2, compiled).perturbed(1, 1.01)
-        points = probe_lattice(1, 12)
+        points = probe_points(1, 12)
         want = [_reference_log_moment(compiled, bad, n) for n in points]
         assert _bits(_log_moments(compiled, bad, _forms(compiled, points))) == _bits(want)
         assert not verify_moments(spec, CFG2, (0,), n_range=12, density=bad).passed
@@ -513,7 +518,7 @@ class TestDirectRoute:
             fixed = (1,) * len(spec.fixed)
             compiled = spec.compile(cfg, fixed)
             density = density_for(spec, cfg, compiled)
-            points = probe_lattice(len(spec.summed), 20)
+            points = probe_points(len(spec.summed), 20)
             forms = _forms(compiled, points)
             closed = _log_moments(compiled, density, forms)
             direct = _direct_log_moments(compiled, density, forms)
@@ -580,20 +585,17 @@ class TestDeformationContinuity:
 
 class TestLattice:
     def test_probe_lattice_shapes(self):
-        assert probe_lattice(1, 5) == [(n,) for n in range(6)]
-        pts = probe_lattice(2, 20)
+        assert probe_points(1, 5) == [(n,) for n in range(6)]
+        pts = probe_points(2, 20)
         assert (20, 20) in pts and (20, 0) in pts and (0, 20) in pts
         assert all(max(p) <= 20 for p in pts)
 
-    def test_cached_lattice_is_read_only_and_probe_lattice_a_copy(self):
-        points, grid, labels = moments._lattice(2, 20)
+    def test_cached_lattice_is_read_only(self):
+        grid, labels = moments._lattice(2, 20)
         with pytest.raises(ValueError, match="read-only"):
             grid[0, 0] = 1.0
-        pts = probe_lattice(2, 20)
-        pts[0] = (5, 5)
-        pts.append((99, 99))
-        assert probe_lattice(2, 20) == list(points)
-        assert grid.tolist() == [[float(v) for v in p] for p in points]
+        assert moments._lattice(2, 20)[0] is grid
+        assert labels == tuple(",".join(map(str, p)) for p in probe_points(2, 20))
         assert labels[-1] == "20,20"
 
     @pytest.mark.parametrize("n_axes", [1, 2])

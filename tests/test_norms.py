@@ -147,7 +147,7 @@ class TestTermGrid:
     def test_non_positive_gamma_argument_raises_like_log_gamma(self, cid, ratio, start, shape):
         spec = get(cid)
         cfg = CFG3 if spec.dimension == 3 else CFG2
-        gen = term_generator(spec, cfg, (1.0,) * spec.dof, (3,), overrides={ratio: -1.5})
+        gen = term_generator(spec, cfg.pinned({ratio: -1.5}), (1.0,) * spec.dof, (3,))
         expected = None
         for n in window_points(start, shape):
             try:
@@ -254,7 +254,7 @@ class TestNormSeries:
     def test_divergent_at_pinned_zero_ratio(self):
         # ratio k32 -> 0 with |z3|^2 = w3 leaves constant terms along n2
         spec = get("3d.2dof.gamma13-gamma32")
-        gen = term_generator(spec, CFG3, (1.0, math.sqrt(3.0)), (0,), overrides={(3, 2): 0.0})
+        gen = term_generator(spec, CFG3.pinned({(3, 2): 0.0}), (1.0, math.sqrt(3.0)), (0,))
         with pytest.raises(DivergenceError):
             norm_series(gen)
 
@@ -403,9 +403,8 @@ class TestState:
         with pytest.raises(DivergenceError):
             state(
                 get("3d.2dof.gamma13-gamma32"),
-                CFG3,
+                CFG3.pinned({(3, 2): 0.0}),
                 (1.0, math.sqrt(3.0)),
                 (0,),
                 (5, 5),
-                overrides={(3, 2): 0.0},
             )

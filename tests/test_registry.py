@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from child_env import src_env
-from vcslab.frequencies import FrequencyConfig, resolve_ratio
+from vcslab.frequencies import FrequencyConfig
 from vcslab.norms import term_generator
 from vcslab.registry import get, ids, registry, select
 from vcslab.special import log_gamma
@@ -91,10 +91,30 @@ class TestFrequencyConfig:
 
     def test_override_and_reciprocal(self):
         cfg = FrequencyConfig((1.0, 2.0))
-        assert resolve_ratio(cfg, (1, 2), {(1, 2): 0.25}) == 0.25
-        assert resolve_ratio(cfg, (2, 1), {(1, 2): 0.25}) == 4.0
+        assert cfg.pinned({(1, 2): 0.25}).ratio(1, 2) == 0.25
+        assert cfg.pinned({(1, 2): 0.25}).ratio(2, 1) == 4.0
         with pytest.raises(ZeroDivisionError):
-            resolve_ratio(cfg, (2, 1), {(1, 2): 0.0})
+            cfg.pinned({(1, 2): 0.0}).ratio(2, 1)
+
+    def test_pins_are_part_of_the_point(self):
+        cfg = FrequencyConfig((1.0, 2.0, 3.0))
+        assert cfg.pinned({}) is cfg
+        a = cfg.pinned({(3, 2): 0.5, (1, 2): 0.25})
+        b = FrequencyConfig((1.0, 2.0, 3.0), pins=[((1, 2), 0.25), ((3, 2), 0.5)])
+        assert a == b and hash(a) == hash(b) and a != cfg
+        assert a.pins == (((1, 2), 0.25), ((3, 2), 0.5))
+        assert a.pinned({(1, 2): 0.75}).ratio(1, 2) == 0.75
+        # a pin leaves the frequencies, and the ratios it does not name, as they were
+        assert (a.omegas, a.ratio(1, 3)) == (cfg.omegas, 3.0)
+        assert a.ratio(2, 1, exact=True) == 4 and a.ratio(1, 3, exact=True) == 3
+
+    @pytest.mark.parametrize("pins", [{(1, 2): 0.3, (2, 1): 0.5}, {(3, 1): 2.0, (1, 3): 0.0}])
+    def test_a_ratio_pinned_with_its_reciprocal_is_rejected(self, pins):
+        with pytest.raises(ValueError, match="reciprocal"):
+            FrequencyConfig((1.0, 2.0, 3.0), pins=pins)
+        first, second = pins.items()
+        with pytest.raises(ValueError, match="reciprocal"):
+            FrequencyConfig((1.0, 2.0, 3.0)).pinned(dict([first])).pinned(dict([second]))
 
 
 class TestRegistry:
@@ -264,7 +284,7 @@ class TestCoefficientStructure:
 
 
 
-def reference_compile(spec, config, fixed, overrides=None) -> CompiledClass:
+def reference_compile(spec, config, fixed) -> CompiledClass:
     """`ClassSpec.compile` as it was before the compile plan: every form
     split by axis and every gap cancelled on each call."""
     if config.dimension < spec.dimension:
@@ -272,12 +292,12 @@ def reference_compile(spec, config, fixed, overrides=None) -> CompiledClass:
     nv0 = spec.quantum_numbers((0,) * len(spec.summed), tuple(int(v) for v in fixed))
 
     def reduce(form):
-        const = form.value(nv0, config, overrides)
+        const = form.value(nv0, config)
         own = {a: LinForm(tuple(t for t in form.terms if t[1] == a)) for a in spec.summed}
-        return AffineForm(const, tuple(f.value({a: 1}, config, overrides) for a, f in own.items()))
+        return AffineForm(const, tuple(f.value({a: 1}, config) for a, f in own.items()))
 
     def value(terms):
-        return LinForm(tuple(terms)).value(nv0, config, overrides) if terms else 0.0
+        return LinForm(tuple(terms)).value(nv0, config) if terms else 0.0
 
     def gap(plus, minus):
         kept, rest = [], list(minus)
@@ -340,9 +360,9 @@ class TestCompilePlan:
         for spec in registry():
             fixed_sets = sorted({(v,) * len(spec.fixed) for v in (0, 1, 5)})
             for cfg, overrides, fixed in itertools.product(PLAN_CONFIGS, PLAN_OVERRIDES, fixed_sets):
-                want = compile_outcome(reference_compile, spec, cfg, fixed, overrides)
-                assert compile_outcome(spec.compile, cfg, fixed, overrides) == want, (
-                    spec.id, cfg, overrides, fixed)
+                cfg = cfg.pinned(overrides or {})
+                want = compile_outcome(reference_compile, spec, cfg, fixed)
+                assert compile_outcome(spec.compile, cfg, fixed) == want, (spec.id, cfg, fixed)
                 points += 1
         assert points == 4200
 

@@ -23,10 +23,10 @@ CFG3 = FrequencyConfig((1.0, 2.0, 3.0))
 CFG3_IRR = FrequencyConfig((1.0, math.sqrt(2.0), math.sqrt(5.0)))
 
 
-def _exact_oracle(spec, cfg, window, overrides=None):
+def _exact_oracle(spec, cfg, window):
     """Every nonzero difference vector in the window that each tower's exact
     z-slope row annihilates, found by brute force over the box."""
-    rows = [_exact_slopes(tw.z_exp, spec.summed, cfg, overrides) for tw in spec.towers]
+    rows = [_exact_slopes(tw.z_exp, spec.summed, cfg) for tw in spec.towers]
     box = itertools.product(range(-window, window + 1), repeat=len(spec.summed))
     return [d for d in box if any(d) and all(sum(c * x for c, x in zip(r, d)) == 0 for r in rows)]
 
@@ -66,10 +66,10 @@ class TestAliasing:
     )
     def test_lattice_matches_exact_brute_force(self, omegas, overrides):
         for spec in registry():
-            cfg = FrequencyConfig(omegas[: spec.dimension])
-            rule = selection_rule(spec, cfg, overrides=overrides)
+            cfg = FrequencyConfig(omegas[: spec.dimension], pins=overrides or {})
+            rule = selection_rule(spec, cfg)
             for window in (1, 6, 10):
-                expected = _exact_oracle(spec, cfg, window, overrides)
+                expected = _exact_oracle(spec, cfg, window)
                 assert aliasing_solutions(rule, window) == expected, (spec.id, window)
 
     def test_common_factor_of_a_row_is_divided_out(self):
