@@ -79,6 +79,14 @@ class RunConfig:
         # each value converts as the text of its flag would
         num, whole = (lambda v: float(str(v))), (lambda v: int(str(v)))
 
+        def array(item):
+            # a JSON string is no list of its characters
+            def convert(v):
+                if not isinstance(v, list):
+                    raise TypeError(v)
+                return [item(x) for x in v]
+            return convert
+
         def tolerances(v):
             if not isinstance(v, dict):
                 return dict.fromkeys(cfg.tol, num(v))
@@ -88,11 +96,11 @@ class RunConfig:
             return {**cfg.tol, **{str(k): num(x) for k, x in v.items()}}
 
         convert = {
-            "classes": lambda v: [str(x) for x in v],
-            "checks": lambda v: [str(x) for x in v],
-            "omegas": lambda v: [num(x) for x in v],
-            "alphas": lambda v: [num(x) for x in v],
-            "z_grid": lambda v: [num(x) for x in v],
+            "classes": array(str),
+            "checks": array(str),
+            "omegas": array(num),
+            "alphas": array(num),
+            "z_grid": array(num),
             "nmax": whole,
             "out": lambda v: None if v is None else str(v),
             "tol": tolerances,
@@ -109,8 +117,14 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if not self.z_grid and ({"norm", "resolution"} & set(self.checks)):
-            raise UsageError("z-grid must be non-empty for norm/resolution checks")
+        for name in ("classes", "checks"):
+            if not getattr(self, name):
+                raise UsageError(f"no {name} selected")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise UsageError(f"checks named more than once: {repeated}")
+        if not self.z_grid and "norm" in self.checks:
+            raise UsageError("z-grid must be non-empty for the norm check")
         bad_z = [v for v in self.z_grid if not (math.isfinite(v) and v > 0.0)]
         if bad_z:
             raise UsageError(f"z-grid values must be finite and positive, got {bad_z}")
@@ -308,11 +322,7 @@ def _kappa_text(pins) -> dict[str, float]:
 def _selected_ids(cfg: RunConfig) -> list[str]:
     if cfg.classes == ["all"]:
         return [s.id for s in registry()]
-    ids = []
-    for cid in cfg.classes:
-        get(cid)  # raises KeyError for unknown ids
-        ids.append(cid)
-    return sorted(set(ids))
+    return sorted({get(cid).id for cid in cfg.classes})  # get raises KeyError for unknown ids
 
 
 def run_verification(cfg: RunConfig) -> dict:
@@ -589,14 +599,11 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, SpecError) as exc:
+    except (UsageError, SpecError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:  # registry.get's "unknown class id: ..."
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .frequencies import FrequencyConfig
 from .logspace import rel_diffs_from_logs
-from .quadrature import _integration_order, combine_routes, log_moment_closed, log_moment_direct
+from .quadrature import combine_routes, log_moment_closed, log_moment_direct
 from .quadrature import log_moment_piece  # noqa: F401  (bench alias, see quadrature.py)
 from .report import VerificationReport, make_report
 from .special import log_gamma  # noqa: F401  (bench/spans.py counts calls through it)
@@ -40,7 +40,11 @@ class ExpTerm:
 
 @dataclass(frozen=True)
 class MeasureDensity:
-    """chi(u) = exp(log_const) * prod u_t^powers[t] * prod exp-terms."""
+    """chi(u) = exp(log_const) * prod u_t^powers[t] * prod exp-terms.
+
+    Built only with one exp term per variable, each coupled to variables
+    whose own terms are uncoupled: the coupling matrix A is triangular up
+    to a permutation, with a unit diagonal."""
 
     spec_id: str
     variables: tuple[int, ...]
@@ -49,13 +53,19 @@ class MeasureDensity:
     exp_terms: tuple[ExpTerm, ...]
     note: str = ""
 
+    def __post_init__(self):
+        if sorted(t.var for t in self.exp_terms) != sorted(self.variables):
+            raise ValueError(f"{self.spec_id}: one exponential factor per variable is required")
+        coupled = {t.var for t in self.exp_terms if t.couplings}
+        for t in self.exp_terms:
+            for j, _ in t.couplings:
+                if j not in self.variables:
+                    raise SpecError(f"{self.spec_id}: u{t.var} couples to u{j}, which the density lacks")
+                if j in coupled:
+                    raise SpecError("cyclic variable couplings are out of scope")
+
     def power(self, var: int) -> float:
         return sum(p for v, p in self.powers if v == var)
-
-    @cached_property
-    def integration_order(self) -> tuple[ExpTerm, ...]:
-        """The exp terms in the order the closed form integrates them."""
-        return tuple(_integration_order(self))
 
     def log_grid(self, v: dict[int, np.ndarray]) -> np.ndarray:
         """log chi at u = e^v, v mapping each variable to log u; broadcasts.
@@ -86,6 +96,13 @@ class MeasureDensity:
             for t in self.exp_terms
         )
         return replace(self, exp_terms=terms, note=self.note + f" perturbed(var={var})")
+
+
+def _integration_order(density: MeasureDensity) -> list[ExpTerm]:
+    """The density's exp terms in the order the closed form integrates
+    them: coupled ones first, before the terms they couple to."""
+    coupled = [t for t in density.exp_terms if t.couplings]
+    return coupled + [t for t in density.exp_terms if not t.couplings]
 
 
 def density_for(spec: ClassSpec, config: FrequencyConfig, compiled: CompiledClass) -> MeasureDensity:
@@ -150,7 +167,7 @@ def _log_moments(compiled: CompiledClass, density: MeasureDensity, forms) -> np.
     size = z_exps.shape[1]
     q = {v: e.get(v, 0.0) + np.full(size, density.power(v)) for v in density.variables}
     xs, log_pieces = [], []
-    for term in density.integration_order:
+    for term in _integration_order(density):
         s = q[term.var] + 1.0
         for j, bexp in term.couplings:
             q[j] = q[j] - bexp * s
@@ -243,7 +260,7 @@ def verify_moments(
     points (n = 0 and the largest exponents) the direct route integrates
     the density itself, and the two routes must agree to HARD_TOL.  Both
     routes read the exponents evaluated once on the lattice.  density and
-    compiled default to the class's at the natural ratios.
+    compiled default to the class's at config, its pinned ratios included.
     """
     fixed = tuple(int(v) for v in fixed)
     compiled = spec.compile(config, fixed) if compiled is None else compiled

@@ -21,7 +21,6 @@ from functools import cache
 import numpy as np
 
 from .special import log_gamma_grid
-from .structure import SpecError
 
 # The routes may differ by this much (relative) before a check aborts.
 HARD_TOL = 1e-7
@@ -46,22 +45,6 @@ def log_moment_closed(q):
     its first element in C order.
     """
     return log_gamma_grid(np.asarray(q + 1.0))
-
-
-def _integration_order(density) -> list:
-    """The density's exp terms, coupled ones first.
-
-    A coupled term may couple only to variables whose own terms are
-    uncoupled, so the coupling matrix A is triangular up to a permutation
-    of the variables; any other coupling raises SpecError.
-    """
-    coupled = [t for t in density.exp_terms if t.couplings]
-    plainer = [t for t in density.exp_terms if not t.couplings]
-    for t in coupled:
-        for j, _ in t.couplings:
-            if j in [c.var for c in coupled]:
-                raise SpecError("cyclic variable couplings are out of scope")
-    return coupled + plainer
 
 
 def _components(density) -> list[list[int]]:
@@ -127,15 +110,12 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     peak's width.  Then log I = h(v*) + sum over components of
     log int exp(h - h(v*)).  The integrand's values come from
     `density.log_grid` only; A and c serve only to place the nodes.
-    Couplings that `_integration_order` rejects raise its SpecError (read
-    through the density's cached `integration_order`), so
-    A is triangular up to a permutation, with a unit diagonal: |det A| = 1.
+    A `MeasureDensity` has one term per variable and no cyclic coupling,
+    so A is triangular up to a permutation, with a unit diagonal:
+    |det A| = 1.
     """
     variables = list(density.variables)
     col = {v: i for i, v in enumerate(variables)}
-    if sorted(t.var for t in density.exp_terms) != sorted(variables):
-        raise ValueError(f"{density.spec_id}: one exponential factor per variable is required")
-    density.integration_order  # derived once per density; raises on a cyclic coupling
     a = np.eye(len(variables))
     log_scale = np.zeros(len(variables))
     for t in density.exp_terms:

@@ -347,30 +347,23 @@ def verify_edge_continuity(
     config: FrequencyConfig,
     fixed,
 ) -> VerificationReport:
-    """Coefficients of the ancestor at kappa = EDGE_KAPPA approach the descendant's."""
+    """Coefficients of the ancestor at kappa = EDGE_KAPPA approach the descendant's.
+
+    The descendant is read at config, z and n as the ancestor is.  An edge found
+    through the tower swap reaches the swapped image of its descendant, as the
+    graph matched it."""
     if edge.status != "defined":
         raise SpecError("continuity applies to defined edges")
     anc = get(edge.ancestor)
     desc = get(edge.descendant)
-    fixed = tuple(int(v) for v in fixed)
-    z = tuple(0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids)
-    nmax = (EDGE_WINDOW,) * len(anc.summed)
-    st_a = state(anc, config.pinned({edge.parameter: EDGE_KAPPA}), z, fixed, nmax)
     if edge.via_symmetry:
-        towers = [TOWER_SWAP.get(t, t) for t in range(1, config.dimension + 1)]
-        cfg_d = FrequencyConfig(tuple(map(config.omega, towers)), tuple(map(config.shift, towers)))
-        zmap = {t: v for t, v in zip(anc.tower_ids, z)}
-        z_d = tuple(zmap[TOWER_SWAP.get(t, t)] for t in desc.tower_ids)
-        st_d = _descendant_state(desc, cfg_d, z_d, fixed, nmax)
-        index_map = lambda n: tuple(reversed(n)) if len(n) == 2 else n
-    else:
-        z_d = tuple(z[anc.tower_ids.index(t)] for t in desc.tower_ids)
-        st_d = _descendant_state(desc, config, z_d, fixed, nmax)
-        index_map = lambda n: n
-    residuals = []
-    for n, c in st_a.coeffs.items():
-        d = st_d.coefficient(index_map(n))
-        residuals.append(("c" + str(n), abs(c - d)))
+        desc = desc.relabeled(TOWER_SWAP)
+    fixed = tuple(int(v) for v in fixed)
+    z = {t: 0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids}
+    nmax = (EDGE_WINDOW,) * len(anc.summed)
+    st_a = state(anc, config.pinned({edge.parameter: EDGE_KAPPA}), tuple(z.values()), fixed, nmax)
+    st_d = _descendant_state(desc, config, tuple(z[t] for t in desc.tower_ids), fixed, nmax)
+    residuals = [("c" + str(n), abs(c - st_d.coefficient(n))) for n, c in st_a.coeffs.items()]
     return make_report(
         f"{edge.ancestor}->{edge.descendant}",
         "limit-continuity",

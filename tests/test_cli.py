@@ -374,6 +374,45 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args,config,message", [
+        # each once printed a report of 0 checks and exited 0; no flag
+        # selects no class, since an empty class list means all of them
+        (["all", "--checks", ","], {"checks": []}, "no checks selected"),
+        (None, {"classes": []}, "no classes selected"),
+        # a repeated check once ran twice and counted twice
+        (["2d.1dof.plain1.A", "--checks", "norm,norm"], {"checks": ["norm", "norm"]},
+         "checks named more than once: ['norm']"),
+    ])
+    def test_vacuous_or_repeated_selection_exits_2(self, args, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in ([args] if args else []) + [["--config", str(cfg)]]:
+            assert main(["verify", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("checks", [",", "moment,moment"])
+    def test_report_with_vacuous_or_repeated_checks_exits_2(self, checks):
+        proc = run_cli(["report", "--checks", checks])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_empty_z_grid_is_refused_only_for_the_norm_check(self, tmp_path, capsys):
+        # only the norm check reads z; a resolution-only run once exited 2
+        cid = "2d.1dof.plain1.A"
+        for checks, code in (("resolution", 0), ("norm", 2)):
+            cfg = tmp_path / f"{checks}.json"
+            cfg.write_text(json.dumps({"z_grid": [], "checks": [checks]}))
+            for argv in (["--z-grid", ",", "--checks", checks], ["--config", str(cfg)]):
+                assert main(["verify", cid, "--omega", "1,2", *argv]) == code
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert json.loads(out)["summary"]["passed"] == 1 and err == ""
+                else:
+                    assert out == "" and err == "error: z-grid must be non-empty for the norm check\n"
+
     @pytest.mark.parametrize("config", [
         {"fixed": {"x": 1}},
         {"tol": {"norm": "x"}},
@@ -381,6 +420,12 @@ class TestVerify:
         {"omegas": [1, None]},
         # a misspelled tolerance name was once merged and ignored
         {"tol": {"nrom": 1e-30}},
+        # a string was once read as the list of its characters
+        {"omegas": "512"},
+        {"alphas": "00"},
+        {"z_grid": "15"},
+        {"checks": "norm"},
+        {"classes": "all"},
     ])
     def test_config_field_of_the_wrong_type_exits_2(self, config, tmp_path, capsys):
         # each once ended in a ValueError or TypeError traceback

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the library in src/."""
+"""Every narrative demo, and the README's library tour, runs to completion
+against the library in src/."""
 
 import subprocess
 import sys
@@ -17,6 +18,13 @@ def test_six_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -533,16 +533,6 @@ class TestDirectRoute:
         with pytest.raises(QuadratureDisagreement, match=r"\(2d\.2dof\.gamma1-gamma2\.D\)"):
             verify_moments(spec, CFG2, (2,))
 
-    def test_cyclic_couplings_are_rejected_by_the_route_itself(self):
-        # |det A| is taken as the product of A's diagonal, which holds only
-        # for an A that is triangular up to a permutation
-        cyclic = MeasureDensity("cyclic", (1, 2), 0.0, (), (
-            ExpTerm(1, 0.0, couplings=((2, 0.5),)),
-            ExpTerm(2, 0.0, couplings=((1, 0.5),)),
-        ))
-        with pytest.raises(SpecError, match="cyclic"):
-            log_moment_direct(cyclic, {1: np.array([0.0])})
-
     def test_perturbed_coupled_density_fails_with_agreeing_routes(self):
         # both routes integrate a tampered density correctly, so its check
         # fails on residuals, not on a disagreement
@@ -550,6 +540,36 @@ class TestDirectRoute:
         bad = _density(spec, CFG2, (1,)).perturbed(1, 1.01)
         rep = verify_moments(spec, CFG2, (1,), n_range=12, density=bad)
         assert not rep.passed and rep.max_residual > 0.01
+
+
+class TestDensityStructure:
+    """A MeasureDensity refuses, where it is built, the structures neither
+    moment route can integrate."""
+
+    def test_a_missing_exponential_factor_is_refused(self):
+        # without u2's factor the integral diverges; the closed route once
+        # returned log 0.5 for it and the resolution check a numeric fail
+        spec = get("2d.2dof.plain-plain.A")
+        d = _density(spec, CFG2, (1,))
+        with pytest.raises(ValueError, match="one exponential factor per variable is required"):
+            replace(d, exp_terms=d.exp_terms[:1])
+
+    def test_a_coupling_to_an_absent_variable_is_refused(self):
+        # both routes once ended in a KeyError
+        with pytest.raises(SpecError, match="couples to u3, which the density lacks"):
+            MeasureDensity("absent", (1, 2), 0.0, (), (
+                ExpTerm(1, 0.0, couplings=((3, 0.5),)),
+                ExpTerm(2, 0.0),
+            ))
+
+    def test_cyclic_couplings_are_refused(self):
+        # the direct route takes |det A| = 1, which holds only for an A
+        # that is triangular up to a permutation with a unit diagonal
+        with pytest.raises(SpecError, match="cyclic"):
+            MeasureDensity("cyclic", (1, 2), 0.0, (), (
+                ExpTerm(1, 0.0, couplings=((2, 0.5),)),
+                ExpTerm(2, 0.0, couplings=((1, 0.5),)),
+            ))
 
 
 class TestNonUniqueness:

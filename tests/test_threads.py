@@ -11,7 +11,7 @@ import pytest
 from child_env import src_env
 
 # sha256 of the default `vcslab report`
-DEFAULT_REPORT_SHA256 = "db7de2f07c97f8f2b47dac2a40627f25e14d3c1d404ae5988a2e0b132a7cda3e"
+DEFAULT_REPORT_SHA256 = "2ce2d6321b2dea3f8bfacd1348242cc8d77e1f61fb82113bc840b980a52ae14d"
 # sha256 of the resolution documents at two rational triples besides the
 # default: a moved or lost aliasing pair, or a reprinted ratio, changes them;
 # and of one whose aliased entries pass the float range, written as "inf"
@@ -27,11 +27,11 @@ RESOLUTION_SHA256 = {
 # compile, the selection rule or the convergence verdict changes them
 PINNED_SHA256 = {
     "verify all --kappa 12=0.3":
-        "42321c30b12033715e9fd4acab117d34e238318085539cda25ae93545d59fabe",
+        "0680bcdb25e7e6fc59bdb8797747e79662d6e449dde1f3cf0cc6215c6502803e",
     "verify all --kappa 32=0":
         "3108e8bfc431d6f16865c520b0fbdd4e56caa4ecd5b7807aa136d5369acf3cea",
     "verify all --kappa 13=0 --kappa 23=0.5":
-        "cbce526d81be92fff49af79a88611644000cd1019ce918255daaff4b1466967b",
+        "15f1e1e2147646ca80973f8820ffe243a064f47b02694d9c56484ce5e6617208",
     "verify all --omega 0.01,0.1,1 --kappa 12=0.25 --checks resolution":
         "8f7b243040837bf189c190ec1b4b5f1d9be34bb3f627d4ecdd9903efb87d54c4",
 }
