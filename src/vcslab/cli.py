@@ -320,7 +320,8 @@ def _kappa_text(pins) -> dict[str, float]:
 
 
 def _selected_ids(cfg: RunConfig) -> list[str]:
-    if cfg.classes == ["all"]:
+    """The ids to verify: the whole registry wherever "all" is named."""
+    if "all" in cfg.classes:
         return [s.id for s in registry()]
     return sorted({get(cid).id for cid in cfg.classes})  # get raises KeyError for unknown ids
 

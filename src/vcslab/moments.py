@@ -43,8 +43,8 @@ class MeasureDensity:
     """chi(u) = exp(log_const) * prod u_t^powers[t] * prod exp-terms.
 
     Built only with one exp term per variable, each coupled to variables
-    whose own terms are uncoupled: the coupling matrix A is triangular up
-    to a permutation, with a unit diagonal."""
+    whose own terms are uncoupled: the coupling matrix is A = I + B with
+    B B = 0, so A^-1 = I - B exactly."""
 
     spec_id: str
     variables: tuple[int, ...]

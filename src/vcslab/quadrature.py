@@ -110,19 +110,18 @@ def log_moment_direct(density, exponents) -> np.ndarray:
     peak's width.  Then log I = h(v*) + sum over components of
     log int exp(h - h(v*)).  The integrand's values come from
     `density.log_grid` only; A and c serve only to place the nodes.
-    A `MeasureDensity` has one term per variable and no cyclic coupling,
-    so A is triangular up to a permutation, with a unit diagonal:
-    |det A| = 1.
+    A `MeasureDensity` has one term per variable, and couples terms only
+    to variables whose own terms are uncoupled: A = I + B with B B = 0,
+    so A^-1 = I - B exactly and |det A| = 1.
     """
     variables = list(density.variables)
     col = {v: i for i, v in enumerate(variables)}
-    a = np.eye(len(variables))
+    a_inv = np.eye(len(variables))
     log_scale = np.zeros(len(variables))
     for t in density.exp_terms:
         for j, b in t.couplings:
-            a[col[t.var], col[j]] += b
+            a_inv[col[t.var], col[j]] -= b
         log_scale[col[t.var]] = t.log_scale
-    a_inv = np.linalg.inv(a)
     size = len(next(iter(exponents.values())))
     e = np.zeros((size, len(variables)))
     for i, var in enumerate(variables):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -119,21 +119,20 @@ class TowerTerm:
         return "gamma(" + ",".join(str(d) for d in deps) + ")"
 
     def relabeled(self, perm: Mapping[int, int]) -> "TowerTerm":
-        return TowerTerm(
+        return replace(
+            self,
             tower=perm.get(self.tower, self.tower),
             z_exp=self.z_exp.relabeled(perm),
             w_exp=self.w_exp.relabeled(perm),
             gamma=self.gamma.relabeled(perm),
-            normalized=self.normalized,
         )
 
     def drop_ratio(self, pair: tuple[int, int]) -> "TowerTerm":
-        return TowerTerm(
-            tower=self.tower,
+        return replace(
+            self,
             z_exp=self.z_exp.drop_ratio(pair),
             w_exp=self.w_exp.drop_ratio(pair),
             gamma=self.gamma.drop_ratio(pair),
-            normalized=self.normalized,
         )
 
 
@@ -438,33 +437,21 @@ class ClassSpec:
 
     def drop_ratio(self, pair: tuple[int, int]) -> "ClassSpec":
         """Structural kappa(pair) -> 0 limit (id/labels left to the caller)."""
-        return ClassSpec(
+        return replace(
+            self,
             id=self.id + f".limit{pair[0]}{pair[1]}",
-            label=self.label,
-            dimension=self.dimension,
-            summed=self.summed,
-            fixed=self.fixed,
             towers=tuple(tw.drop_ratio(pair) for tw in self.towers),
-            family=self.family,
-            subclass=self.subclass,
-            quadruple=self.quadruple,
-            case=self.case,
         )
 
     def relabeled(self, perm: Mapping[int, int]) -> "ClassSpec":
-        return ClassSpec(
+        return replace(
+            self,
             id=self.id + ".swapped",
-            label=self.label,
-            dimension=self.dimension,
             summed=tuple(sorted(perm.get(t, t) for t in self.summed)),
             fixed=tuple(sorted(perm.get(t, t) for t in self.fixed)),
             towers=tuple(
                 tw.relabeled(perm)
                 for tw in sorted(self.towers, key=lambda w: perm.get(w.tower, w.tower))
             ),
-            family=self.family,
-            subclass=self.subclass,
-            quadruple=self.quadruple,
-            case=self.case,
         )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 
 from .convergence import class_verdict  # noqa: F401  (bench/spans.py patches taxonomy.class_verdict)
@@ -285,16 +285,21 @@ def canonical_signature(spec: ClassSpec) -> tuple:
     return (tuple(sig), spec.summed, spec.fixed)
 
 
+@cache
+def _swapped_images() -> dict[str, ClassSpec]:
+    """Each 3D class's image under the tower swap, by id; built once, so
+    the limits check reads the object the graph matched."""
+    return {s.id: s.relabeled(TOWER_SWAP) for s in registry() if s.dimension == 3}
+
+
 @lru_cache(maxsize=None)
 def _descendant_lookup():
     """Canonical signature -> (registered id, found via the tower swap); built once."""
     table = {}
     for s in registry():
         table.setdefault(canonical_signature(s), (s.id, False))
-    for s in registry():
-        if s.dimension == 3:
-            image = s.relabeled(TOWER_SWAP)
-            table.setdefault(canonical_signature(image), (s.id, True))
+    for sid, image in _swapped_images().items():
+        table.setdefault(canonical_signature(image), (sid, True))
     return table
 
 
@@ -355,9 +360,7 @@ def verify_edge_continuity(
     if edge.status != "defined":
         raise SpecError("continuity applies to defined edges")
     anc = get(edge.ancestor)
-    desc = get(edge.descendant)
-    if edge.via_symmetry:
-        desc = desc.relabeled(TOWER_SWAP)
+    desc = _swapped_images()[edge.descendant] if edge.via_symmetry else get(edge.descendant)
     fixed = tuple(int(v) for v in fixed)
     z = {t: 0.8 * math.sqrt(config.omega(t)) for t in anc.tower_ids}
     nmax = (EDGE_WINDOW,) * len(anc.summed)
@@ -392,9 +395,7 @@ def collapse_to_classes(edges: list[DeformationEdge]) -> list[DeformationEdge]:
     for e in edges:
         key = (rep(e.ancestor), rep(e.descendant), e.parameter, e.status)
         if key not in seen:
-            seen[key] = DeformationEdge(
-                key[0], key[1], e.parameter, e.status, e.reason, e.via_symmetry
-            )
+            seen[key] = replace(e, ancestor=key[0], descendant=key[1])
     return list(seen.values())
 
 

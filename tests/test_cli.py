@@ -392,6 +392,18 @@ class TestVerify:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("classes", [["all", "2d.1dof.plain1.A"], ["all", "all"]])
+    def test_all_beside_other_ids_selects_the_registry(self, classes, tmp_path, capsys):
+        # "all" next to another id was once looked up as a class id, and exited 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classes": classes, "checks": ["norm"]}))
+        for argv in ([*classes, "--checks", "norm"], ["--config", str(cfg)]):
+            assert main(["verify", *argv]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            doc = json.loads(out)
+            assert len(doc["config"]["classes"]) == 56 and doc["summary"]["classes"] == 56
+
     @pytest.mark.parametrize("checks", [",", "moment,moment"])
     def test_report_with_vacuous_or_repeated_checks_exits_2(self, checks):
         proc = run_cli(["report", "--checks", checks])

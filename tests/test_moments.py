@@ -524,6 +524,17 @@ class TestDirectRoute:
             direct = _direct_log_moments(compiled, density, forms)
             assert np.abs(np.expm1(direct - closed)).max() <= 1e-9, spec.id
 
+    def test_takes_no_matrix_inverse(self, monkeypatch):
+        # a density's couplings run from coupled terms to uncoupled
+        # variables, so A^-1 = I - B is read off its terms, not solved for
+        def refuse(a):
+            raise AssertionError("np.linalg.inv was called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for spec in registry():
+            cfg = FrequencyConfig(CFG3.omegas[: spec.dimension])
+            assert verify_moments(spec, cfg, (1,) * len(spec.fixed)).passed, spec.id
+
     def test_reduction_tamper_is_caught(self, monkeypatch):
         # integrating the exponential factors in the wrong order gives the
         # closed form wrong exponents; the direct route never uses them
@@ -563,8 +574,8 @@ class TestDensityStructure:
             ))
 
     def test_cyclic_couplings_are_refused(self):
-        # the direct route takes |det A| = 1, which holds only for an A
-        # that is triangular up to a permutation with a unit diagonal
+        # the direct route takes A^-1 = I - B, which holds only while no
+        # coupled term is coupled to
         with pytest.raises(SpecError, match="cyclic"):
             MeasureDensity("cyclic", (1, 2), 0.0, (), (
                 ExpTerm(1, 0.0, couplings=((2, 0.5),)),

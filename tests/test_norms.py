@@ -196,6 +196,15 @@ class TestNormSeries:
         res = norm_series(gen)
         assert res.log_norm == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("z", [(0.0, 1.3), (1.1, 0.0)])
+    def test_closed_form_with_a_zero_variable(self, z):
+        # a variable at 0 gives its axis weight 0: the closed form keeps
+        # only that axis's first term
+        gen = term_generator(get("2d.2dof.gamma1-plain.A"), CFG2, z, (0,))
+        closed = norm_closed_form(gen)
+        assert closed.method == "closed_form"
+        assert closed.log_norm == pytest.approx(norm_series(gen).log_norm, abs=1e-12)
+
     def test_independent_3d_matches_closed_product(self):
         n3 = 1
         z = (1.2, 0.7)

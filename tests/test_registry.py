@@ -9,7 +9,7 @@ import pytest
 from child_env import src_env
 from vcslab.frequencies import FrequencyConfig
 from vcslab.norms import term_generator
-from vcslab.registry import get, ids, registry, select
+from vcslab.registry import TOWER_SWAP, get, ids, registry, select
 from vcslab.special import log_gamma
 from vcslab.structure import (
     AffineForm,
@@ -272,6 +272,20 @@ class TestCoefficientStructure:
         spec = get("2d.2dof.gamma1-plain.A")
         cfg = FrequencyConfig((1.0, 2.0))
         assert spec.compile(cfg, [3]) == spec.compile(cfg, (3.0,)) == spec.compile(cfg, (3,))
+
+    def test_transforms_keep_the_fields_they_do_not_change(self):
+        # a transform that spelled out every field once could reset a
+        # field it forgot to copy
+        kept = ("label", "dimension", "family", "subclass", "quadruple", "case")
+        for spec in registry():
+            normalized = {tw.tower: tw.normalized for tw in spec.towers}
+            images = [(spec.drop_ratio(pair), {}) for pair in sorted(spec.ratios_used())]
+            images.append((spec.relabeled(TOWER_SWAP), TOWER_SWAP))
+            for image, perm in images:
+                assert [getattr(image, f) for f in kept] == [getattr(spec, f) for f in kept], image.id
+                assert {perm.get(t, t): n for t, n in normalized.items()} == {
+                    tw.tower: tw.normalized for tw in image.towers
+                }, image.id
 
     def test_relabel_swaps_towers(self):
         spec = get("2d.1dof.gamma1.A")

@@ -7,7 +7,7 @@ import pytest
 from vcslab.cli import RunConfig, main, run_class_checks
 from vcslab.frequencies import FrequencyConfig
 from vcslab.registry import get, registry
-from vcslab.structure import SpecError
+from vcslab.structure import ClassSpec, SpecError
 from vcslab.taxonomy import (
     EDGE_WINDOW,
     FactorComponent,
@@ -265,6 +265,20 @@ class TestDeformationGraph:
         for e in sample:
             rep = verify_edge_continuity(e, CFG3, (1,))
             assert rep.passed, (e, rep.as_dict())
+
+    def test_swapped_descendants_are_not_rebuilt(self, monkeypatch):
+        # the graph's lookup builds each swapped image once; the limits
+        # check reads that object instead of relabeling on every call
+        edges = [e for e in deformation_graph(3, 2) if e.via_symmetry]
+        assert len(edges) == 4
+        calls = []
+        relabeled = ClassSpec.relabeled
+        monkeypatch.setattr(
+            ClassSpec, "relabeled", lambda spec, perm: calls.append(spec.id) or relabeled(spec, perm)
+        )
+        for e in edges:
+            assert verify_edge_continuity(e, CFG3, (1,)).passed, e
+        assert calls == []
 
     def test_unsupported_pair(self):
         for _ in range(2):

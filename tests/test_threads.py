@@ -47,6 +47,20 @@ CATALOG_SHA256 = {
     "taxonomy --dim 3 --dof 2 --format json --level subclass":
         "35588de71252ed041938b55227308102ac22c9fd699233e54adc197fed38567c",
 }
+# sha256 of the full census at five triples, with the exit code each ends
+# in: at 1,0.1,0.01 four 2D norm checks fail, and the pin keeps them in view
+CENSUS_SHA256 = {
+    "verify all --omega 3,2,1":
+        (0, "ec3e5de1657a79f580a18c87fb6e8537e214dfddc5cf02367ad7bdd28e1726e8"),
+    "verify all --omega 1,0.5,0.25":
+        (0, "e99d1b0d61140635bbf905e142fe6951132021ca13ad6e426b263217de50322a"),
+    "verify all --omega 0.01,0.1,1":
+        (0, "f90d98035092ee0cddabc8023dad91e209e7803eeaa356b86ae20fa488628268"),
+    "verify all --omega 1,100,1e4":
+        (0, "0307ca1ead25c6f5ff0e2e483d07183bd18d76f53c08068748a33431ae41b55d"),
+    "verify all --omega 1,0.1,0.01":
+        (1, "49e9baf47291ecc002d384af32b874cb5ae4e03bcf75591155507933db0b9dcf"),
+}
 
 PROBE = (
     "import json, os, sys\n"
@@ -103,13 +117,13 @@ def test_blas_threads_move_no_number(tmp_path, openblas_threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
-def stdout_sha256(command):
-    """sha256 of the stdout of `vcslab <command>`, which must exit 0."""
+def stdout_sha256(command, exit_code=0):
+    """sha256 of the stdout of `vcslab <command>`, which must exit with exit_code."""
     proc = subprocess.run(
         [sys.executable, "-m", "vcslab.cli", *command.split()],
         capture_output=True, env=src_env(),
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
@@ -126,3 +140,9 @@ def test_resolution_bytes_are_pinned(command):
 @pytest.mark.parametrize("command", sorted(PINNED_SHA256))
 def test_pinned_ratio_bytes_are_pinned(command):
     assert stdout_sha256(command) == PINNED_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(CENSUS_SHA256))
+def test_census_bytes_are_pinned(command):
+    exit_code, digest = CENSUS_SHA256[command]
+    assert stdout_sha256(command, exit_code) == digest
